@@ -1,7 +1,6 @@
 """duelbias: measure bias between two item populations from pairwise duels."""
 
 from .bias import (
-    BiasReport,
     FrequencyComparison,
     RankCurvePoint,
     bootstrap_ci,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "BiasReport",
     "ComparisonGraph",
     "DuelRecord",
     "FitConfig",

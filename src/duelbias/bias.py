@@ -15,9 +15,16 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnstableBootstrapError, ValidationError
+from .errors import DuelBiasError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
-from .stats import PValue, binomial_two_sided, pearson, percentile_rank, spearman
+from .stats import (
+    PValue,
+    binomial_two_sided,
+    midpoint_ranks,
+    pearson,
+    percentile_rank,
+    spearman,
+)
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
@@ -56,17 +63,6 @@ class FrequencyComparison:
     # None when undefined (fewer than 3 categories, or a constant profile)
     spearman_rho: float | None
     spearman_p: PValue | None
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    dimension: str
-    category: str
-    score_bias: float
-    score_bias_ci: tuple[float, float]
-    median_percentile: float
-    win_fraction: WinFraction
-    rank_curve: tuple[RankCurvePoint, ...]
 
 
 def duel_win_fraction(duels: Sequence[DuelRecord], side: str = GROUP_B) -> WinFraction:
@@ -150,8 +146,10 @@ def bootstrap_ci(
     items with replacement, and feeds the concatenation of the sampled
     items' rows to the statistic.
 
-    Replicates on which the statistic raises are discarded; more than 10%
-    discards aborts with UnstableBootstrapError. Returns (point, low, high).
+    Replicates on which the statistic raises a ValueError, ArithmeticError
+    or package error are discarded; more than 10% discards aborts with
+    UnstableBootstrapError. Any other exception propagates. Returns
+    (point, low, high).
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
@@ -179,14 +177,49 @@ def bootstrap_ci(
             sample = [row for i in idx for row in groups[keys[i]]]
         try:
             values.append(float(statistic(sample)))
-        except Exception:
+        except (ValueError, ArithmeticError, DuelBiasError):
             failures += 1
     if failures > 0.1 * replicates:
         raise UnstableBootstrapError(
             f"{failures} of {replicates} bootstrap replicates failed"
         )
-    low, high = np.percentile(values, [2.5, 97.5])
+    low, high = percentile_ci(values)
     return point, float(low), float(high)
+
+
+def percentile_ci(values) -> np.ndarray:
+    """Percentile 95% interval of bootstrap values along the first axis:
+    row 0 holds the lows, row 1 the highs."""
+    return np.percentile(values, [2.5, 97.5], axis=0)
+
+
+def resample_two_groups(
+    values_a: np.ndarray,
+    values_b: np.ndarray,
+    replicates: int,
+    seed: int,
+    grid: Sequence[float] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resample each group with replacement, independently, ``replicates``
+    times from one generator seeded with ``seed``.
+
+    Returns the per-replicate mean differences mean(b) - mean(a), shape
+    (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
+    the percentile rank within the resampled A of each grid percentile of
+    the resampled B. Each replicate draws A's indices, then B's.
+    """
+    if replicates < 100:
+        raise ValidationError("bootstrap needs at least 100 replicates")
+    rng = np.random.default_rng(seed)
+    diffs = np.empty(replicates)
+    rows = np.empty((replicates, len(grid)))
+    for r in range(replicates):
+        a = values_a[rng.integers(0, len(values_a), size=len(values_a))]
+        b = values_b[rng.integers(0, len(values_b), size=len(values_b))]
+        diffs[r] = b.mean() - a.mean()
+        if len(grid):
+            rows[r] = midpoint_ranks(np.percentile(b, grid), np.sort(a))
+    return diffs, rows
 
 
 def median_percentile_rank(
@@ -220,26 +253,13 @@ def rank_curve(
         raise ValidationError("both groups must be non-empty")
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
-
-    def curve_ys(a_s, b_s):
-        cuts = np.percentile(b_s, grid)
-        return [percentile_rank(float(c), a_s) for c in cuts]
-
-    ys = curve_ys(a, b)
+    ys = midpoint_ranks(np.percentile(b, grid), np.sort(a))
     if bootstrap_replicates is None:
-        return tuple(RankCurvePoint(float(x), y) for x, y in zip(grid, ys))
-    if bootstrap_replicates < 100:
-        raise ValidationError("bootstrap needs at least 100 replicates")
-    rng = np.random.default_rng(seed)
-    boot = np.empty((bootstrap_replicates, len(grid)))
-    for r in range(bootstrap_replicates):
-        a_s = a[rng.integers(0, len(a), size=len(a))]
-        b_s = b[rng.integers(0, len(b), size=len(b))]
-        boot[r] = curve_ys(a_s, b_s)
-    lows = np.percentile(boot, 2.5, axis=0)
-    highs = np.percentile(boot, 97.5, axis=0)
+        return tuple(RankCurvePoint(float(x), float(y)) for x, y in zip(grid, ys))
+    _, boot = resample_two_groups(a, b, bootstrap_replicates, seed, grid)
+    lows, highs = percentile_ci(boot)
     return tuple(
-        RankCurvePoint(float(x), y, float(lo), float(hi))
+        RankCurvePoint(float(x), float(y), float(lo), float(hi))
         for x, y, lo, hi in zip(grid, ys, lows, highs)
     )
 

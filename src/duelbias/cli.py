@@ -38,14 +38,15 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import (
-    OUTPUT_DIR_ENV,
     AnalysisConfig,
+    duel_outcomes_json,
     fit_tournament,
+    frequency_json,
     run_pipeline,
+    write_json,
     write_report_bundle,
 )
 from .records import GROUP_A, GROUP_B
-from .stats import PValue
 from .tournament import (
     DEFAULT_BUDGETS,
     sample_balanced_duels,
@@ -68,6 +69,8 @@ _NUMERICAL_ERRORS = (
     FloatingPointError,
 )
 
+OUTPUT_DIR_ENV = "DUELBIAS_OUTPUT_DIR"
+
 
 def _output_dir(args) -> str:
     return args.output_dir or os.environ.get(OUTPUT_DIR_ENV, ".")
@@ -77,19 +80,6 @@ def _outpath(args, name: str) -> str:
     outdir = _output_dir(args)
     os.makedirs(outdir, exist_ok=True)
     return os.path.join(outdir, name)
-
-
-def _pvalue_json(p: PValue) -> dict:
-    if p.value is not None:
-        return {"value": p.value}
-    return {"log10": p.log10_value}
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, sort_keys=True, indent=2, allow_nan=False)
-        f.write("\n")
-    print(path)
 
 
 def _load_config_defaults(path) -> dict:
@@ -204,7 +194,7 @@ def cmd_fit(args) -> None:
                 "log_likelihood": table.log_likelihood,
             }
     print(path)
-    _write_json(_outpath(args, "fit_diagnostics.json"), diagnostics)
+    print(write_json(_outpath(args, "fit_diagnostics.json"), diagnostics))
 
 
 def cmd_bias(args) -> None:
@@ -219,7 +209,6 @@ def cmd_bias(args) -> None:
         bootstrap_unit=_merged(args, cfg, "unit", "duel"),
         seed=int(_merged(args, cfg, "seed", 0)),
         fit=_fit_config(args, cfg),
-        output_dir=_output_dir(args),
     )
     bundle = run_pipeline(config, catalog, duels, tags)
     for path in write_report_bundle(bundle, _output_dir(args)):
@@ -234,20 +223,12 @@ def cmd_duelstats(args) -> None:
     payload = {}
     for dimension in dimensions:
         dim_duels = [d for d in duels if d.dimension == dimension]
-        wf = bias_mod.duel_win_fraction(dim_duels)
         macro = bias_mod.rater_macro_average(dim_duels)
-        payload[dimension] = {
-            "win_fraction": {
-                "fraction": wf.fraction,
-                "wins": wf.wins,
-                "n": wf.n,
-                "p": _pvalue_json(wf.p_value),
-            },
-            "rater_macro_mean": macro.macro_mean,
-            "rater_histogram": [list(bin_) for bin_ in macro.histogram],
-            "n_raters": len(macro.per_rater),
-        }
-    _write_json(_outpath(args, "duelstats.json"), payload)
+        payload[dimension] = duel_outcomes_json(
+            bias_mod.duel_win_fraction(dim_duels), macro
+        )
+        payload[dimension]["n_raters"] = len(macro.per_rater)
+    print(write_json(_outpath(args, "duelstats.json"), payload))
 
 
 def cmd_tags(args) -> None:
@@ -290,20 +271,8 @@ def cmd_tags(args) -> None:
 
 def cmd_freq(args) -> None:
     catalog = parse_items(args.items, _column_map(args))
-    freq = bias_mod.frequency_divergence(catalog)
-    payload = {
-        "categories": list(freq.categories),
-        "freq_a": list(freq.freq_a),
-        "freq_b": list(freq.freq_b),
-        "ratio_b_over_a": [
-            None if r == float("inf") else r for r in freq.ratio_b_over_a
-        ],
-        "spearman_rho": freq.spearman_rho,
-        "spearman_p": (
-            _pvalue_json(freq.spearman_p) if freq.spearman_p is not None else None
-        ),
-    }
-    _write_json(_outpath(args, "frequency.json"), payload)
+    payload = frequency_json(bias_mod.frequency_divergence(catalog))
+    print(write_json(_outpath(args, "frequency.json"), payload))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,6 @@ from .errors import ReferentialError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, TagRecord
 from .stats import PValue
 
-OUTPUT_DIR_ENV = "DUELBIAS_OUTPUT_DIR"
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -35,16 +33,46 @@ class AnalysisConfig:
     tag_top_k: int = 20
     tag_min_count: int = tags_mod.DEFAULT_MIN_COUNT
     tag_smoothing: float = tags_mod.DEFAULT_SMOOTHING
-    output_dir: str | None = None
-
-    def resolved_output_dir(self) -> str:
-        return self.output_dir or os.environ.get(OUTPUT_DIR_ENV, ".")
 
 
-def _pvalue_json(p: PValue) -> dict:
+def pvalue_json(p: PValue) -> dict:
     if p.value is not None:
         return {"value": p.value}
     return {"log10": p.log10_value}
+
+
+def win_fraction_json(wf: bias_mod.WinFraction) -> dict:
+    return {
+        "fraction": wf.fraction,
+        "wins": wf.wins,
+        "n": wf.n,
+        "p": pvalue_json(wf.p_value),
+    }
+
+
+def duel_outcomes_json(
+    wf: bias_mod.WinFraction, macro: bias_mod.RaterSummary
+) -> dict:
+    return {
+        "win_fraction": win_fraction_json(wf),
+        "rater_macro_mean": macro.macro_mean,
+        "rater_histogram": [list(bin_) for bin_ in macro.histogram],
+    }
+
+
+def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
+    return {
+        "categories": list(freq.categories),
+        "freq_a": list(freq.freq_a),
+        "freq_b": list(freq.freq_b),
+        "ratio_b_over_a": [
+            None if math.isinf(x) else x for x in freq.ratio_b_over_a
+        ],
+        "spearman_rho": freq.spearman_rho,
+        "spearman_p": (
+            pvalue_json(freq.spearman_p) if freq.spearman_p is not None else None
+        ),
+    }
 
 
 def _digest(lines: Sequence[str]) -> str:
@@ -121,29 +149,6 @@ def _refit_bias_statistic(catalog, category, dimension, config, warm_start=None)
     return statistic
 
 
-def _score_resample_ci(values_a, values_b, replicates, seed):
-    """CI for mean(b) - mean(a) by resampling items within each group."""
-    rng = np.random.default_rng(seed)
-    diffs = np.empty(replicates)
-    for r in range(replicates):
-        a = values_a[rng.integers(0, len(values_a), len(values_a))]
-        b = values_b[rng.integers(0, len(values_b), len(values_b))]
-        diffs[r] = b.mean() - a.mean()
-    low, high = np.percentile(diffs, [2.5, 97.5])
-    return float(low), float(high)
-
-
-def _median_percentile_ci(values_a, values_b, replicates, seed):
-    rng = np.random.default_rng(seed)
-    vals = np.empty(replicates)
-    for r in range(replicates):
-        a = values_a[rng.integers(0, len(values_a), len(values_a))]
-        b = values_b[rng.integers(0, len(values_b), len(values_b))]
-        vals[r] = bias_mod.median_percentile_rank(a, b)
-    low, high = np.percentile(vals, [2.5, 97.5])
-    return float(low), float(high)
-
-
 def run_pipeline(
     config: AnalysisConfig,
     catalog: ItemCatalog,
@@ -203,12 +208,25 @@ def run_pipeline(
         try:
             table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
         except Exception as exc:
-            raise type(exc)(
-                f"category {category!r}, dimension {dimension!r}: {exc}"
-            ) from exc
+            # rewrite the message in place: a new instance would lose the
+            # type's own constructor arguments (e.g. item_ids)
+            exc.args = (f"category {category!r}, dimension {dimension!r}: {exc}",)
+            raise
         gs = _group_scores(catalog, category, table, config.bias_log_scale)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)
+        # one resample gives the item-unit score CI, the median-percentile
+        # CI (grid column 0) and the rank-curve CIs
+        diffs, boot = bias_mod.resample_two_groups(
+            gs[GROUP_A],
+            gs[GROUP_B],
+            config.bootstrap_replicates,
+            seed,
+            grid=(50,) + tuple(config.rank_grid),
+        )
+        (med_low, *curve_lows), (med_high, *curve_highs) = (
+            bias_mod.percentile_ci(boot).tolist()
+        )
         if config.bootstrap_unit == "duel":
             _, low, high = bias_mod.bootstrap_ci(
                 cat_duels,
@@ -220,21 +238,9 @@ def run_pipeline(
                 unit="duel",
             )
         else:
-            low, high = _score_resample_ci(
-                gs[GROUP_A], gs[GROUP_B], config.bootstrap_replicates, seed
-            )
+            low, high = bias_mod.percentile_ci(diffs).tolist()
         median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])
-        med_low, med_high = _median_percentile_ci(
-            gs[GROUP_A], gs[GROUP_B], config.bootstrap_replicates, seed + 1
-        )
-        curve = bias_mod.rank_curve(
-            gs[GROUP_A],
-            gs[GROUP_B],
-            grid=config.rank_grid,
-            bootstrap_replicates=config.bootstrap_replicates,
-            seed=seed + 2,
-        )
-        wf = bias_mod.duel_win_fraction(cat_duels)
+        curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B], grid=config.rank_grid)
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
         bundle["tournaments"][f"{category}/{dimension}"] = {
             "category": category,
@@ -255,14 +261,10 @@ def run_pipeline(
                 "ci": [med_low, med_high],
                 "significant": med_low > 50.0 or med_high < 50.0,
             },
-            "win_fraction": {
-                "fraction": wf.fraction,
-                "wins": wf.wins,
-                "n": wf.n,
-                "p": _pvalue_json(wf.p_value),
-            },
+            "win_fraction": win_fraction_json(bias_mod.duel_win_fraction(cat_duels)),
             "rank_curve": [
-                {"x": p.x, "y": p.y, "ci": [p.ci_low, p.ci_high]} for p in curve
+                {"x": p.x, "y": p.y, "ci": [lo, hi]}
+                for p, lo, hi in zip(curve, curve_lows, curve_highs)
             ],
         }
         per_dim_stats[dimension]["bias"].append(point)
@@ -274,15 +276,18 @@ def run_pipeline(
 
     for dimension in dimensions:
         dim_duels = [d for d in selected if d.dimension == dimension]
-        wf = bias_mod.duel_win_fraction(dim_duels)
-        macro = bias_mod.rater_macro_average(dim_duels)
+        outcomes = duel_outcomes_json(
+            bias_mod.duel_win_fraction(dim_duels),
+            bias_mod.rater_macro_average(dim_duels),
+        )
         pooled_a = np.concatenate(per_dim_group_logs[dimension][GROUP_A])
         pooled_b = np.concatenate(per_dim_group_logs[dimension][GROUP_B])
         pooled_bias = float(pooled_b.mean() - pooled_a.mean())
         seed = _derived_seed(config.seed, "__pooled__", dimension)
-        low, high = _score_resample_ci(
+        diffs, _ = bias_mod.resample_two_groups(
             pooled_a, pooled_b, config.bootstrap_replicates, seed
         )
+        low, high = bias_mod.percentile_ci(diffs).tolist()
         bound, bound_ci = bias_mod.triangle_lower_bound(pooled_bias, (low, high))
         stats = per_dim_stats[dimension]
         bundle["pooled"][dimension] = {
@@ -290,14 +295,7 @@ def run_pipeline(
             "mean_median_percentile": float(np.mean(stats["median_percentile"])),
             "pooled_score_bias": {"point": pooled_bias, "ci": [low, high]},
             "triangle_lower_bound": {"point": bound, "ci": list(bound_ci)},
-            "win_fraction": {
-                "fraction": wf.fraction,
-                "wins": wf.wins,
-                "n": wf.n,
-                "p": _pvalue_json(wf.p_value),
-            },
-            "rater_macro_mean": macro.macro_mean,
-            "rater_histogram": [list(bin_) for bin_ in macro.histogram],
+            **outcomes,
         }
 
     if len(dimensions) >= 2:
@@ -312,23 +310,13 @@ def run_pipeline(
             bundle["score_correlations"] = {
                 "dimensions": list(dims),
                 "r": [[float(v) for v in row] for row in r],
-                "p": [[_pvalue_json(v) for v in row] for row in p],
+                "p": [[pvalue_json(v) for v in row] for row in p],
             }
 
     if len(catalog.categories()) >= 2:
-        freq = bias_mod.frequency_divergence(catalog)
-        bundle["frequency_comparison"] = {
-            "categories": list(freq.categories),
-            "freq_a": list(freq.freq_a),
-            "freq_b": list(freq.freq_b),
-            "ratio_b_over_a": [
-                None if math.isinf(x) else x for x in freq.ratio_b_over_a
-            ],
-            "spearman_rho": freq.spearman_rho,
-            "spearman_p": (
-                _pvalue_json(freq.spearman_p) if freq.spearman_p is not None else None
-            ),
-        }
+        bundle["frequency_comparison"] = frequency_json(
+            bias_mod.frequency_divergence(catalog)
+        )
 
     if tags:
         group_of = {r.item_id: catalog.group_of(r.item_id) for r in tags}
@@ -357,7 +345,7 @@ def _tag_json(t) -> dict:
         "count_target": t.count_target,
         "count_reference": t.count_reference,
         "chi2": t.chi2,
-        "p": _pvalue_json(t.p_value),
+        "p": pvalue_json(t.p_value),
         "stars": t.stars,
     }
 
@@ -380,16 +368,18 @@ def dump_report(bundle: dict) -> str:
     return json.dumps(bundle, sort_keys=True, indent=2, allow_nan=False)
 
 
+def write_json(path: str, payload: dict) -> str:
+    """Write ``dump_report(payload)`` and a final newline; returns the path."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dump_report(payload))
+        f.write("\n")
+    return path
+
+
 def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
     """Write report.json plus flat CSV tables; returns the written paths."""
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    path = os.path.join(outdir, "report.json")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_report(bundle))
-        f.write("\n")
-    written.append(path)
+    written = [write_json(os.path.join(outdir, "report.json"), bundle)]
 
     if bundle.get("tournaments"):
         path = os.path.join(outdir, "scores.csv")

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 LOG10_SWITCH = -300.0  # below this, a PValue is stored as log10(p)
 
 
@@ -266,11 +268,16 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, PValue]:
     return pearson(average_ranks(xs), average_ranks(ys))
 
 
+def midpoint_ranks(values, sorted_sample: np.ndarray) -> np.ndarray:
+    """Midpoint-convention percentile ranks of ``values`` within an ascending
+    sample: 100 * (below + equal / 2) / n, in [0, 100]."""
+    below = np.searchsorted(sorted_sample, values, side="left")
+    not_above = np.searchsorted(sorted_sample, values, side="right")
+    return 50.0 * (below + not_above) / len(sorted_sample)
+
+
 def percentile_rank(value: float, sample: Sequence[float]) -> float:
     """Midpoint-convention percentile rank of value within sample, in [0, 100]."""
-    n = len(sample)
-    if n == 0:
+    if len(sample) == 0:
         raise ValueError("sample must be non-empty")
-    below = sum(1 for s in sample if s < value)
-    equal = sum(1 for s in sample if s == value)
-    return 100.0 * (below + 0.5 * equal) / n
+    return float(midpoint_ranks(value, np.sort(np.asarray(sample, dtype=float))))

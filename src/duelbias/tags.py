@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -93,13 +94,14 @@ class TagDistribution:
 
     Probabilities are (count + eps) / (total + eps * |vocabulary|), where
     the vocabulary is supplied by the caller (usually the union over both
-    groups) so both distributions share the same support.
+    groups) so both distributions share the same support. ``counts`` must
+    not change after ``total`` is first read.
     """
 
     counts: dict[str, int]
     smoothing_epsilon: float = DEFAULT_SMOOTHING
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts.values())
 

@@ -172,6 +172,15 @@ class TestBootstrapCI:
         with pytest.raises(UnstableBootstrapError):
             bootstrap_ci([1.0, 2.0], fragile, replicates=200, seed=0)
 
+    def test_programming_error_propagates(self):
+        def broken(sample):
+            if len(set(sample)) < 2:
+                raise TypeError("bug in the statistic")
+            return float(np.mean(sample))
+
+        with pytest.raises(TypeError, match="bug in the statistic"):
+            bootstrap_ci([1.0, 2.0], broken, replicates=200, seed=0)
+
     def test_too_few_replicates(self):
         with pytest.raises(ValidationError):
             bootstrap_ci([1, 2, 3], np.mean, replicates=50)

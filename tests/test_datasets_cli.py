@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from duelbias.choice_model import FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
     parse_duels,
@@ -17,6 +18,7 @@ from duelbias.datasets import (
 from duelbias.errors import (
     ParseError,
     ReferentialError,
+    UnidentifiableItemsError,
     ValidationError,
 )
 from duelbias.pipeline import (
@@ -205,13 +207,12 @@ class TestParseErrors:
 
 
 class TestPipeline:
-    def config(self, tmp_path=None):
+    def config(self):
         # item-unit bootstrap avoids per-replicate refits and keeps tests fast
         return AnalysisConfig(
             bootstrap_replicates=100,
             bootstrap_unit="item",
             seed=1,
-            output_dir=str(tmp_path) if tmp_path else None,
         )
 
     def test_one_table_per_category_dimension(self, fixture_data):
@@ -278,6 +279,15 @@ class TestPipeline:
         assert low <= high
         # the refitted point estimate should sit inside a sane interval
         assert high - low < 10.0
+
+    def test_median_percentile_ci_is_rank_curve_ci_at_50(self, fixture_data):
+        catalog, duels, tags = fixture_data
+        config = self.config()
+        assert 50 in config.rank_grid
+        bundle = run_pipeline(config, catalog, duels, tags)
+        for t in bundle["tournaments"].values():
+            (at_50,) = [p["ci"] for p in t["rank_curve"] if p["x"] == 50]
+            assert t["median_percentile"]["ci"] == at_50
 
     def test_unknown_duel_item_rejected(self, fixture_data):
         catalog, duels, _ = fixture_data
@@ -457,6 +467,69 @@ class TestCLI:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("replicates", ["50", "0", "-5"])
+    def test_too_few_item_bootstrap_replicates_exit_2(
+        self, paths, capsys, replicates
+    ):
+        (items, duels, _), tmp_path = paths
+        rc = main(
+            [
+                "bias",
+                "--items", items,
+                "--duels", duels,
+                "--bootstrap", replicates,
+                "--unit", "item",
+                "--output-dir", str(tmp_path / "few"),
+            ]
+        )
+        assert rc == 2
+        assert "at least 100 replicates" in capsys.readouterr().err
+
+    def test_tournament_error_keeps_type_and_attributes(self, tmp_path, capsys):
+        # b2 is never compared: unidentifiable under alpha=0
+        catalog = ItemCatalog(
+            [
+                ItemRecord("a1", "A", "pizza", None),
+                ItemRecord("b1", "B", "pizza", None),
+                ItemRecord("b2", "B", "pizza", None),
+            ]
+        )
+        duels = [
+            DuelRecord("d0", "pizza", "tasty", "a1", "b1", "B", "r1"),
+            DuelRecord("d1", "pizza", "tasty", "a1", "b1", "A", "r1"),
+        ]
+        config = AnalysisConfig(
+            bootstrap_replicates=100,
+            bootstrap_unit="item",
+            fit=FitConfig(regularization_alpha=0.0),
+        )
+        with pytest.raises(UnidentifiableItemsError) as info:
+            run_pipeline(config, catalog, duels)
+        assert info.value.item_ids == ("b2",)
+        message = (
+            "category 'pizza', dimension 'tasty': items appear in no duel and "
+            "cannot be identified without regularization: b2"
+        )
+        assert str(info.value) == message
+
+        items_path = tmp_path / "items.csv"
+        duels_path = tmp_path / "duels.csv"
+        write_items(items_path, catalog)
+        write_duels(duels_path, duels)
+        rc = main(
+            [
+                "bias",
+                "--items", str(items_path),
+                "--duels", str(duels_path),
+                "--alpha", "0",
+                "--unit", "item",
+                "--bootstrap", "100",
+                "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_numerical_error_exits_3(self, tmp_path, capsys):
         # one item never compared: unidentifiable under alpha=0

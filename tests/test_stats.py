@@ -9,11 +9,16 @@ from duelbias.stats import (
     average_ranks,
     binomial_two_sided,
     chi_square_2x2,
+    midpoint_ranks,
     pearson,
     percentile_rank,
     spearman,
 )
-from oracles import chi2_stat_observed_expected, exact_binomial_two_sided
+from oracles import (
+    brute_percentile_rank,
+    chi2_stat_observed_expected,
+    exact_binomial_two_sided,
+)
 
 
 class TestPValue:
@@ -238,6 +243,21 @@ class TestPercentileRank:
     def test_monotone_in_value(self, sample, v1, v2):
         lo, hi = min(v1, v2), max(v1, v2)
         assert percentile_rank(lo, sample) <= percentile_rank(hi, sample)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+            st.lists(
+                st.floats(-3, 3).map(lambda x: round(x, 1)), min_size=1, max_size=40
+            ),
+        ),
+        st.lists(st.integers(-60, 60).map(lambda k: k / 10), max_size=10),
+    )
+    def test_matches_brute_force_with_ties(self, sample, values):
+        values = values + sample[:3]  # values equal to sample elements
+        expected = [brute_percentile_rank(v, sample) for v in values]
+        assert midpoint_ranks(values, np.sort(sample)).tolist() == expected
+        assert [percentile_rank(v, sample) for v in values] == expected
 
     def test_average_ranks_handles_ties(self):
         assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
