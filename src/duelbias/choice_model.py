@@ -1,9 +1,10 @@
 """Bradley-Terry model: fit latent quality scores from pairwise duels.
 
 The win probability of item a over item b is s(a) / (s(a) + s(b)) for
-strictly positive latent scores. Fitting uses minorization-maximization
-sweeps, optionally regularized by pseudo-duels against a virtual anchor
-item, which makes the maximizer exist for any data.
+strictly positive latent scores. Fitting is Newton's method on
+log-scores, each step solved matrix-free by conjugate gradients,
+optionally regularized by pseudo-duels against a virtual anchor item,
+which makes the maximizer exist for any data.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import DegenerateFitError, UnidentifiableItemsError, ValidationErro
 GEOMETRIC_MEAN_ONE = "geometric-mean-one"
 SUM_ONE = "sum-one"
 
-_SCORE_FLOOR = 1e-150
-_SCORE_CEIL = 1e150
+_LOG_FLOOR = math.log(1e-150)
+_LOG_CEIL = math.log(1e150)
+_MAX_STEP = 2.0  # largest log-score change of one Newton step
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,10 @@ class ComparisonGraph:
 
 @dataclass(frozen=True)
 class FitConfig:
+    """``tolerance`` bounds max |d/d log s| of the (regularized)
+    log-likelihood at a converged fit; ``max_iterations`` caps the number
+    of Newton steps."""
+
     max_iterations: int = 10_000
     tolerance: float = 1e-8
     regularization_alpha: float = 0.1
@@ -175,16 +181,70 @@ def _strongly_connected(n: int, duels: Sequence[tuple[int, int]]) -> bool:
     return reaches_all(fwd) and reaches_all(bwd)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 + 0.5 * np.tanh(0.5 * x)  # cannot overflow, unlike exp
+
+
+def _newton_direction(g, duel_weight, anchor_weight, wi, li, pinned, forcing):
+    """Approximately solve H d = g by Jacobi-preconditioned conjugate
+    gradients, where H is the Laplacian of the duel graph weighted by
+    ``duel_weight`` plus the diagonal ``anchor_weight``.
+
+    Stops once the preconditioned residual norm falls to ``forcing`` times
+    its starting value, or after n iterations. A pinned item 0 gets a zero
+    preconditioner entry, so it never moves.
+    """
+    n = len(g)
+    diag = (
+        np.bincount(wi, duel_weight, n)
+        + np.bincount(li, duel_weight, n)
+        + anchor_weight
+    )
+    inv_diag = np.divide(1.0, diag, out=np.zeros(n), where=diag > 0)
+    if pinned:
+        inv_diag[0] = 0.0
+    x = np.zeros(n)
+    r = g.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    stop = forcing * forcing * rz
+    for _ in range(n):
+        if rz <= stop:
+            break
+        t = duel_weight * (p[wi] - p[li])
+        hp = np.bincount(wi, t, n) - np.bincount(li, t, n) + anchor_weight * p
+        step = rz / float(p @ hp)
+        x += step * p
+        r -= step * hp
+        z = inv_diag * r
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return x
+
+
 def fit(
     graph: ComparisonGraph,
     config: FitConfig | None = None,
     initial_scores: Mapping[Hashable, float] | None = None,
 ) -> ScoreTable:
-    """Maximize the (regularized) Bradley-Terry likelihood by MM sweeps.
+    """Maximize the (regularized) Bradley-Terry likelihood by Newton-CG.
 
-    Each sweep applies s_i <- (W_i + a) / (sum over i's duels of
-    1/(s_i + s_opponent) + 2a/(s_i + 1)) and stops once the largest
-    absolute change in log-score falls below the configured tolerance.
+    Works on log-scores with the regularization anchor at log-score 0.
+    The gradient of item i is W_i - sum over i's duels of its win
+    probability p (each duel adds its upset probability q = 1 - p_winner
+    to the winner and -q to the loser), plus a * (1 - 2 sigma(log s_i))
+    from the anchor pseudo-duels. The negative Hessian is the graph Laplacian with duel
+    weights p(1 - p) plus a 2a * sigma(1 - sigma) diagonal; each Newton
+    step solves it by Jacobi-preconditioned conjugate gradients over the
+    duel arrays, with no n x n matrix. Steps are capped at a log-score
+    change of 2, and the fit converges once max |gradient| falls below
+    the configured tolerance. With a = 0, item 0 is pinned to fix the
+    gauge; if the win graph is not strongly connected there is no
+    maximizer, so the starting scores come back unconverged after 0
+    iterations.
+
     The result is expressed in the configured gauge; the regularization
     anchor is rescaled along with the scores so the reported fit is the
     exact optimum of the regularized objective.
@@ -196,22 +256,15 @@ def fit(
         raise DegenerateFitError("comparison graph has no items")
     alpha = config.regularization_alpha
 
-    appearances = np.zeros(n, dtype=np.intp)
-    wins = np.zeros(n, dtype=float)
-    if graph.duels:
-        d = np.array(graph.duels, dtype=np.intp)
-        wi, li = d[:, 0], d[:, 1]
-        np.add.at(appearances, wi, 1)
-        np.add.at(appearances, li, 1)
-        np.add.at(wins, wi, 1.0)
-    else:
-        wi = li = np.empty(0, dtype=np.intp)
+    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
+    wi, li = d[:, 0], d[:, 1]
 
     if alpha == 0.0:
         if not graph.duels:
             raise DegenerateFitError(
                 "no duels and no regularization: likelihood has no maximizer"
             )
+        appearances = np.bincount(wi, minlength=n) + np.bincount(li, minlength=n)
         silent = [graph.items[i] for i in range(n) if appearances[i] == 0]
         if silent:
             raise UnidentifiableItemsError(silent)
@@ -227,26 +280,34 @@ def fit(
 
     converged = False
     iterations = 0
-    denom = np.empty(n, dtype=float)
-    for iterations in range(1, config.max_iterations + 1):
-        denom[:] = 0.0
-        if len(wi):
-            inv = 1.0 / (s[wi] + s[li])
-            np.add.at(denom, wi, inv)
-            np.add.at(denom, li, inv)
-        if alpha > 0.0:
-            denom += 2.0 * alpha / (s + 1.0)
-        s_new = (wins + alpha) / denom
-        np.clip(s_new, _SCORE_FLOOR, _SCORE_CEIL, out=s_new)
-        log_new = np.log(s_new)
-        delta = float(np.max(np.abs(log_new - log_s)))
-        s, log_s = s_new, log_new
-        if delta < config.tolerance:
+    while identifiable:
+        q = _sigmoid(log_s[li] - log_s[wi])  # each duel's upset probability
+        sig = _sigmoid(log_s)
+        grad = (
+            np.bincount(wi, q, n) - np.bincount(li, q, n) + alpha * (1.0 - 2.0 * sig)
+        )
+        grad_max = float(np.max(np.abs(grad)))
+        if grad_max < config.tolerance:
             converged = True
             break
-
-    if not identifiable:
-        converged = False
+        if iterations == config.max_iterations:
+            break
+        iterations += 1
+        step = _newton_direction(
+            grad,
+            q * (1.0 - q),
+            2.0 * alpha * sig * (1.0 - sig),
+            wi,
+            li,
+            pinned=alpha == 0.0,
+            # inexact Newton: solve more exactly as the gradient shrinks
+            forcing=min(0.5, math.sqrt(grad_max)),
+        )
+        step_max = float(np.max(np.abs(step)))
+        if step_max > _MAX_STEP:
+            step *= _MAX_STEP / step_max
+        log_s = np.clip(log_s + step, _LOG_FLOOR, _LOG_CEIL)
+    s = np.exp(log_s)
 
     if config.normalization == GEOMETRIC_MEAN_ONE:
         scale = math.exp(float(np.mean(log_s)))

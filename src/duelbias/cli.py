@@ -43,6 +43,8 @@ from .pipeline import (
     fit_tournament,
     frequency_json,
     run_pipeline,
+    tag_json,
+    write_distinctive_tags,
     write_json,
     write_report_bundle,
 )
@@ -252,20 +254,13 @@ def cmd_tags(args) -> None:
     list_a, list_b = tags_mod.distinctive_tags(
         dists[GROUP_A], dists[GROUP_B], top_k=args.top_k, min_count=args.min_count
     )
-    path = _outpath(args, "distinctive_tags.csv")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["group", "rank", "tag", "kl", "count_target", "count_reference",
-             "chi2", "p", "stars"]
-        )
-        for group, rows in ((GROUP_A, list_a), (GROUP_B, list_b)):
-            for rank, t in enumerate(rows, 1):
-                writer.writerow(
-                    [group, rank, t.tag, repr(t.kl), t.count_target,
-                     t.count_reference, repr(t.chi2), repr(float(t.p_value)),
-                     t.stars]
-                )
+    path = write_distinctive_tags(
+        _outpath(args, "distinctive_tags.csv"),
+        {
+            GROUP_A: [tag_json(t) for t in list_a],
+            GROUP_B: [tag_json(t) for t in list_b],
+        },
+    )
     print(path)
 
 
@@ -286,6 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output-dir", default=None)
         p.add_argument("--config", default=None, help="JSON file with defaults")
         p.add_argument("--column-map", default=None, help="JSON column-name map")
+
+    def fit_options(p):
+        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument(
+            "--tolerance", type=float, default=None,
+            help="converged once max |d/d log s| of the log-likelihood is "
+            "below this (default 1e-8)",
+        )
+        p.add_argument(
+            "--max-iterations", type=int, default=None,
+            help="cap on Newton steps per fit (default 10000)",
+        )
+        p.add_argument("--normalization", default=None)
 
     p = sub.add_parser("simulate", help="rank-recovery simulation sweep")
     p.add_argument("--items", type=int, default=None, help="total items (two groups)")
@@ -316,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duels", required=True)
     p.add_argument("--category", default=None)
     p.add_argument("--dimension", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--normalization", default=None)
+    fit_options(p)
     common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -332,10 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--category", action="append", default=None)
     p.add_argument("--dimension", action="append", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--normalization", default=None)
+    fit_options(p)
     common(p)
     p.set_defaults(func=cmd_bias)
 

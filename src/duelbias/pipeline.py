@@ -14,8 +14,8 @@ import numpy as np
 
 from . import bias as bias_mod
 from . import tags as tags_mod
-from .choice_model import ComparisonGraph, FitConfig, fit
-from .errors import ReferentialError, ValidationError
+from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit
+from .errors import NumericalError, ReferentialError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, TagRecord
 from .stats import PValue
 
@@ -124,6 +124,21 @@ def fit_tournament(
     return fit(graph, fit_config, initial_scores=initial_scores)
 
 
+def _require_converged(table: ScoreTable) -> ScoreTable:
+    """Return ``table``, or raise NumericalError if its fit did not converge,
+    so that an unconverged fit never turns into a bias number."""
+    if not table.converged:
+        hint = (
+            "; with alpha 0 the win graph must be strongly connected"
+            if table.regularization == 0.0
+            else ""
+        )
+        raise NumericalError(
+            f"score fit did not converge after {table.iterations} iterations{hint}"
+        )
+    return table
+
+
 def _group_scores(catalog, category, table, log_scale):
     out = {}
     for group in (GROUP_A, GROUP_B):
@@ -135,13 +150,15 @@ def _group_scores(catalog, category, table, log_scale):
 
 def _refit_bias_statistic(catalog, category, dimension, config, warm_start=None):
     def statistic(duel_sample):
-        table = fit_tournament(
-            catalog,
-            duel_sample,
-            category,
-            dimension,
-            config.fit,
-            initial_scores=warm_start,
+        table = _require_converged(
+            fit_tournament(
+                catalog,
+                duel_sample,
+                category,
+                dimension,
+                config.fit,
+                initial_scores=warm_start,
+            )
         )
         gs = _group_scores(catalog, category, table, config.bias_log_scale)
         return float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
@@ -206,7 +223,9 @@ def run_pipeline(
             d for d in selected if d.category == category and d.dimension == dimension
         ]
         try:
-            table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
+            table = _require_converged(
+                fit_tournament(catalog, cat_duels, category, dimension, config.fit)
+            )
         except Exception as exc:
             # rewrite the message in place: a new instance would lose the
             # type's own constructor arguments (e.g. item_ids)
@@ -331,14 +350,14 @@ def run_pipeline(
                 min_count=config.tag_min_count,
             )
             bundle["distinctive_tags"] = {
-                GROUP_A: [_tag_json(t) for t in list_a],
-                GROUP_B: [_tag_json(t) for t in list_b],
+                GROUP_A: [tag_json(t) for t in list_a],
+                GROUP_B: [tag_json(t) for t in list_b],
             }
 
     return bundle
 
 
-def _tag_json(t) -> dict:
+def tag_json(t) -> dict:
     return {
         "tag": t.tag,
         "kl": t.kl,
@@ -376,6 +395,25 @@ def write_json(path: str, payload: dict) -> str:
     return path
 
 
+def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> str:
+    """Write ``tag_json`` rows per group, ranked from 1; returns the path."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["group", "rank", "tag", "kl", "count_target", "count_reference",
+             "chi2", "p", "stars"]
+        )
+        for group in sorted(ranked):
+            for rank, t in enumerate(ranked[group], 1):
+                p = PValue(value=t["p"].get("value"), log10_value=t["p"].get("log10"))
+                writer.writerow(
+                    [group, rank, t["tag"], repr(t["kl"]), t["count_target"],
+                     t["count_reference"], repr(t["chi2"]), repr(float(p)),
+                     t["stars"]]
+                )
+    return path
+
+
 def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
     """Write report.json plus flat CSV tables; returns the written paths."""
     os.makedirs(outdir, exist_ok=True)
@@ -410,20 +448,12 @@ def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
         written.append(path)
 
     if "distinctive_tags" in bundle:
-        path = os.path.join(outdir, "distinctive_tags.csv")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["group", "rank", "tag", "kl", "count_target", "count_reference",
-                 "chi2", "stars"]
+        written.append(
+            write_distinctive_tags(
+                os.path.join(outdir, "distinctive_tags.csv"),
+                bundle["distinctive_tags"],
             )
-            for group in sorted(bundle["distinctive_tags"]):
-                for rank, t in enumerate(bundle["distinctive_tags"][group], 1):
-                    writer.writerow(
-                        [group, rank, t["tag"], t["kl"], t["count_target"],
-                         t["count_reference"], t["chi2"], t["stars"]]
-                    )
-        written.append(path)
+        )
 
     if "frequency_comparison" in bundle:
         path = os.path.join(outdir, "frequency.csv")

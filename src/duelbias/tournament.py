@@ -16,8 +16,10 @@ import numpy as np
 from .choice_model import ComparisonGraph, FitConfig, fit
 from .errors import InfeasibleScheduleError, SizeMismatchError, ValidationError
 
-# Simulations run many fits; a slightly looser tolerance than FitConfig's
-# default keeps them fast without moving Kendall's tau measurably.
+# Simulations run many fits and only use the ranking they give; a looser
+# gradient tolerance than FitConfig's default saves a Newton step or so per
+# fit without moving Kendall's tau measurably. 5,000 steps is far above the
+# ten or so a fit needs.
 SIMULATION_FIT_CONFIG = FitConfig(tolerance=1e-6, max_iterations=5_000)
 
 DEFAULT_BUDGETS = (100, 200, 500, 1000, 2000)

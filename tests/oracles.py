@@ -4,6 +4,7 @@ Everything here deliberately avoids the code paths under test: brute
 force enumeration, exact rational arithmetic, and grid search.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -51,6 +52,25 @@ def brute_percentile_rank(value, sample) -> float:
     below = sum(1 for s in sample if s < value)
     equal = sum(1 for s in sample if s == value)
     return 100.0 * (below + 0.5 * equal) / len(sample)
+
+
+def regularized_gradient(n_items, duels, alpha, log_scores):
+    """Gradient of the regularized objective in log-scores, by plain loops.
+
+    The anchor is fixed at score 1. For a duel won by w over l, the term
+    log s_w - log(s_w + s_l) has derivative s_l / (s_w + s_l) in log s_w
+    and the negative of that in log s_l; each item's anchor term
+    alpha * (log s - 2 log(s + 1)) adds alpha * (1 - s) / (1 + s).
+    """
+    grad = [0.0] * n_items
+    for w, l in duels:
+        s_w, s_l = math.exp(log_scores[w]), math.exp(log_scores[l])
+        grad[w] += s_l / (s_w + s_l)
+        grad[l] -= s_l / (s_w + s_l)
+    for i in range(n_items):
+        s = math.exp(log_scores[i])
+        grad[i] += alpha * (1.0 - s) / (1.0 + s)
+    return grad
 
 
 def _objective_on_grid(log_scores, duels, alpha):

@@ -19,7 +19,7 @@ from duelbias.errors import (
     UnidentifiableItemsError,
     ValidationError,
 )
-from oracles import grid_search_log_likelihood
+from oracles import grid_search_log_likelihood, regularized_gradient
 
 
 def graph_of(pairs, items=None):
@@ -218,6 +218,60 @@ class TestFit:
         warm = fit(g, initial_scores={"a": 2.0, "b": 0.5, "c": 1.0})
         for item in cold.scores:
             assert cold.scores[item] == pytest.approx(warm.scores[item], rel=1e-6)
+
+
+def random_graph(n, n_duels, seed, win_cycle):
+    """Seeded Bradley-Terry duels over n items; with ``win_cycle`` item i
+    also beats item i + 1 (mod n), which makes the win graph strongly
+    connected."""
+    rng = np.random.default_rng(seed)
+    quality = rng.normal(scale=1.5, size=n)
+    pairs = [(i, (i + 1) % n) for i in range(n)] if win_cycle else []
+    while len(pairs) < n_duels:
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        p_a = 1.0 / (1.0 + math.exp(quality[b] - quality[a]))
+        pairs.append((a, b) if rng.random() < p_a else (b, a))
+    return graph_of(pairs, items=tuple(range(n)))
+
+
+class TestOptimality:
+    @pytest.mark.parametrize("n", [2, 20, 400])
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_gradient_below_tolerance(self, n, alpha, start):
+        config = FitConfig(regularization_alpha=alpha)
+        for seed in range(3):
+            g = random_graph(n, 10 * n, seed, win_cycle=alpha == 0.0)
+            initial = None
+            if start == "warm":
+                rng = np.random.default_rng(1000 + seed)
+                initial = {i: math.exp(x) for i, x in enumerate(rng.normal(0, 2, n))}
+            t = fit(g, config, initial_scores=initial)
+            assert t.converged
+            # the oracle's anchor sits at score 1; t.anchor_score is its image
+            log_scores = [
+                math.log(t.scores[i]) - math.log(t.anchor_score) for i in g.items
+            ]
+            grad = regularized_gradient(n, g.duels, alpha, log_scores)
+            assert max(abs(x) for x in grad) <= config.tolerance
+
+    def test_large_fit_takes_few_newton_steps(self):
+        # first-order sweeps need thousands of iterations on this problem
+        g = random_graph(400, 4000, seed=7, win_cycle=False)
+        t = fit(g)
+        assert t.converged
+        assert t.iterations <= 30
+
+    def test_no_maximizer_returns_starting_scores_at_once(self):
+        # a1 and a2 beat b1 and b2 in every duel: with alpha=0 no maximizer
+        g = graph_of(
+            [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"), ("a1", "a2"),
+             ("a2", "a1"), ("b1", "b2"), ("b2", "b1")]
+        )
+        t = fit(g, FitConfig(regularization_alpha=0.0))
+        assert not t.converged
+        assert t.iterations == 0
+        assert t.scores == {item: 1.0 for item in g.items}
 
 
 class TestScoreTable:

@@ -16,6 +16,7 @@ from duelbias.datasets import (
     write_tags,
 )
 from duelbias.errors import (
+    NumericalError,
     ParseError,
     ReferentialError,
     UnidentifiableItemsError,
@@ -530,6 +531,99 @@ class TestCLI:
         )
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unconverged_fit_exits_3(self, tmp_path, capsys):
+        # a1 and a2 beat b1 and b2 in every duel: under alpha=0 the
+        # likelihood has no maximizer, so no score bias can be reported
+        catalog = ItemCatalog(
+            [
+                ItemRecord(i, i[0].upper(), "pizza", None)
+                for i in ("a1", "a2", "b1", "b2")
+            ]
+        )
+        duels = [
+            DuelRecord(f"d{k}", "pizza", "tasty", a, b, "A", "r1")
+            for k, (a, b) in enumerate(
+                [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")] * 3
+            )
+        ]
+        config = AnalysisConfig(
+            bootstrap_replicates=100,
+            bootstrap_unit="item",
+            fit=FitConfig(regularization_alpha=0.0),
+        )
+        with pytest.raises(NumericalError):
+            run_pipeline(config, catalog, duels)
+
+        items_path = tmp_path / "items.csv"
+        duels_path = tmp_path / "duels.csv"
+        write_items(items_path, catalog)
+        write_duels(duels_path, duels)
+        rc = main(
+            [
+                "bias",
+                "--items", str(items_path),
+                "--duels", str(duels_path),
+                "--alpha", "0",
+                "--unit", "item",
+                "--bootstrap", "100",
+                "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: category 'pizza', dimension 'tasty': ")
+        assert "did not converge" in err
+        assert not (tmp_path / "x" / "report.json").exists()
+
+    def test_unconverged_refits_count_as_failed_replicates(self, tmp_path, capsys):
+        # one win each way: half of the duel resamples have one winner only,
+        # so under alpha=0 their refits cannot converge
+        catalog = ItemCatalog(
+            [
+                ItemRecord("a1", "A", "pizza", None),
+                ItemRecord("b1", "B", "pizza", None),
+            ]
+        )
+        duels = [
+            DuelRecord("d0", "pizza", "tasty", "a1", "b1", "A", "r1"),
+            DuelRecord("d1", "pizza", "tasty", "a1", "b1", "B", "r1"),
+        ]
+        items_path = tmp_path / "items.csv"
+        duels_path = tmp_path / "duels.csv"
+        write_items(items_path, catalog)
+        write_duels(duels_path, duels)
+        rc = main(
+            [
+                "bias",
+                "--items", str(items_path),
+                "--duels", str(duels_path),
+                "--alpha", "0",
+                "--unit", "duel",
+                "--bootstrap", "100",
+                "--output-dir", str(tmp_path / "x"),
+            ]
+        )
+        assert rc == 3
+        assert "bootstrap replicates failed" in capsys.readouterr().err
+
+    def test_tags_and_bias_write_one_tag_table_layout(self, paths):
+        (items, duels, tags), tmp_path = paths
+        assert main(
+            ["tags", "--tags", tags, "--items", items, "--min-count", "1",
+             "--output-dir", str(tmp_path / "tags")]
+        ) == 0
+        assert main(
+            ["bias", "--items", items, "--duels", duels, "--tags", tags,
+             "--bootstrap", "100", "--unit", "item",
+             "--output-dir", str(tmp_path / "bias")]
+        ) == 0
+        headers = [
+            next(csv.reader(open(tmp_path / out / "distinctive_tags.csv")))
+            for out in ("tags", "bias")
+        ]
+        assert headers[0] == headers[1]
+        assert "p" in headers[0]
 
     def test_numerical_error_exits_3(self, tmp_path, capsys):
         # one item never compared: unidentifiable under alpha=0
