@@ -28,6 +28,9 @@ from .stats import (
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
+# resampled values gathered per block of replicates in resample_two_groups;
+# bounds the block's working set at a few MiB for any group size
+_RESAMPLE_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -205,20 +208,43 @@ def resample_two_groups(
 
     Returns the per-replicate mean differences mean(b) - mean(a), shape
     (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
-    the percentile rank within the resampled A of each grid percentile of
-    the resampled B. Each replicate draws A's indices, then B's.
+    the midpoint percentile rank within the resampled A of each grid
+    percentile of the resampled B. Each replicate draws A's indices, then
+    B's, with one ``integers`` call each, so the random stream does not
+    depend on the block size. The statistics are computed a block of
+    replicates at a time, and each replicate's values are bit-identical
+    to those computed for it alone. NaN values are rejected.
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
+    if np.isnan(values_a).any() or np.isnan(values_b).any():
+        # NaN compares false with everything, so it has no midpoint rank
+        raise ValidationError("resampled values must not be NaN")
+    n_a, n_b = len(values_a), len(values_b)
     rng = np.random.default_rng(seed)
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
-    for r in range(replicates):
-        a = values_a[rng.integers(0, len(values_a), size=len(values_a))]
-        b = values_b[rng.integers(0, len(values_b), size=len(values_b))]
-        diffs[r] = b.mean() - a.mean()
+    block = max(1, min(replicates, _RESAMPLE_BLOCK_VALUES // (n_a + n_b)))
+    idx_a = np.empty((block, n_a), dtype=np.intp)
+    idx_b = np.empty((block, n_b), dtype=np.intp)
+    for start in range(0, replicates, block):
+        stop = min(start + block, replicates)
+        m = stop - start
+        for k in range(m):
+            idx_a[k] = rng.integers(0, n_a, size=n_a)
+            idx_b[k] = rng.integers(0, n_b, size=n_b)
+        a = values_a[idx_a[:m]]
+        b = values_b[idx_b[:m]]
+        # means of the unsorted rows: sorting first would change the
+        # summation order and with it the last bits
+        diffs[start:stop] = b.mean(axis=1) - a.mean(axis=1)
         if len(grid):
-            rows[r] = midpoint_ranks(np.percentile(b, grid), np.sort(a))
+            q = np.percentile(np.sort(b, axis=1), grid, axis=1).T[:, :, None]
+            a = a[:, None, :]
+            # exact counts, the integers searchsorted gives on sorted rows
+            below = np.count_nonzero(a < q, axis=2)
+            not_above = np.count_nonzero(a <= q, axis=2)
+            rows[start:stop] = 50.0 * (below + not_above) / n_a
     return diffs, rows
 
 

@@ -40,7 +40,7 @@ from .errors import (
 from .pipeline import (
     AnalysisConfig,
     duel_outcomes_json,
-    fit_tournament,
+    fit_converged_tournament,
     frequency_json,
     run_pipeline,
     tag_json,
@@ -181,13 +181,18 @@ def cmd_fit(args) -> None:
     )
     if not pairs:
         raise ValidationError("no duels match the requested category/dimension")
+    # fit every tournament before writing, so an unconverged one leaves no
+    # scores behind
+    tables = [
+        (c, d, fit_converged_tournament(catalog, duels, c, d, fit_config))
+        for c, d in pairs
+    ]
     path = _outpath(args, "scores.csv")
     diagnostics = {}
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["category", "dimension", "item_id", "score"])
-        for category, dimension in pairs:
-            table = fit_tournament(catalog, duels, category, dimension, fit_config)
+        for category, dimension, table in tables:
             for item in sorted(table.scores):
                 writer.writerow([category, dimension, item, repr(table.scores[item])])
             diagnostics[f"{category}/{dimension}"] = {

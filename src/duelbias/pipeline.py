@@ -139,6 +139,26 @@ def _require_converged(table: ScoreTable) -> ScoreTable:
     return table
 
 
+def fit_converged_tournament(
+    catalog: ItemCatalog,
+    duels: Sequence[DuelRecord],
+    category: str,
+    dimension: str,
+    fit_config: FitConfig,
+) -> ScoreTable:
+    """``fit_tournament``, raising NumericalError for an unconverged fit; any
+    error names the tournament and keeps its type and attributes."""
+    try:
+        return _require_converged(
+            fit_tournament(catalog, duels, category, dimension, fit_config)
+        )
+    except Exception as exc:
+        # rewrite the message in place: a new instance would lose the
+        # type's own constructor arguments (e.g. item_ids)
+        exc.args = (f"category {category!r}, dimension {dimension!r}: {exc}",)
+        raise
+
+
 def _group_scores(catalog, category, table, log_scale):
     out = {}
     for group in (GROUP_A, GROUP_B):
@@ -222,15 +242,9 @@ def run_pipeline(
         cat_duels = [
             d for d in selected if d.category == category and d.dimension == dimension
         ]
-        try:
-            table = _require_converged(
-                fit_tournament(catalog, cat_duels, category, dimension, config.fit)
-            )
-        except Exception as exc:
-            # rewrite the message in place: a new instance would lose the
-            # type's own constructor arguments (e.g. item_ids)
-            exc.args = (f"category {category!r}, dimension {dimension!r}: {exc}",)
-            raise
+        table = fit_converged_tournament(
+            catalog, cat_duels, category, dimension, config.fit
+        )
         gs = _group_scores(catalog, category, table, config.bias_log_scale)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)

@@ -114,3 +114,21 @@ def grid_search_log_likelihood(
             return float(values[best])
         step = max(step / 5.0, final_step)
     raise RuntimeError("grid search failed to converge")
+
+
+def loop_resample_two_groups(values_a, values_b, replicates, seed, grid=()):
+    """Two-sample resampling one replicate at a time, each rank counted
+    directly: the same draws as bias.resample_two_groups (A's indices,
+    then B's, per replicate) with no blocks and no searchsorted."""
+    rng = np.random.default_rng(seed)
+    diffs = np.empty(replicates)
+    rows = np.empty((replicates, len(grid)))
+    for r in range(replicates):
+        a = values_a[rng.integers(0, len(values_a), size=len(values_a))]
+        b = values_b[rng.integers(0, len(values_b), size=len(values_b))]
+        diffs[r] = b.mean() - a.mean()
+        for j, q in enumerate(np.percentile(b, grid) if len(grid) else ()):
+            below = np.count_nonzero(a < q)
+            not_above = np.count_nonzero(a <= q)
+            rows[r, j] = 50.0 * (below + not_above) / len(a)
+    return diffs, rows

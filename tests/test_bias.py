@@ -1,22 +1,27 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias.bias import (
+    _RESAMPLE_BLOCK_VALUES,
+    DEFAULT_RANK_GRID,
     bootstrap_ci,
     duel_win_fraction,
     frequency_divergence,
     median_percentile_rank,
     rank_curve,
     rater_macro_average,
+    resample_two_groups,
     score_bias,
     score_correlations,
     triangle_lower_bound,
 )
 from duelbias.errors import UnstableBootstrapError, ValidationError
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord
+from oracles import loop_resample_two_groups
 
 
 def make_duels(outcomes, rater="r1"):
@@ -245,6 +250,58 @@ class TestRankCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             rank_curve([], [1.0])
+
+
+def _boundary_replicates(n_a, n_b):
+    """Replicate counts one either side of a block boundary of
+    resample_two_groups, where that boundary is a cheap replicate count
+    for the per-replicate loop (small groups make blocks of thousands)."""
+    block = max(1, _RESAMPLE_BLOCK_VALUES // (n_a + n_b))
+    boundary = block * -(-101 // block)
+    return (boundary - 1, boundary + 1) if boundary <= 2000 else ()
+
+
+class TestResampleTwoGroups:
+    @pytest.mark.parametrize(
+        "n_a, n_b",
+        [(1, 2), (2, 7), (7, 1), (400, 400), (1000, 1000), (400, 1000)],
+    )
+    @pytest.mark.parametrize("grid", [(), (50,) + DEFAULT_RANK_GRID, (0, 100)])
+    def test_bit_identical_to_per_replicate_loop(self, n_a, n_b, grid):
+        rng = np.random.default_rng(n_a * 1009 + n_b)
+        # rounded normals give ties within and between the groups
+        a = np.round(rng.normal(size=n_a), 1)
+        b = np.round(rng.normal(0.3, 1.2, size=n_b), 1)
+        for replicates in (100, 1000) + _boundary_replicates(n_a, n_b):
+            seed = replicates + len(grid)
+            diffs, rows = resample_two_groups(a, b, replicates, seed, grid)
+            want_diffs, want_rows = loop_resample_two_groups(
+                a, b, replicates, seed, grid
+            )
+            assert np.array_equal(diffs, want_diffs), replicates
+            assert np.array_equal(rows, want_rows), replicates
+            assert rows.shape == (replicates, len(grid))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError):
+            resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
+        with pytest.raises(ValidationError):
+            rank_curve([1.0, 2.0], [np.nan, 1.0], bootstrap_replicates=100)
+
+    @pytest.mark.parametrize(
+        "n, grid", [(1000, ()), (200, tuple(range(5, 101, 5)))]
+    )
+    def test_memory_stays_flat_in_replicates(self, n, grid):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            resample_two_groups(a, b, 1000, 0, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (1000, 1000) int64 index matrix alone would take 7.6 MiB
+        assert peak < 4 * 2**20
 
 
 class TestScoreCorrelations:

@@ -532,9 +532,10 @@ class TestCLI:
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_unconverged_fit_exits_3(self, tmp_path, capsys):
-        # a1 and a2 beat b1 and b2 in every duel: under alpha=0 the
-        # likelihood has no maximizer, so no score bias can be reported
+    @staticmethod
+    def _separated_groups():
+        """a1 and a2 beat b1 and b2 in every duel: under alpha=0 the
+        likelihood has no maximizer, so the fit cannot converge."""
         catalog = ItemCatalog(
             [
                 ItemRecord(i, i[0].upper(), "pizza", None)
@@ -547,6 +548,11 @@ class TestCLI:
                 [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")] * 3
             )
         ]
+        return catalog, duels
+
+    def test_unconverged_fit_exits_3(self, tmp_path, capsys):
+        # no score bias can be reported without a converged fit
+        catalog, duels = self._separated_groups()
         config = AnalysisConfig(
             bootstrap_replicates=100,
             bootstrap_unit="item",
@@ -575,6 +581,29 @@ class TestCLI:
         assert err.startswith("error: category 'pizza', dimension 'tasty': ")
         assert "did not converge" in err
         assert not (tmp_path / "x" / "report.json").exists()
+
+    def test_fit_command_writes_no_unconverged_scores(self, tmp_path, capsys):
+        catalog, duels = self._separated_groups()
+        items_path = tmp_path / "items.csv"
+        duels_path = tmp_path / "duels.csv"
+        write_items(items_path, catalog)
+        write_duels(duels_path, duels)
+        out = tmp_path / "x"
+        rc = main(
+            [
+                "fit",
+                "--items", str(items_path),
+                "--duels", str(duels_path),
+                "--alpha", "0",
+                "--output-dir", str(out),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: category 'pizza', dimension 'tasty': ")
+        assert "did not converge" in err
+        assert not (out / "scores.csv").exists()
+        assert not (out / "fit_diagnostics.json").exists()
 
     def test_unconverged_refits_count_as_failed_replicates(self, tmp_path, capsys):
         # one win each way: half of the duel resamples have one winner only,
