@@ -4,7 +4,10 @@ The win probability of item a over item b is s(a) / (s(a) + s(b)) for
 strictly positive latent scores. Fitting is Newton's method on
 log-scores, each step solved matrix-free by conjugate gradients,
 optionally regularized by pseudo-duels against a virtual anchor item,
-which makes the maximizer exist for any data.
+which makes the maximizer exist for any data. One Newton loop fits a
+batch of weightings of the same graph in lockstep (``fit_replicates``,
+e.g. the resamples of a duel bootstrap); ``fit`` is its one-row,
+unit-weight case.
 """
 
 from __future__ import annotations
@@ -72,7 +75,8 @@ class ComparisonGraph:
 class FitConfig:
     """``tolerance`` bounds max |d/d log s| of the (regularized)
     log-likelihood at a converged fit; ``max_iterations`` caps the number
-    of Newton steps."""
+    of Newton steps. In a batch (``fit_replicates``) both apply to each
+    row on its own."""
 
     max_iterations: int = 10_000
     tolerance: float = 1e-8
@@ -185,43 +189,200 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)  # cannot overflow, unlike exp
 
 
-def _newton_direction(g, duel_weight, anchor_weight, wi, li, pinned, forcing):
-    """Approximately solve H d = g by Jacobi-preconditioned conjugate
-    gradients, where H is the Laplacian of the duel graph weighted by
-    ``duel_weight`` plus the diagonal ``anchor_weight``.
+def _newton_direction(g, duel_weight, anchor_weight, flat, pinned, forcing):
+    """Approximately solve H d = g for each row of g (rows, n) by
+    Jacobi-preconditioned conjugate gradients, where a row's H is the
+    Laplacian of the duel graph weighted by that row of ``duel_weight``
+    (rows, n_duels), plus that row of the diagonal ``anchor_weight``.
 
-    Stops once the preconditioned residual norm falls to ``forcing`` times
-    its starting value, or after n iterations. A pinned item 0 gets a zero
-    preconditioner entry, so it never moves.
+    ``flat`` holds the winner and loser indices into the flattened arrays
+    (see ``_newton``) for at least ``rows`` rows, so that every matvec
+    covers all rows at once. A row stops once its preconditioned residual
+    norm falls to its own ``forcing`` (rows, 1) times its starting value,
+    or after n iterations, and then leaves the batch. A pinned item 0 gets
+    a zero preconditioner entry, so it never moves.
     """
-    n = len(g)
-    diag = (
-        np.bincount(wi, duel_weight, n)
-        + np.bincount(li, duel_weight, n)
-        + anchor_weight
-    )
-    inv_diag = np.divide(1.0, diag, out=np.zeros(n), where=diag > 0)
+    rows, n = g.shape
+    dw = duel_weight.ravel()
+    wf, lf = flat[0][: dw.size], flat[1][: dw.size]
+    diag = (np.bincount(wf, dw, g.size) + np.bincount(lf, dw, g.size)).reshape(
+        rows, n
+    ) + anchor_weight
+    inv_diag = np.divide(1.0, diag, out=np.zeros_like(diag), where=diag > 0)
     if pinned:
-        inv_diag[0] = 0.0
-    x = np.zeros(n)
+        inv_diag[:, 0] = 0.0
+    out = x = np.zeros_like(g)
     r = g.copy()
     z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = np.add.reduce(r * z, 1, keepdims=True)
     stop = forcing * forcing * rz
+    live = np.arange(rows)  # the rows of ``out`` that x, r, p, ... hold
     for _ in range(n):
-        if rz <= stop:
-            break
-        t = duel_weight * (p[wi] - p[li])
-        hp = np.bincount(wi, t, n) - np.bincount(li, t, n) + anchor_weight * p
-        step = rz / float(p @ hp)
+        going = rz > stop
+        kept = np.count_nonzero(going)
+        if kept < len(live):
+            if not kept:
+                break
+            going = going.ravel()
+            out[live[~going]] = x[~going]
+            live = live[going]
+            x, r, p, rz, stop = x[going], r[going], p[going], rz[going], stop[going]
+            inv_diag, anchor_weight = inv_diag[going], anchor_weight[going]
+            duel_weight = duel_weight[going]
+            dw = duel_weight.ravel()
+            wf, lf = wf[: dw.size], lf[: dw.size]
+        pf = p.ravel()
+        t = dw * (pf[wf] - pf[lf])
+        hp = (np.bincount(wf, t, p.size) - np.bincount(lf, t, p.size)).reshape(
+            p.shape
+        ) + anchor_weight * p
+        step = rz / np.add.reduce(p * hp, 1, keepdims=True)
         x += step * p
         r -= step * hp
         z = inv_diag * r
-        rz_next = float(r @ z)
+        rz_next = np.add.reduce(r * z, 1, keepdims=True)
         p = z + (rz_next / rz) * p
         rz = rz_next
-    return x
+    if x is not out:
+        out[live] = x
+    return out
+
+
+def _newton(log_s, weights, wi, li, alpha, config):
+    """Maximize the regularized log-likelihood from each row of ``log_s``
+    (rows, n), where row r counts duel j (wi[j] beat li[j]) weights[r, j]
+    times.
+
+    The rows run in lockstep, but each has its own CG stopping rule, step
+    cap and convergence test; a row leaves the batch, and stops moving,
+    once it has converged or taken ``config.max_iterations`` steps. Returns
+    the log-scores (written into ``log_s``), the Newton step counts and the
+    converged flags.
+    """
+    rows, n = log_s.shape
+    out = x = log_s
+    iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)  # the rows of ``out`` that x holds
+    # duel indices into the flattened (rows, n) arrays, where item i of row
+    # r sits at r * n + i; the first k rows use the first k * n_duels
+    offsets = n * np.arange(rows)[:, None]
+    flat = wf, lf = (wi + offsets).ravel(), (li + offsets).ravel()
+    steps = 0  # every row in the batch has taken this many
+    while len(active):
+        xf = x.ravel()
+        q = _sigmoid(xf[lf] - xf[wf]).reshape(weights.shape)  # upset probability
+        wq = (weights * q).ravel()
+        sig = _sigmoid(x)
+        grad = (np.bincount(wf, wq, x.size) - np.bincount(lf, wq, x.size)).reshape(
+            x.shape
+        ) + alpha * (1.0 - 2.0 * sig)
+        grad_max = np.maximum.reduce(np.abs(grad), 1, keepdims=True)
+        done = grad_max < config.tolerance
+        leaving = done if steps < config.max_iterations else np.ones_like(done)
+        left = np.count_nonzero(leaving)
+        if left:
+            done, leaving = done.ravel(), leaving.ravel()
+            gone = active[leaving]
+            out[gone], iterations[gone] = x[leaving], steps
+            converged[gone] = done[leaving]
+            if left == len(active):
+                break
+            stay = ~leaving
+            active = active[stay]
+            x, weights, q, sig = x[stay], weights[stay], q[stay], sig[stay]
+            grad, grad_max = grad[stay], grad_max[stay]
+            wf, lf = wf[: weights.size], lf[: weights.size]
+        steps += 1
+        step = _newton_direction(
+            grad,
+            weights * (q * (1.0 - q)),
+            2.0 * alpha * sig * (1.0 - sig),
+            flat,
+            pinned=alpha == 0.0,
+            # inexact Newton: solve more exactly as the gradient shrinks
+            forcing=np.minimum(0.5, np.sqrt(grad_max)),
+        )
+        # cap each row's largest change at _MAX_STEP; 1.0 leaves it exact
+        step *= _MAX_STEP / np.maximum(
+            np.maximum.reduce(np.abs(step), 1, keepdims=True), _MAX_STEP
+        )
+        x = np.clip(x + step, _LOG_FLOOR, _LOG_CEIL)
+    return out, iterations, converged
+
+
+def _gauge(log_s, normalization):
+    """Scores of each row of ``log_s`` in the configured gauge, and the
+    image of the anchor (score 1) in it."""
+    s = np.exp(log_s)
+    if normalization == GEOMETRIC_MEAN_ONE:
+        scale = np.exp(np.mean(log_s, axis=1))
+    else:
+        scale = np.sum(s, axis=1)
+    return s / scale[:, None], 1.0 / scale
+
+
+@dataclass(frozen=True)
+class ReplicateFits:
+    """Fits of one comparison graph under several duel weightings, one row
+    each; ``scores`` (rows, n_items) and ``anchor_scores`` (rows,) are in
+    the configured gauge, as in ``ScoreTable``."""
+
+    scores: np.ndarray
+    anchor_scores: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def fit_replicates(
+    graph: ComparisonGraph,
+    weights,
+    config: FitConfig | None = None,
+    initial_scores: Mapping[Hashable, float] | None = None,
+) -> ReplicateFits:
+    """Fit ``graph`` once per row of ``weights`` (rows, n_duels), where row r
+    counts duel j weights[r, j] times, e.g. bootstrap multiplicities.
+
+    All rows run in one lockstep Newton-CG loop (see ``fit``) from the same
+    starting scores; each converges, or not, on its own. With alpha = 0 a
+    row whose win graph (duels of positive weight) is not strongly
+    connected, which includes any row that leaves an item silent, has no
+    maximizer: it keeps the starting scores, unconverged after 0
+    iterations.
+    """
+    if config is None:
+        config = FitConfig()
+    n = graph.n_items
+    if n == 0:
+        raise DegenerateFitError("comparison graph has no items")
+    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(d):
+        raise ValidationError(
+            f"weights must have one column per duel ({len(d)}), "
+            f"got shape {weights.shape}"
+        )
+    if initial_scores is not None:
+        s = np.array([initial_scores[item] for item in graph.items], dtype=float)
+    else:
+        s = np.ones(n, dtype=float)
+    log_s = np.empty((len(weights), n))
+    log_s[:] = np.log(s)
+    iterations = np.zeros(len(weights), dtype=int)
+    converged = np.zeros(len(weights), dtype=bool)
+    alpha = config.regularization_alpha
+    if alpha == 0.0:
+        rows = np.flatnonzero(
+            [_strongly_connected(n, d[row > 0].tolist()) for row in weights]
+        )
+    else:
+        rows = slice(None)
+    log_s[rows], iterations[rows], converged[rows] = _newton(
+        log_s[rows], weights[rows], d[:, 0], d[:, 1], alpha, config
+    )
+    scores, anchors = _gauge(log_s, config.normalization)
+    return ReplicateFits(scores, anchors, iterations, converged)
 
 
 def fit(
@@ -245,6 +406,9 @@ def fit(
     maximizer, so the starting scores come back unconverged after 0
     iterations.
 
+    This is ``fit_replicates`` with one row of unit weights: one Newton
+    loop serves single fits and batches of weighted refits.
+
     The result is expressed in the configured gauge; the regularization
     anchor is rescaled along with the scores so the reported fit is the
     exact optimum of the regularized objective.
@@ -252,79 +416,29 @@ def fit(
     if config is None:
         config = FitConfig()
     n = graph.n_items
-    if n == 0:
-        raise DegenerateFitError("comparison graph has no items")
-    alpha = config.regularization_alpha
-
-    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
-    wi, li = d[:, 0], d[:, 1]
-
-    if alpha == 0.0:
+    if config.regularization_alpha == 0.0:
         if not graph.duels:
             raise DegenerateFitError(
                 "no duels and no regularization: likelihood has no maximizer"
             )
-        appearances = np.bincount(wi, minlength=n) + np.bincount(li, minlength=n)
+        appearances = np.bincount(
+            np.array(graph.duels, dtype=np.intp).ravel(), minlength=n
+        )
         silent = [graph.items[i] for i in range(n) if appearances[i] == 0]
         if silent:
             raise UnidentifiableItemsError(silent)
-        identifiable = _strongly_connected(n, graph.duels)
-    else:
-        identifiable = True
-
-    if initial_scores is not None:
-        s = np.array([initial_scores[item] for item in graph.items], dtype=float)
-    else:
-        s = np.ones(n, dtype=float)
-    log_s = np.log(s)
-
-    converged = False
-    iterations = 0
-    while identifiable:
-        q = _sigmoid(log_s[li] - log_s[wi])  # each duel's upset probability
-        sig = _sigmoid(log_s)
-        grad = (
-            np.bincount(wi, q, n) - np.bincount(li, q, n) + alpha * (1.0 - 2.0 * sig)
-        )
-        grad_max = float(np.max(np.abs(grad)))
-        if grad_max < config.tolerance:
-            converged = True
-            break
-        if iterations == config.max_iterations:
-            break
-        iterations += 1
-        step = _newton_direction(
-            grad,
-            q * (1.0 - q),
-            2.0 * alpha * sig * (1.0 - sig),
-            wi,
-            li,
-            pinned=alpha == 0.0,
-            # inexact Newton: solve more exactly as the gradient shrinks
-            forcing=min(0.5, math.sqrt(grad_max)),
-        )
-        step_max = float(np.max(np.abs(step)))
-        if step_max > _MAX_STEP:
-            step *= _MAX_STEP / step_max
-        log_s = np.clip(log_s + step, _LOG_FLOOR, _LOG_CEIL)
-    s = np.exp(log_s)
-
-    if config.normalization == GEOMETRIC_MEAN_ONE:
-        scale = math.exp(float(np.mean(log_s)))
-    else:
-        scale = float(np.sum(s))
-    s = s / scale
-    anchor = 1.0 / scale
-
-    scores = {item: float(v) for item, v in zip(graph.items, s)}
+    fits = fit_replicates(
+        graph, np.ones((1, len(graph.duels))), config, initial_scores
+    )
+    scores = dict(zip(graph.items, fits.scores[0].tolist()))
     return ScoreTable(
         scores=scores,
         normalization=config.normalization,
         log_likelihood=log_likelihood(graph, scores),
-        iterations=iterations,
-        converged=converged,
-        regularization=alpha,
-        anchor_score=anchor,
+        iterations=int(fits.iterations[0]),
+        converged=bool(fits.converged[0]),
+        regularization=config.regularization_alpha,
+        anchor_score=float(fits.anchor_scores[0]),
     )
 
 

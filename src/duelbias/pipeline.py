@@ -14,10 +14,19 @@ import numpy as np
 
 from . import bias as bias_mod
 from . import tags as tags_mod
-from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit
-from .errors import NumericalError, ReferentialError, ValidationError
+from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit, fit_replicates
+from .errors import (
+    NumericalError,
+    ReferentialError,
+    UnstableBootstrapError,
+    ValidationError,
+)
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, TagRecord
 from .stats import PValue
+
+# duel multiplicities held per block of refitted bootstrap replicates;
+# bounds a block's working set at a few MiB for any tournament size
+_REFIT_BLOCK_DUELS = 2**16
 
 
 @dataclass(frozen=True)
@@ -105,23 +114,31 @@ def input_digests(
     return out
 
 
+def tournament_graph(
+    catalog: ItemCatalog,
+    duels: Sequence[DuelRecord],
+    category: str,
+    dimension: str,
+) -> ComparisonGraph:
+    """The (category, dimension) tournament over the category's items, its
+    duels in the order of ``duels``."""
+    pairs = [
+        (d.winner_item, d.loser_item)
+        for d in duels
+        if d.category == category and d.dimension == dimension
+    ]
+    return ComparisonGraph.from_pairs(pairs, items=catalog.ids(category=category))
+
+
 def fit_tournament(
     catalog: ItemCatalog,
     duels: Sequence[DuelRecord],
     category: str,
     dimension: str,
     fit_config: FitConfig,
-    initial_scores: Mapping[str, float] | None = None,
 ):
     """Fit one (category, dimension) tournament over the category's items."""
-    items = catalog.ids(category=category)
-    pairs = [
-        (d.winner_item, d.loser_item)
-        for d in duels
-        if d.category == category and d.dimension == dimension
-    ]
-    graph = ComparisonGraph.from_pairs(pairs, items=items)
-    return fit(graph, fit_config, initial_scores=initial_scores)
+    return fit(tournament_graph(catalog, duels, category, dimension), fit_config)
 
 
 def _require_converged(table: ScoreTable) -> ScoreTable:
@@ -168,22 +185,55 @@ def _group_scores(catalog, category, table, log_scale):
     return out
 
 
-def _refit_bias_statistic(catalog, category, dimension, config, warm_start=None):
-    def statistic(duel_sample):
-        table = _require_converged(
-            fit_tournament(
-                catalog,
-                duel_sample,
-                category,
-                dimension,
-                config.fit,
-                initial_scores=warm_start,
-            )
-        )
-        gs = _group_scores(catalog, category, table, config.bias_log_scale)
-        return float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
+def refit_bias_replicates(
+    catalog: ItemCatalog,
+    duels: Sequence[DuelRecord],
+    category: str,
+    dimension: str,
+    point: ScoreTable,
+    config: AnalysisConfig,
+    seed: int,
+) -> np.ndarray:
+    """Duel-unit bootstrap of one tournament's score bias: the bias of every
+    replicate that converged, in replicate order.
 
-    return statistic
+    Replicate r resamples the tournament's m duels with replacement (the r-th
+    ``integers(0, m, size=m)`` draw of one generator seeded with ``seed``),
+    which is the same as counting each duel by its multiplicity in the
+    resample. The replicates are refitted together by ``fit_replicates``,
+    a block at a time, warm-started from the point fit. A replicate whose
+    fit does not converge is discarded; with alpha 0 that includes every
+    replicate whose win graph is not strongly connected. More than 10%
+    discards raise UnstableBootstrapError.
+    """
+    replicates = config.bootstrap_replicates
+    graph = tournament_graph(catalog, duels, category, dimension)
+    m = len(graph.duels)
+    index = {item: i for i, item in enumerate(graph.items)}
+    group_a, group_b = (
+        [index[i] for i in catalog.ids(group=g, category=category)]
+        for g in (GROUP_A, GROUP_B)
+    )
+    rng = np.random.default_rng(seed)
+    block = max(1, min(replicates, _REFIT_BLOCK_DUELS // m))
+    weights = np.empty((block, m))
+    values = []
+    for first in range(0, replicates, block):
+        rows = min(block, replicates - first)
+        for row in weights[:rows]:
+            row[:] = np.bincount(rng.integers(0, m, size=m), minlength=m)
+        fits = fit_replicates(graph, weights[:rows], config.fit, point.scores)
+        scores = fits.scores[fits.converged]
+        if config.bias_log_scale:
+            scores = np.log(scores)
+        values.append(scores[:, group_b].mean(axis=1) - scores[:, group_a].mean(axis=1))
+    values = np.concatenate(values)
+    failures = replicates - len(values)
+    if failures > 0.1 * replicates:
+        raise UnstableBootstrapError(
+            f"{failures} of {replicates} bootstrap replicates failed"
+        )
+    return values
 
 
 def run_pipeline(
@@ -261,15 +311,10 @@ def run_pipeline(
             bias_mod.percentile_ci(boot).tolist()
         )
         if config.bootstrap_unit == "duel":
-            _, low, high = bias_mod.bootstrap_ci(
-                cat_duels,
-                _refit_bias_statistic(
-                    catalog, category, dimension, config, warm_start=table.scores
-                ),
-                replicates=config.bootstrap_replicates,
-                seed=seed,
-                unit="duel",
+            refits = refit_bias_replicates(
+                catalog, cat_duels, category, dimension, table, config, seed
             )
+            low, high = bias_mod.percentile_ci(refits).tolist()
         else:
             low, high = bias_mod.percentile_ci(diffs).tolist()
         median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])

@@ -22,6 +22,11 @@ from .errors import InfeasibleScheduleError, SizeMismatchError, ValidationError
 # ten or so a fit needs.
 SIMULATION_FIT_CONFIG = FitConfig(tolerance=1e-6, max_iterations=5_000)
 
+# Fitted log-scores are rounded to this many decimals, far finer than a fit
+# resolves, before Kendall's tau, so that an exact tie of the optimum that
+# a fit reproduces only to the last bits still counts as a tie.
+_TAU_DECIMALS = 9
+
 DEFAULT_BUDGETS = (100, 200, 500, 1000, 2000)
 
 OUTCOME_RATER_NORMAL = "rater-normal"
@@ -177,7 +182,7 @@ def _simulate_one(
         )
         graph = ComparisonGraph(items=items, duels=duels)
         table = fit(graph, fit_config)
-        fitted = table.score_array(items)
+        fitted = np.round(np.log(table.score_array(items)), _TAU_DECIMALS)
         taus.append(kendall_tau_values(scores_true, fitted))
     return taus
 

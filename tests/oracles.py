@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the code paths under test: brute
-force enumeration, exact rational arithmetic, and grid search.
+force enumeration, exact rational arithmetic, and grid search. The refit
+bootstrap is checked against the path it replaced: one graph and one
+single fit per replicate.
 """
 
 import math
@@ -10,6 +12,9 @@ from itertools import product
 from math import comb
 
 import numpy as np
+
+from duelbias.choice_model import ComparisonGraph, fit
+from duelbias.errors import DuelBiasError
 
 
 def exact_binomial_two_sided(k: int, n: int) -> Fraction:
@@ -54,19 +59,22 @@ def brute_percentile_rank(value, sample) -> float:
     return 100.0 * (below + 0.5 * equal) / len(sample)
 
 
-def regularized_gradient(n_items, duels, alpha, log_scores):
+def regularized_gradient(n_items, duels, alpha, log_scores, weights=None):
     """Gradient of the regularized objective in log-scores, by plain loops.
 
     The anchor is fixed at score 1. For a duel won by w over l, the term
     log s_w - log(s_w + s_l) has derivative s_l / (s_w + s_l) in log s_w
     and the negative of that in log s_l; each item's anchor term
-    alpha * (log s - 2 log(s + 1)) adds alpha * (1 - s) / (1 + s).
+    alpha * (log s - 2 log(s + 1)) adds alpha * (1 - s) / (1 + s). Duel j
+    counts ``weights[j]`` times (default once).
     """
+    if weights is None:
+        weights = [1.0] * len(duels)
     grad = [0.0] * n_items
-    for w, l in duels:
+    for (w, l), k in zip(duels, weights):
         s_w, s_l = math.exp(log_scores[w]), math.exp(log_scores[l])
-        grad[w] += s_l / (s_w + s_l)
-        grad[l] -= s_l / (s_w + s_l)
+        grad[w] += k * s_l / (s_w + s_l)
+        grad[l] -= k * s_l / (s_w + s_l)
     for i in range(n_items):
         s = math.exp(log_scores[i])
         grad[i] += alpha * (1.0 - s) / (1.0 + s)
@@ -132,3 +140,47 @@ def loop_resample_two_groups(values_a, values_b, replicates, seed, grid=()):
             not_above = np.count_nonzero(a <= q)
             rows[r, j] = 50.0 * (below + not_above) / len(a)
     return diffs, rows
+
+
+def loop_refit_bias_replicates(
+    catalog, duels, category, dimension, fit_config, log_scale, replicates, seed,
+    warm_start,
+):
+    """Duel-unit refit bootstrap of one tournament, one replicate at a time:
+    the same draws as pipeline.refit_bias_replicates, but each resample of
+    ``duels`` is filtered to the tournament, built into its own
+    ComparisonGraph and fitted alone from ``warm_start``. A replicate whose
+    fit raises a package error or does not converge is discarded.
+
+    Returns the score bias of every kept replicate, in replicate order, and
+    the discards counted by reason (the error's type name or "unconverged").
+    """
+    rng = np.random.default_rng(seed)
+    values = []
+    discards = {}
+    for _ in range(replicates):
+        idx = rng.integers(0, len(duels), size=len(duels))
+        sample = [duels[i] for i in idx]
+        pairs = [
+            (d.winner_item, d.loser_item)
+            for d in sample
+            if d.category == category and d.dimension == dimension
+        ]
+        graph = ComparisonGraph.from_pairs(pairs, items=catalog.ids(category=category))
+        try:
+            table = fit(graph, fit_config, initial_scores=warm_start)
+        except DuelBiasError as exc:
+            reason = type(exc).__name__
+        else:
+            reason = None if table.converged else "unconverged"
+        if reason is not None:
+            discards[reason] = discards.get(reason, 0) + 1
+            continue
+        a, b = (
+            np.array([table.scores[i] for i in catalog.ids(group=g, category=category)])
+            for g in ("A", "B")
+        )
+        if log_scale:
+            a, b = np.log(a), np.log(b)
+        values.append(float(b.mean() - a.mean()))
+    return np.array(values), discards

@@ -9,6 +9,7 @@ from duelbias.choice_model import (
     FitConfig,
     ScoreTable,
     fit,
+    fit_replicates,
     log_likelihood,
     rank_items,
     regularized_log_likelihood,
@@ -272,6 +273,87 @@ class TestOptimality:
         assert not t.converged
         assert t.iterations == 0
         assert t.scores == {item: 1.0 for item in g.items}
+
+
+def bootstrap_weights(m, replicates, seed):
+    """Duel multiplicities of ``replicates`` resamples of m duels."""
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(0, m, size=m) for _ in range(replicates)]
+    return np.array([np.bincount(idx, minlength=m) for idx in draws])
+
+
+class TestFitReplicates:
+    @pytest.mark.parametrize(
+        "n, alpha", [(2, 0.1), (20, 0.1), (200, 0.1), (2, 0.0), (20, 0.0)]
+    )
+    def test_every_converged_replicate_meets_tolerance(self, n, alpha):
+        config = FitConfig(regularization_alpha=alpha)
+        g = random_graph(n, 10 * n, seed=n, win_cycle=alpha == 0.0)
+        weights = bootstrap_weights(len(g.duels), 30, seed=n)
+        fits = fit_replicates(g, weights, config)
+        assert fits.converged.sum() >= 20
+        for row, scores, anchor in zip(
+            weights[fits.converged],
+            fits.scores[fits.converged],
+            fits.anchor_scores[fits.converged],
+        ):
+            log_scores = np.log(scores) - math.log(anchor)
+            grad = regularized_gradient(n, g.duels, alpha, log_scores, weights=row)
+            assert max(abs(x) for x in grad) <= config.tolerance
+
+    @pytest.mark.parametrize("n, alpha", [(2, 0.1), (20, 0.1), (20, 0.0)])
+    def test_each_row_runs_as_if_alone(self, n, alpha):
+        # own CG stops, step caps, convergence test and step count: a row of
+        # the batch is bit-identical to the same row fitted by itself
+        config = FitConfig(regularization_alpha=alpha)
+        g = random_graph(n, 10 * n, seed=n, win_cycle=alpha == 0.0)
+        weights = bootstrap_weights(len(g.duels), 30, seed=n)
+        rng = np.random.default_rng(n)
+        initial = {i: math.exp(x) for i, x in zip(g.items, rng.normal(size=n))}
+        batch = fit_replicates(g, weights, config, initial)
+        assert len(set(batch.iterations.tolist())) > 1
+        for r in range(len(weights)):
+            alone = fit_replicates(g, weights[r : r + 1], config, initial)
+            assert np.array_equal(alone.scores[0], batch.scores[r])
+            assert alone.anchor_scores[0] == batch.anchor_scores[r]
+            assert alone.iterations[0] == batch.iterations[r]
+            assert alone.converged[0] == batch.converged[r]
+
+    def test_fit_is_one_row_of_unit_weights(self):
+        g = random_graph(20, 200, seed=3, win_cycle=False)
+        table = fit(g)
+        fits = fit_replicates(g, np.ones((1, len(g.duels))))
+        assert fits.scores[0].tolist() == [table.scores[i] for i in g.items]
+        assert fits.iterations[0] == table.iterations
+        assert fits.converged[0] == table.converged
+
+    def test_step_cap_applies_per_row(self):
+        g = random_graph(20, 200, seed=4, win_cycle=False)
+        weights = bootstrap_weights(len(g.duels), 30, seed=4)
+        free = fit_replicates(g, weights)
+        cap = int(np.median(free.iterations))
+        capped = fit_replicates(g, weights, FitConfig(max_iterations=cap))
+        within = free.iterations <= cap
+        assert 0 < within.sum() < len(weights)
+        assert capped.converged.tolist() == within.tolist()
+        assert capped.iterations.tolist() == np.minimum(free.iterations, cap).tolist()
+        assert np.array_equal(capped.scores[within], free.scores[within])
+
+    def test_alpha_zero_rows_without_maximizer_keep_starting_scores(self):
+        g = graph_of([("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")])
+        weights = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 1]])
+        fits = fit_replicates(g, weights, FitConfig(regularization_alpha=0.0))
+        # row 1 leaves c without a win, row 2 leaves nothing beating b
+        assert fits.converged.tolist() == [True, False, False]
+        assert fits.iterations[1:].tolist() == [0, 0]
+        assert (fits.scores[1:] == 1.0).all()
+
+    def test_weights_need_one_column_per_duel(self):
+        g = graph_of([("a", "b"), ("b", "a")])
+        with pytest.raises(ValidationError):
+            fit_replicates(g, np.ones((3, 3)))
+        with pytest.raises(ValidationError):
+            fit_replicates(g, np.ones(2))
 
 
 class TestScoreTable:

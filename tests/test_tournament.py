@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from duelbias import tournament
 from duelbias.errors import (
     InfeasibleScheduleError,
     SizeMismatchError,
@@ -159,3 +163,22 @@ class TestSimulateRankRecovery:
         curve = simulate_rank_recovery(5, budgets=[5, 10], replicates=3, seed=11)
         assert all(-1.0 <= m <= 1.0 for m in curve.mean_tau)
         assert all(s >= 0.0 for s in curve.std_tau)
+
+    def test_last_bit_fit_noise_leaves_tau_unchanged(self, monkeypatch):
+        # replicate seed 2 at budget 100 (the second replicate of `simulate
+        # --seed 1`): the optimum ties exchangeable items exactly, and a fit
+        # may reproduce that tie only to the last bits
+        curve = simulate_rank_recovery(50, budgets=(100,), replicates=1, seed=2)
+        exact = tournament.fit
+        rng = np.random.default_rng(0)
+
+        def perturbed_fit(graph, config):
+            table = exact(graph, config)
+            scores = {
+                item: s * math.exp(1e-13 * rng.choice((-1.0, 1.0)))
+                for item, s in table.scores.items()
+            }
+            return dataclasses.replace(table, scores=scores)
+
+        monkeypatch.setattr(tournament, "fit", perturbed_fit)
+        assert simulate_rank_recovery(50, budgets=(100,), replicates=1, seed=2) == curve
