@@ -19,7 +19,6 @@ from .choice_model import (
     ScoreTable,
     fit,
     log_likelihood,
-    rank_items,
     win_probability,
 )
 from .pipeline import AnalysisConfig, run_pipeline
@@ -29,7 +28,6 @@ from .tags import TagDistribution, distinctive_tags, normalize_tag, pointwise_kl
 from .tournament import (
     RecoveryCurve,
     SchedulePlan,
-    kendall_tau,
     sample_balanced_duels,
     simulate_rank_recovery,
 )
@@ -58,14 +56,12 @@ __all__ = [
     "duel_win_fraction",
     "fit",
     "frequency_divergence",
-    "kendall_tau",
     "log_likelihood",
     "median_percentile_rank",
     "normalize_tag",
     "pearson",
     "pointwise_kl",
     "rank_curve",
-    "rank_items",
     "rater_macro_average",
     "run_pipeline",
     "sample_balanced_duels",

@@ -139,15 +139,9 @@ def bootstrap_ci(
     statistic: Callable[[Sequence], float],
     replicates: int = 1000,
     seed: int = 0,
-    unit: str = "duel",
-    item_key: Callable | None = None,
 ) -> tuple[float, float, float]:
-    """Percentile bootstrap 95% confidence interval for ``statistic(data)``.
-
-    unit="duel" resamples the rows of ``data`` with replacement.
-    unit="item" groups rows by ``item_key(row)``, resamples the distinct
-    items with replacement, and feeds the concatenation of the sampled
-    items' rows to the statistic.
+    """Percentile bootstrap 95% confidence interval for ``statistic(data)``,
+    resampling the rows of ``data`` with replacement.
 
     Replicates on which the statistic raises a ValueError, ArithmeticError
     or package error are discarded; more than 10% discards aborts with
@@ -158,26 +152,13 @@ def bootstrap_ci(
         raise ValidationError("bootstrap needs at least 100 replicates")
     if len(data) == 0:
         raise ValidationError("bootstrap requires non-empty data")
-    if unit not in ("duel", "item"):
-        raise ValidationError(f"unknown bootstrap unit {unit!r}")
     point = statistic(data)
     rng = np.random.default_rng(seed)
-    if unit == "item":
-        if item_key is None:
-            raise ValidationError("unit='item' requires an item_key function")
-        groups: dict[Hashable, list] = {}
-        for row in data:
-            groups.setdefault(item_key(row), []).append(row)
-        keys = list(groups)
     values = []
     failures = 0
     for _ in range(replicates):
-        if unit == "duel":
-            idx = rng.integers(0, len(data), size=len(data))
-            sample = [data[i] for i in idx]
-        else:
-            idx = rng.integers(0, len(keys), size=len(keys))
-            sample = [row for i in idx for row in groups[keys[i]]]
+        idx = rng.integers(0, len(data), size=len(data))
+        sample = [data[i] for i in idx]
         try:
             values.append(float(statistic(sample)))
         except (ValueError, ArithmeticError, DuelBiasError):

@@ -5,9 +5,10 @@ strictly positive latent scores. Fitting is Newton's method on
 log-scores, each step solved matrix-free by conjugate gradients,
 optionally regularized by pseudo-duels against a virtual anchor item,
 which makes the maximizer exist for any data. One Newton loop fits a
-batch of weightings of the same graph in lockstep (``fit_replicates``,
-e.g. the resamples of a duel bootstrap); ``fit`` is its one-row,
-unit-weight case.
+batch of duel sets over the same items in lockstep, one row each: per-row
+duel arrays (``fit_duel_arrays``, e.g. the replicates of a rank-recovery
+simulation) or weightings of one graph (``fit_replicates``, e.g. the
+resamples of a duel bootstrap); ``fit`` is its one-row, unit-weight case.
 """
 
 from __future__ import annotations
@@ -158,13 +159,13 @@ def regularized_log_likelihood(
     return base + alpha * float(reg)
 
 
-def _strongly_connected(n: int, duels: Sequence[tuple[int, int]]) -> bool:
+def _strongly_connected(n: int, winners: np.ndarray, losers: np.ndarray) -> bool:
     """Is the directed win graph strongly connected? Iterative Kosaraju."""
     if n == 1:
         return True
     fwd = [[] for _ in range(n)]
     bwd = [[] for _ in range(n)]
-    for w, l in duels:
+    for w, l in zip(winners.tolist(), losers.tolist()):
         fwd[w].append(l)
         bwd[l].append(w)
 
@@ -189,22 +190,37 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)  # cannot overflow, unlike exp
 
 
-def _newton_direction(g, duel_weight, anchor_weight, flat, pinned, forcing):
+def _keep_rows(flat, keep, n, shared):
+    """Keep the rows ``keep`` (a mask) of ``flat`` (2, rows, m), the winner
+    and loser indices of every row's duels into flattened (rows, n) arrays
+    (see ``_newton``), renumbered for the rows that remain. Where all rows
+    share one duel list, the renumbered indices of the first k rows are
+    those of the kept rows, so a view of them is returned."""
+    if shared:
+        return flat[:, : np.count_nonzero(keep)]
+    kept = flat.compress(keep, axis=1)
+    kept -= n * (~keep).cumsum()[keep, None]
+    return kept
+
+
+def _newton_direction(
+    g, duel_weight, anchor_weight, flat, shared, pinned, forcing
+):
     """Approximately solve H d = g for each row of g (rows, n) by
     Jacobi-preconditioned conjugate gradients, where a row's H is the
-    Laplacian of the duel graph weighted by that row of ``duel_weight``
-    (rows, n_duels), plus that row of the diagonal ``anchor_weight``.
+    Laplacian of that row's duels weighted by that row of ``duel_weight``
+    (rows, m), plus that row of the diagonal ``anchor_weight``.
 
-    ``flat`` holds the winner and loser indices into the flattened arrays
-    (see ``_newton``) for at least ``rows`` rows, so that every matvec
+    ``flat`` (2, rows, m) holds the winner and loser indices of every row's
+    duels into the flattened arrays (see ``_newton``), so that every matvec
     covers all rows at once. A row stops once its preconditioned residual
     norm falls to its own ``forcing`` (rows, 1) times its starting value,
-    or after n iterations, and then leaves the batch. A pinned item 0 gets
-    a zero preconditioner entry, so it never moves.
+    or after n iterations, and then leaves the batch by a mask. A pinned
+    item 0 gets a zero preconditioner entry, so it never moves.
     """
     rows, n = g.shape
     dw = duel_weight.ravel()
-    wf, lf = flat[0][: dw.size], flat[1][: dw.size]
+    wf, lf = flat[0].ravel(), flat[1].ravel()
     diag = (np.bincount(wf, dw, g.size) + np.bincount(lf, dw, g.size)).reshape(
         rows, n
     ) + anchor_weight
@@ -231,7 +247,8 @@ def _newton_direction(g, duel_weight, anchor_weight, flat, pinned, forcing):
             inv_diag, anchor_weight = inv_diag[going], anchor_weight[going]
             duel_weight = duel_weight[going]
             dw = duel_weight.ravel()
-            wf, lf = wf[: dw.size], lf[: dw.size]
+            flat = _keep_rows(flat, going, n, shared)
+            wf, lf = flat[0].ravel(), flat[1].ravel()
         pf = p.ravel()
         t = dw * (pf[wf] - pf[lf])
         hp = (np.bincount(wf, t, p.size) - np.bincount(lf, t, p.size)).reshape(
@@ -249,16 +266,17 @@ def _newton_direction(g, duel_weight, anchor_weight, flat, pinned, forcing):
     return out
 
 
-def _newton(log_s, weights, wi, li, alpha, config):
+def _newton(log_s, duels, weights, alpha, config):
     """Maximize the regularized log-likelihood from each row of ``log_s``
-    (rows, n), where row r counts duel j (wi[j] beat li[j]) weights[r, j]
-    times.
+    (rows, n), where row r counts its duel j weights[r, j] times (weights
+    is (rows, m)). Item duels[0, r, j] beat item duels[1, r, j]; ``duels``
+    is (2, rows, m), or (2, 1, m) for one duel list shared by all rows.
 
     The rows run in lockstep, but each has its own CG stopping rule, step
-    cap and convergence test; a row leaves the batch, and stops moving,
-    once it has converged or taken ``config.max_iterations`` steps. Returns
-    the log-scores (written into ``log_s``), the Newton step counts and the
-    converged flags.
+    cap and convergence test; a row leaves the batch by a mask, and stops
+    moving, once it has converged or taken ``config.max_iterations`` steps.
+    Returns the log-scores (written into ``log_s``), the Newton step counts
+    and the converged flags.
     """
     rows, n = log_s.shape
     out = x = log_s
@@ -266,9 +284,10 @@ def _newton(log_s, weights, wi, li, alpha, config):
     converged = np.zeros(rows, dtype=bool)
     active = np.arange(rows)  # the rows of ``out`` that x holds
     # duel indices into the flattened (rows, n) arrays, where item i of row
-    # r sits at r * n + i; the first k rows use the first k * n_duels
-    offsets = n * np.arange(rows)[:, None]
-    flat = wf, lf = (wi + offsets).ravel(), (li + offsets).ravel()
+    # r sits at r * n + i; renumbered whenever rows leave
+    shared = duels.shape[1] == 1
+    flat = np.add(duels, n * np.arange(rows)[:, None], order="C")
+    wf, lf = flat[0].ravel(), flat[1].ravel()
     steps = 0  # every row in the batch has taken this many
     while len(active):
         xf = x.ravel()
@@ -293,13 +312,15 @@ def _newton(log_s, weights, wi, li, alpha, config):
             active = active[stay]
             x, weights, q, sig = x[stay], weights[stay], q[stay], sig[stay]
             grad, grad_max = grad[stay], grad_max[stay]
-            wf, lf = wf[: weights.size], lf[: weights.size]
+            flat = _keep_rows(flat, stay, n, shared)
+            wf, lf = flat[0].ravel(), flat[1].ravel()
         steps += 1
         step = _newton_direction(
             grad,
             weights * (q * (1.0 - q)),
             2.0 * alpha * sig * (1.0 - sig),
             flat,
+            shared,
             pinned=alpha == 0.0,
             # inexact Newton: solve more exactly as the gradient shrinks
             forcing=np.minimum(0.5, np.sqrt(grad_max)),
@@ -325,14 +346,82 @@ def _gauge(log_s, normalization):
 
 @dataclass(frozen=True)
 class ReplicateFits:
-    """Fits of one comparison graph under several duel weightings, one row
-    each; ``scores`` (rows, n_items) and ``anchor_scores`` (rows,) are in
-    the configured gauge, as in ``ScoreTable``."""
+    """Fits of several duel sets over the same items, one row each;
+    ``scores`` (rows, n_items) and ``anchor_scores`` (rows,) are in the
+    configured gauge, as in ``ScoreTable``."""
 
     scores: np.ndarray
     anchor_scores: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+
+
+def _fit_rows(n, duels, weights, config, start) -> ReplicateFits:
+    """Fit each row of ``weights`` (rows, m) over the duels ``duels``,
+    (2, rows, m) or one shared list (2, 1, m), from the log-scores ``start``
+    (n,); see ``fit_duel_arrays`` and ``fit_replicates``."""
+    log_s = np.empty((len(weights), n))
+    log_s[:] = start
+    iterations = np.zeros(len(weights), dtype=int)
+    converged = np.zeros(len(weights), dtype=bool)
+    alpha = config.regularization_alpha
+    rows = slice(None)
+    if alpha == 0.0:
+        winners, losers = (np.broadcast_to(side, weights.shape) for side in duels)
+        rows = np.flatnonzero(
+            [
+                _strongly_connected(n, w[k > 0], l[k > 0])
+                for w, l, k in zip(winners, losers, weights)
+            ]
+        )
+    if duels.shape[1] > 1:
+        duels = duels[:, rows]
+    log_s[rows], iterations[rows], converged[rows] = _newton(
+        log_s[rows], duels, weights[rows], alpha, config
+    )
+    scores, anchors = _gauge(log_s, config.normalization)
+    return ReplicateFits(scores, anchors, iterations, converged)
+
+
+def fit_duel_arrays(
+    n_items: int,
+    winners,
+    losers,
+    config: FitConfig | None = None,
+) -> ReplicateFits:
+    """Fit one duel set per row over the same ``n_items`` items: in row r,
+    item winners[r, j] beat item losers[r, j]. Both arrays are
+    (rows, m) integer indices, e.g. the simulated tournaments of several
+    replicates.
+
+    All rows run in one lockstep Newton-CG loop (see ``fit``) from log-score
+    0; each converges, or not, on its own, and leaves the batch when it
+    does. With alpha = 0 a row whose win graph is not strongly connected
+    has no maximizer: it keeps the starting scores, unconverged after 0
+    iterations. Each row's fit is bit-identical to the same row fitted
+    alone.
+    """
+    if config is None:
+        config = FitConfig()
+    if n_items < 1:
+        raise DegenerateFitError("comparison graph has no items")
+    wi, li = np.asarray(winners), np.asarray(losers)
+    if wi.ndim != 2 or wi.shape != li.shape:
+        raise ValidationError(
+            f"winners and losers must be (rows, duels) arrays of one shape, "
+            f"got {wi.shape} and {li.shape}"
+        )
+    if wi.size:
+        if not (
+            np.issubdtype(wi.dtype, np.integer) and np.issubdtype(li.dtype, np.integer)
+        ):
+            raise ValidationError("duel indices must be integers")
+        if min(wi.min(), li.min()) < 0 or max(wi.max(), li.max()) >= n_items:
+            raise ValidationError(f"duel index out of range for {n_items} items")
+        if (wi == li).any():
+            raise ValidationError("an item dueled itself")
+    duels = np.stack((wi, li)).astype(np.intp, copy=False)
+    return _fit_rows(n_items, duels, np.ones(wi.shape), config, 0.0)
 
 
 def fit_replicates(
@@ -344,7 +433,9 @@ def fit_replicates(
     """Fit ``graph`` once per row of ``weights`` (rows, n_duels), where row r
     counts duel j weights[r, j] times, e.g. bootstrap multiplicities.
 
-    All rows run in one lockstep Newton-CG loop (see ``fit``) from the same
+    All rows share the graph's duel list, which lets rows leave the batch
+    without renumbering their duel indices (see ``_newton``), and all rows
+    run in one lockstep Newton-CG loop (see ``fit``) from the same
     starting scores; each converges, or not, on its own. With alpha = 0 a
     row whose win graph (duels of positive weight) is not strongly
     connected, which includes any row that leaves an item silent, has no
@@ -367,22 +458,7 @@ def fit_replicates(
         s = np.array([initial_scores[item] for item in graph.items], dtype=float)
     else:
         s = np.ones(n, dtype=float)
-    log_s = np.empty((len(weights), n))
-    log_s[:] = np.log(s)
-    iterations = np.zeros(len(weights), dtype=int)
-    converged = np.zeros(len(weights), dtype=bool)
-    alpha = config.regularization_alpha
-    if alpha == 0.0:
-        rows = np.flatnonzero(
-            [_strongly_connected(n, d[row > 0].tolist()) for row in weights]
-        )
-    else:
-        rows = slice(None)
-    log_s[rows], iterations[rows], converged[rows] = _newton(
-        log_s[rows], weights[rows], d[:, 0], d[:, 1], alpha, config
-    )
-    scores, anchors = _gauge(log_s, config.normalization)
-    return ReplicateFits(scores, anchors, iterations, converged)
+    return _fit_rows(n, d.T[:, None, :], weights, config, np.log(s))
 
 
 def fit(
@@ -440,10 +516,3 @@ def fit(
         regularization=config.regularization_alpha,
         anchor_score=float(fits.anchor_scores[0]),
     )
-
-
-def rank_items(table: ScoreTable) -> list[Hashable]:
-    """Item ids sorted by descending score; ties broken by ascending id."""
-    if not table.scores:
-        raise ValidationError("cannot rank an empty score table")
-    return sorted(table.scores, key=lambda item: (-table.scores[item], item))

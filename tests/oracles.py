@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: brute
 force enumeration, exact rational arithmetic, and grid search. The refit
-bootstrap is checked against the path it replaced: one graph and one
-single fit per replicate.
+bootstrap and the rank-recovery simulation are checked against the paths
+they replaced: one graph and one single fit per replicate.
 """
 
 import math
@@ -15,6 +15,14 @@ import numpy as np
 
 from duelbias.choice_model import ComparisonGraph, fit
 from duelbias.errors import DuelBiasError
+from duelbias.tournament import (
+    OUTCOME_RATER_NORMAL,
+    SIMULATION_FIT_CONFIG,
+    RecoveryCurve,
+    _TAU_DECIMALS,
+    kendall_tau_values,
+    sample_balanced_duels,
+)
 
 
 def exact_binomial_two_sided(k: int, n: int) -> Fraction:
@@ -184,3 +192,51 @@ def loop_refit_bias_replicates(
             a, b = np.log(a), np.log(b)
         values.append(float(b.mean() - a.mean()))
     return np.array(values), discards
+
+
+def loop_simulate_rank_recovery(
+    n_items_per_group,
+    budgets,
+    replicates,
+    seed,
+    fit_config=SIMULATION_FIT_CONFIG,
+    outcome_noise=OUTCOME_RATER_NORMAL,
+    rater_noise_scale=0.25,
+):
+    """Rank-recovery simulation one replicate and one budget at a time: the
+    same draws as tournament.simulate_rank_recovery, but each tournament is
+    built as a ComparisonGraph of duel tuples from sample_balanced_duels and
+    fitted alone, and each tau is computed on its own."""
+    n = n_items_per_group
+    taus = np.empty((replicates, len(budgets)))
+    for r in range(replicates):
+        qualities = np.random.default_rng([seed + r, 0]).standard_normal(2 * n)
+        scores_true = np.exp(qualities)
+        items = tuple(range(2 * n))
+        for j, budget in enumerate(budgets):
+            rng = np.random.default_rng([seed + r, budget])
+            plan = sample_balanced_duels(
+                items[:n], items[n:], budget // n, seed=int(rng.integers(2**63))
+            )
+            a_idx = np.array([p[0] for p in plan.pairs], dtype=np.intp)
+            b_idx = np.array([p[1] for p in plan.pairs], dtype=np.intp)
+            if outcome_noise == OUTCOME_RATER_NORMAL:
+                noise = rater_noise_scale * rng.standard_normal((len(a_idx), 2))
+                a_wins = qualities[a_idx] + noise[:, 0] > qualities[b_idx] + noise[:, 1]
+            else:
+                p_a = scores_true[a_idx] / (scores_true[a_idx] + scores_true[b_idx])
+                a_wins = rng.random(len(a_idx)) < p_a
+            duels = tuple(
+                (int(a), int(b)) if win else (int(b), int(a))
+                for a, b, win in zip(a_idx, b_idx, a_wins)
+            )
+            table = fit(ComparisonGraph(items=items, duels=duels), fit_config)
+            fitted = np.round(np.log(table.score_array(items)), _TAU_DECIMALS)
+            taus[r, j] = kendall_tau_values(scores_true, fitted)
+    return RecoveryCurve(
+        budgets=tuple(int(b) for b in budgets),
+        mean_tau=tuple(float(m) for m in taus.mean(axis=0)),
+        std_tau=tuple(float(s) for s in taus.std(axis=0, ddof=0)),
+        replicates=replicates,
+        seed=seed,
+    )

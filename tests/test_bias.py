@@ -151,23 +151,6 @@ class TestBootstrapCI:
         _, lo_l, hi_l = bootstrap_ci(large, np.mean, replicates=300, seed=0)
         assert hi_l - lo_l < hi_s - lo_s
 
-    def test_item_unit_groups_rows(self):
-        data = [("i1", 1.0), ("i1", 1.0), ("i2", 5.0)]
-
-        def stat(rows):
-            return float(np.mean([v for _, v in rows]))
-
-        point, low, high = bootstrap_ci(
-            data, stat, replicates=300, seed=0, unit="item", item_key=lambda r: r[0]
-        )
-        assert point == pytest.approx(7.0 / 3.0)
-        # resampling 2 items: possible means are 1.0, 5.0, or mixtures
-        assert 1.0 <= low <= high <= 5.0
-
-    def test_item_unit_requires_key(self):
-        with pytest.raises(ValidationError):
-            bootstrap_ci([1, 2], np.mean, replicates=100, unit="item")
-
     def test_unstable_statistic_raises(self):
         def fragile(sample):
             if len(set(sample)) < 2:

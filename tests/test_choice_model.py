@@ -9,9 +9,9 @@ from duelbias.choice_model import (
     FitConfig,
     ScoreTable,
     fit,
+    fit_duel_arrays,
     fit_replicates,
     log_likelihood,
-    rank_items,
     regularized_log_likelihood,
     win_probability,
 )
@@ -348,6 +348,52 @@ class TestFitReplicates:
         assert fits.iterations[1:].tolist() == [0, 0]
         assert (fits.scores[1:] == 1.0).all()
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    def test_rows_with_own_duels_run_as_if_alone(self, alpha):
+        # every row brings its own duel arrays; in every third row item 0
+        # never loses, so with alpha 0 that row has no maximizer and leaves
+        # from the middle of the batch before the first step
+        config = FitConfig(regularization_alpha=alpha)
+        rows = 12
+        graphs = [random_graph(20, 200, seed=s, win_cycle=True) for s in range(rows)]
+        winners, losers = (
+            np.array([[duel[k] for duel in g.duels] for g in graphs]) for k in (0, 1)
+        )
+        unbeaten = np.arange(rows) % 3 == 1
+        flip = unbeaten[:, None] & (losers == 0)
+        losers[flip], winners[flip] = winners[flip], 0
+        batch = fit_duel_arrays(20, winners, losers, config)
+        assert len(set(batch.iterations.tolist())) > 1
+        for r in range(rows):
+            alone = fit_duel_arrays(20, winners[r : r + 1], losers[r : r + 1], config)
+            assert np.array_equal(alone.scores[0], batch.scores[r])
+            assert alone.anchor_scores[0] == batch.anchor_scores[r]
+            assert alone.iterations[0] == batch.iterations[r]
+            assert alone.converged[0] == batch.converged[r]
+            g = ComparisonGraph(
+                tuple(range(20)), tuple(zip(winners[r].tolist(), losers[r].tolist()))
+            )
+            table = fit(g, config)
+            assert batch.scores[r].tolist() == [table.scores[i] for i in g.items]
+            assert batch.converged[r] == table.converged
+        if alpha == 0.0:
+            assert batch.converged.tolist() == (~unbeaten).tolist()
+
+    @pytest.mark.parametrize(
+        "winners, losers",
+        [
+            ([[0, 1]], [[1, 2]]),  # item 2 of 2
+            ([[0, -1]], [[1, 0]]),
+            ([[0, 1]], [[1, 1]]),  # item 1 dueled itself
+            ([[0, 1]], [[1, 0], [1, 0]]),
+            ([0, 1], [1, 0]),
+            ([[0.0, 1.0]], [[1.0, 0.0]]),
+        ],
+    )
+    def test_duel_arrays_validated(self, winners, losers):
+        with pytest.raises(ValidationError):
+            fit_duel_arrays(2, np.array(winners), np.array(losers))
+
     def test_weights_need_one_column_per_duel(self):
         g = graph_of([("a", "b"), ("b", "a")])
         with pytest.raises(ValidationError):
@@ -367,53 +413,6 @@ class TestScoreTable:
                 converged=True,
                 regularization=0.0,
             )
-
-
-class TestRankItems:
-    def test_sorts_by_descending_score(self):
-        t = ScoreTable(
-            scores={"a": 2.0, "b": 1.0, "c": 3.0},
-            normalization="geometric-mean-one",
-            log_likelihood=0.0,
-            iterations=1,
-            converged=True,
-            regularization=0.0,
-        )
-        assert rank_items(t) == ["c", "a", "b"]
-
-    def test_tie_break_by_id(self):
-        t = ScoreTable(
-            scores={"b": 1.0, "a": 1.0, "c": 1.0},
-            normalization="geometric-mean-one",
-            log_likelihood=0.0,
-            iterations=1,
-            converged=True,
-            regularization=0.0,
-        )
-        assert rank_items(t) == ["a", "b", "c"]
-
-    def test_single_item(self):
-        t = ScoreTable(
-            scores={"only": 1.0},
-            normalization="geometric-mean-one",
-            log_likelihood=0.0,
-            iterations=1,
-            converged=True,
-            regularization=0.0,
-        )
-        assert rank_items(t) == ["only"]
-
-    def test_empty_table_rejected(self):
-        t = ScoreTable(
-            scores={},
-            normalization="geometric-mean-one",
-            log_likelihood=0.0,
-            iterations=1,
-            converged=True,
-            regularization=0.0,
-        )
-        with pytest.raises(ValidationError):
-            rank_items(t)
 
 
 class TestFitConfig:

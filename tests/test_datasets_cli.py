@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from duelbias import tournament
 from duelbias.choice_model import FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
@@ -342,6 +343,27 @@ class TestCLI:
         assert str(out) in capsys.readouterr().out
         rows = list(csv.DictReader(open(out)))
         assert [r["budget"] for r in rows] == ["8", "16"]
+
+    def test_simulate_unconverged_fit_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one Newton step is too few: the curve is not written
+        monkeypatch.setattr(
+            tournament, "SIMULATION_FIT_CONFIG", FitConfig(max_iterations=1)
+        )
+        rc = main(
+            [
+                "simulate",
+                "--items", "20",
+                "--budgets", "10,20",
+                "--replicates", "3",
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: rank-recovery fit of replicate seed 0 at budget 10 "
+        )
+        assert not (tmp_path / "recovery_curve.csv").exists()
 
     def test_design(self, paths, capsys):
         (items, _, _), tmp_path = paths

@@ -1,23 +1,24 @@
 import dataclasses
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias import tournament
+from duelbias.choice_model import FitConfig
 from duelbias.errors import (
     InfeasibleScheduleError,
+    NumericalError,
     SizeMismatchError,
     ValidationError,
 )
 from duelbias.tournament import (
-    kendall_tau,
     kendall_tau_values,
     sample_balanced_duels,
     simulate_rank_recovery,
 )
-from oracles import brute_kendall_tau_b
+from oracles import brute_kendall_tau_b, loop_simulate_rank_recovery
 
 
 class TestSampleBalancedDuels:
@@ -93,23 +94,25 @@ class TestSampleBalancedDuels:
 
 class TestKendallTau:
     def test_identical(self):
-        assert kendall_tau([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
+        assert kendall_tau_values([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
 
     def test_reversed(self):
-        assert kendall_tau([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
+        assert kendall_tau_values([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
 
     def test_single_swap(self):
         # 5 concordant of 6 pairs: (5 - 1) / 6
-        assert kendall_tau([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(4 / 6)
+        assert kendall_tau_values([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(4 / 6)
 
     def test_symmetry(self):
         a = [3, 1, 4, 2, 5]
         b = [2, 5, 1, 4, 3]
-        assert kendall_tau(a, b) == pytest.approx(kendall_tau(b, a))
+        assert kendall_tau_values(a, b) == pytest.approx(kendall_tau_values(b, a))
 
-    def test_item_set_mismatch(self):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            kendall_tau([1, 2, 3], [1, 2, 4])
+            kendall_tau_values([1, 2, 3], [1, 2])
+        with pytest.raises(ValidationError):
+            kendall_tau_values([[1, 2, 3]], [1, 2, 3])
 
     def test_values_against_brute_force(self):
         rng = np.random.default_rng(17)
@@ -118,13 +121,31 @@ class TestKendallTau:
             ys = rng.integers(0, 6, size=12).astype(float)
             if len(set(xs)) == 1 or len(set(ys)) == 1:
                 continue
-            assert kendall_tau_values(xs, ys) == pytest.approx(
-                brute_kendall_tau_b(xs, ys), abs=1e-12
-            )
+            tau = kendall_tau_values(xs, ys)
+            assert type(tau) is float
+            assert tau == pytest.approx(brute_kendall_tau_b(xs, ys), abs=1e-12)
+
+    def test_rows_against_brute_force(self):
+        # one tau per row of (rows, n) input, ties included, each equal to
+        # the tau of that row alone
+        rng = np.random.default_rng(18)
+        xs = rng.integers(0, 5, size=(40, 13)).astype(float)
+        ys = rng.integers(0, 5, size=(40, 13)).astype(float)
+        taus = kendall_tau_values(xs, ys)
+        assert taus.shape == (40,)
+        for x, y, tau in zip(xs, ys, taus):
+            assert tau == kendall_tau_values(x, y)
+            assert tau == pytest.approx(brute_kendall_tau_b(x, y), abs=1e-12)
 
     def test_constant_input_rejected(self):
         with pytest.raises(ValidationError):
             kendall_tau_values([1.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValidationError):
+            kendall_tau_values([[0.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValidationError):
+            kendall_tau_values([0.0, float("nan"), 1.0], [0.0, 1.0, 2.0])
 
 
 class TestSimulateRankRecovery:
@@ -169,16 +190,83 @@ class TestSimulateRankRecovery:
         # --seed 1`): the optimum ties exchangeable items exactly, and a fit
         # may reproduce that tie only to the last bits
         curve = simulate_rank_recovery(50, budgets=(100,), replicates=1, seed=2)
-        exact = tournament.fit
+        exact = tournament.fit_duel_arrays
         rng = np.random.default_rng(0)
+        calls = []
 
-        def perturbed_fit(graph, config):
-            table = exact(graph, config)
-            scores = {
-                item: s * math.exp(1e-13 * rng.choice((-1.0, 1.0)))
-                for item, s in table.scores.items()
-            }
-            return dataclasses.replace(table, scores=scores)
+        def perturbed_fit(*args):
+            fits = exact(*args)
+            calls.append(len(fits.scores))
+            signs = rng.choice((-1.0, 1.0), size=fits.scores.shape)
+            return dataclasses.replace(fits, scores=fits.scores * np.exp(1e-13 * signs))
 
-        monkeypatch.setattr(tournament, "fit", perturbed_fit)
+        monkeypatch.setattr(tournament, "fit_duel_arrays", perturbed_fit)
         assert simulate_rank_recovery(50, budgets=(100,), replicates=1, seed=2) == curve
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_items_per_group=50, budgets=(100, 500), replicates=3, seed=1),
+            dict(
+                n_items_per_group=10, budgets=(10, 50), replicates=4, seed=3,
+                outcome_noise="bradley-terry",
+            ),
+            dict(
+                n_items_per_group=10, budgets=(20, 100), replicates=4, seed=4,
+                rater_noise_scale=0.0,
+            ),
+            # one duel per item: a single perfect matching
+            dict(n_items_per_group=12, budgets=(12,), replicates=5, seed=5),
+            # alpha 0 needs strongly connected win graphs, or there is no
+            # maximizer; replicate seeds 18-21 give them at both budgets
+            # (most seeds have an item that wins or loses all its duels)
+            dict(
+                n_items_per_group=3, budgets=(30, 60), replicates=4, seed=18,
+                outcome_noise="bradley-terry",
+                fit_config=FitConfig(regularization_alpha=0.0, tolerance=1e-6),
+            ),
+        ],
+    )
+    def test_matches_per_replicate_loop(self, kwargs):
+        assert simulate_rank_recovery(**kwargs) == loop_simulate_rank_recovery(
+            **kwargs
+        )
+
+    def test_blocks_match_per_replicate_loop(self, monkeypatch):
+        # blocks of 6, 3 and 1 replicates at budgets 10, 20 and 50, so every
+        # budget's 7 replicates cross at least one block boundary
+        monkeypatch.setattr(tournament, "_BLOCK_DUELS", 60)
+        kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=6)
+        assert simulate_rank_recovery(**kwargs) == loop_simulate_rank_recovery(
+            **kwargs
+        )
+
+    def test_memory_stays_flat_in_replicates(self, monkeypatch):
+        # blocks of 4 replicates: 16 times the replicates, about the same peak
+        monkeypatch.setattr(tournament, "_BLOCK_DUELS", 400)
+        peaks = {}
+        for replicates in (8, 128):
+            tracemalloc.start()
+            try:
+                simulate_rank_recovery(10, (100,), replicates, 0)
+                peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[128] < 1.25 * peaks[8]
+
+    def test_unconverged_fit_raises(self):
+        # one Newton step is too few: no tau of an unconverged fit is kept
+        with pytest.raises(NumericalError, match="replicate seed 0 at budget 10 "):
+            simulate_rank_recovery(
+                10, (10, 20), 3, 0, fit_config=FitConfig(max_iterations=1)
+            )
+
+    def test_alpha_zero_without_maximizer_raises(self):
+        # in replicate seed 5 at budget 64, some item wins or loses all its
+        # duels, so the win graph is not strongly connected
+        with pytest.raises(NumericalError, match="5 at budget 64 .*strongly connected"):
+            simulate_rank_recovery(
+                8, (64,), 4, 5,
+                fit_config=FitConfig(regularization_alpha=0.0, tolerance=1e-6),
+            )
