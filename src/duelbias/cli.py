@@ -241,8 +241,9 @@ def cmd_duelstats(args) -> None:
 def cmd_tags(args) -> None:
     catalog = parse_items(args.items, _column_map(args))
     records = parse_tags(args.tags, _column_map(args))
+    group_of = {r.item_id: r.group for r in catalog.records}
     for rec in records:
-        if rec.item_id not in catalog:
+        if rec.item_id not in group_of:
             raise ReferentialError(
                 f"{args.tags}: tag references unknown item {rec.item_id!r}"
             )
@@ -252,7 +253,6 @@ def cmd_tags(args) -> None:
         else None
     )
     lexicon = tags_mod.load_dash_lexicon(args.lexicon) if args.lexicon else None
-    group_of = {r.item_id: catalog.group_of(r.item_id) for r in records}
     dists = tags_mod.aggregate_tags(records, group_of, stopwords, lexicon)
     if GROUP_A not in dists or GROUP_B not in dists:
         raise ValidationError("tags must cover items from both groups")

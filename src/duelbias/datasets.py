@@ -7,7 +7,13 @@ Expected layouts (UTF-8, header row required):
     tags.csv   duel_id, item_id, rater_id, raw_tag
 
 Other layouts can be adapted with a column map (JSON object mapping the
-expected column name to the actual one in the file).
+expected column name to the actual one in the file). Columns are found by
+header name, so their order and any extra columns do not matter; a name
+given twice means its last column. Values are stripped of surrounding
+whitespace and blank lines are skipped. An error names the file line on
+which the offending row starts, counting blank lines and the newlines
+inside quoted fields; with several errors in a file, a row with too few
+fields is reported first, then the first other row error in file order.
 """
 
 from __future__ import annotations
@@ -42,48 +48,76 @@ def load_column_map(path) -> dict[str, str]:
     return mapping
 
 
-def _read_rows(path, required, column_map, optional=()):
-    column_map = dict(column_map or {})
+def _read_columns(path, required, column_map, optional=()):
+    """Read the named columns of a CSV file with a header row.
+
+    Returns ``(lines, columns)``: the file line on which each row starts
+    (a quoted newline makes a row span several lines), and one list of
+    stripped values per column, in the order ``required`` then
+    ``optional``. Blank rows are skipped. An optional value is None where
+    the file has no such column or the row ends before it; a row that ends
+    before a required column raises ParseError. A header name given twice
+    maps to its last column.
+    """
+    column_map = column_map or {}
     with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(f"{path}: empty file, header row required")
-        header = set(reader.fieldnames)
+        position = {name: j for j, name in enumerate(header)}
         for col in required:
-            if column_map.get(col, col) not in header:
+            if column_map.get(col, col) not in position:
                 raise ParseError(
                     f"{path}: missing required column {column_map.get(col, col)!r}"
                 )
-        rows = []
-        for lineno, raw in enumerate(reader, 2):
-            row = {}
-            for col in (*required, *optional):
-                src = column_map.get(col, col)
-                value = raw.get(src)
-                if value is None and col in required:
-                    raise ParseError("row has too few fields", line=lineno)
-                row[col] = value.strip() if value is not None else None
-            rows.append((lineno, row))
-    return rows
+        rows, lines = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(start)
+            start = reader.line_num + 1
+    indices = [position[column_map.get(col, col)] for col in required]
+    width = max(indices) + 1
+    if rows and min(map(len, rows)) < width:
+        k = next(k for k, row in enumerate(rows) if len(row) < width)
+        raise ParseError("row has too few fields", line=lines[k])
+    columns = [[row[j].strip() for row in rows] for j in indices]
+    for col in optional:
+        j = position.get(column_map.get(col, col))
+        columns.append(
+            [None] * len(rows)
+            if j is None
+            else [row[j].strip() if j < len(row) else None for row in rows]
+        )
+    return lines, columns
+
+
+def _build_records(record_type, columns, lines, error):
+    """One ``record_type(*values)`` per row, in file order. The first
+    ValidationError is re-raised as ``error(exc, line)``."""
+    records = []
+    try:
+        for values in zip(*columns):
+            records.append(record_type(*values))
+    except ValidationError as exc:
+        raise error(exc, lines[len(records)]) from exc
+    return records
 
 
 def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalog:
     """Read an item catalog; duplicate ids and unknown groups are rejected."""
-    records = []
-    for lineno, row in _read_rows(
+    lines, columns = _read_columns(
         path, ITEM_COLUMNS[:3], column_map, optional=("external_ref",)
-    ):
-        try:
-            records.append(
-                ItemRecord(
-                    item_id=row["item_id"],
-                    group=row["group"],
-                    category=row["category"],
-                    external_ref=row["external_ref"] or None,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+    )
+    columns[3] = [ref or None for ref in columns[3]]
+    records = _build_records(
+        ItemRecord,
+        columns,
+        lines,
+        lambda exc, line: ValidationError(f"{path}: line {line}: {exc}"),
+    )
     try:
         return ItemCatalog(records)
     except ValidationError as exc:
@@ -97,43 +131,41 @@ def parse_duels(
 ) -> list[DuelRecord]:
     """Read duel records. With a catalog, item references and group sides
     are validated; without one, only structural checks apply."""
+    lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
+    groups = (
+        None if catalog is None else {r.item_id: r.group for r in catalog.records}
+    )
     duels = []
-    for lineno, row in _read_rows(path, DUEL_COLUMNS, column_map):
-        try:
-            duel = DuelRecord(**row)
-        except (ValidationError, TypeError) as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from exc
-        if catalog is not None:
-            for item in (duel.item_a, duel.item_b):
-                if item not in catalog:
-                    raise ReferentialError(
-                        f"{path}: line {lineno}: unknown item {item!r}"
-                    )
-            ga = catalog.group_of(duel.item_a)
-            gb = catalog.group_of(duel.item_b)
-            if ga != GROUP_A or gb != GROUP_B:
-                raise ValidationError(
-                    f"{path}: line {lineno}: item_a must be group A and item_b "
-                    f"group B (got {ga}, {gb})"
-                )
-        duels.append(duel)
+    try:
+        for values in zip(*columns):
+            duel = DuelRecord(*values)
+            if groups is not None and (
+                groups.get(duel.item_a) != GROUP_A or groups.get(duel.item_b) != GROUP_B
+            ):
+                break
+            duels.append(duel)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}", line=lines[len(duels)]) from exc
+    if len(duels) < len(lines):
+        line = lines[len(duels)]
+        for item in (duel.item_a, duel.item_b):
+            if item not in groups:
+                raise ReferentialError(f"{path}: line {line}: unknown item {item!r}")
+        raise ValidationError(
+            f"{path}: line {line}: item_a must be group A and item_b "
+            f"group B (got {groups[duel.item_a]}, {groups[duel.item_b]})"
+        )
     return duels
 
 
 def parse_tags(path, column_map: Mapping[str, str] | None = None) -> list[TagRecord]:
-    tags = []
-    for lineno, row in _read_rows(path, TAG_COLUMNS, column_map):
-        try:
-            tags.append(
-                TagRecord(
-                    duel_id=row["duel_id"],
-                    item_id=row["item_id"],
-                    rater_id=row["rater_id"],
-                    raw_text=row["raw_tag"],
-                )
-            )
-        except ValidationError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+    lines, columns = _read_columns(path, TAG_COLUMNS, column_map)
+    tags = _build_records(
+        TagRecord,
+        columns,
+        lines,
+        lambda exc, line: ParseError(f"{path}: {exc}", line=line),
+    )
     return tags
 
 

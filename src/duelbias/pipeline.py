@@ -220,8 +220,11 @@ def refit_bias_replicates(
     values = []
     for first in range(0, replicates, block):
         rows = min(block, replicates - first)
-        for row in weights[:rows]:
-            row[:] = np.bincount(rng.integers(0, m, size=m), minlength=m)
+        # one (rows, m) draw is the same stream as rows draws of m; offsetting
+        # row r's indices by r * m counts every row in one bincount
+        draws = rng.integers(0, m, size=(rows, m))
+        draws += m * np.arange(rows)[:, None]
+        weights[:rows] = np.bincount(draws.ravel(), minlength=rows * m).reshape(rows, m)
         fits = fit_replicates(graph, weights[:rows], config.fit, point.scores)
         scores = fits.scores[fits.converged]
         if config.bias_log_scale:
@@ -397,7 +400,7 @@ def run_pipeline(
         )
 
     if tags:
-        group_of = {r.item_id: catalog.group_of(r.item_id) for r in tags}
+        group_of = {r.item_id: r.group for r in catalog.records}
         dists = tags_mod.aggregate_tags(
             tags, group_of, smoothing_epsilon=config.tag_smoothing
         )

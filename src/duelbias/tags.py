@@ -3,7 +3,7 @@
 Raters attach short free-form tags to items. After normalization, tags
 most distinctive of each group are ranked by pointwise KL divergence
 between the two groups' smoothed tag distributions, with a chi-square
-test per tag for significance.
+test for significance on each tag that is kept.
 """
 
 from __future__ import annotations
@@ -132,12 +132,16 @@ def aggregate_tags(
         stopword_prefixes = default_stopword_prefixes()
     if dash_merge_lexicon is None:
         dash_merge_lexicon = default_dash_lexicon()
+    normalized: dict[str, list[str]] = {}  # raw text -> its tags
     per_group: dict[str, list[str]] = {}
     for rec in records:
         group = group_of[rec.item_id]
-        per_group.setdefault(group, []).extend(
-            normalize_tag(rec.raw_text, stopword_prefixes, dash_merge_lexicon)
-        )
+        tags = normalized.get(rec.raw_text)
+        if tags is None:
+            tags = normalized[rec.raw_text] = normalize_tag(
+                rec.raw_text, stopword_prefixes, dash_merge_lexicon
+            )
+        per_group.setdefault(group, []).extend(tags)
     return {
         g: TagDistribution.from_tags(tags, smoothing_epsilon)
         for g, tags in per_group.items()
@@ -182,7 +186,7 @@ def _rank_direction(
     min_count: int,
 ) -> list[DistinctiveTag]:
     total_t, total_r = target.total, reference.total
-    rows = []
+    candidates = []
     for tag in vocabulary:
         ct = target.counts.get(tag, 0)
         cr = reference.counts.get(tag, 0)
@@ -191,11 +195,16 @@ def _rank_direction(
         kl = pointwise_kl(
             target.probability(tag, vocabulary), reference.probability(tag, vocabulary)
         )
+        candidates.append((-kl, -(ct + cr), tag, ct, cr))
+    # tags are distinct, so the order never looks past the tag
+    candidates.sort()
+    rows = []
+    for neg_kl, _, tag, ct, cr in candidates[:top_k]:
         chi2, p = chi_square_2x2([[ct, total_t - ct], [cr, total_r - cr]])
         rows.append(
             DistinctiveTag(
                 tag=tag,
-                kl=kl,
+                kl=-neg_kl,
                 count_target=ct,
                 count_reference=cr,
                 chi2=chi2,
@@ -203,8 +212,7 @@ def _rank_direction(
                 stars=significance_stars(p),
             )
         )
-    rows.sort(key=lambda r: (-r.kl, -(r.count_target + r.count_reference), r.tag))
-    return rows[:top_k]
+    return rows
 
 
 def distinctive_tags(

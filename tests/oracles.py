@@ -3,9 +3,12 @@
 Everything here deliberately avoids the code paths under test: brute
 force enumeration, exact rational arithmetic, and grid search. The refit
 bootstrap and the rank-recovery simulation are checked against the paths
-they replaced: one graph and one single fit per replicate.
+they replaced: one graph and one single fit per replicate. The CSV
+parsers are checked against the ``csv.DictReader`` parsers they replaced,
+and the tag ranking against the version that tested every tag.
 """
 
+import csv
 import math
 from fractions import Fraction
 from itertools import product
@@ -14,7 +17,29 @@ from math import comb
 import numpy as np
 
 from duelbias.choice_model import ComparisonGraph, fit
-from duelbias.errors import DuelBiasError
+from duelbias.datasets import DUEL_COLUMNS, ITEM_COLUMNS, TAG_COLUMNS
+from duelbias.errors import (
+    DuelBiasError,
+    ParseError,
+    ReferentialError,
+    ValidationError,
+)
+from duelbias.records import (
+    GROUP_A,
+    GROUP_B,
+    DuelRecord,
+    ItemCatalog,
+    ItemRecord,
+    TagRecord,
+)
+from duelbias.stats import chi_square_2x2
+from duelbias.tags import (
+    DistinctiveTag,
+    TagDistribution,
+    normalize_tag,
+    pointwise_kl,
+    significance_stars,
+)
 from duelbias.tournament import (
     OUTCOME_RATER_NORMAL,
     SIMULATION_FIT_CONFIG,
@@ -239,4 +264,145 @@ def loop_simulate_rank_recovery(
         std_tau=tuple(float(s) for s in taus.std(axis=0, ddof=0)),
         replicates=replicates,
         seed=seed,
+    )
+
+
+def dictreader_rows(path, required, column_map, lines, optional=()):
+    """One dict per row from csv.DictReader, stripped, the k-th numbered
+    ``lines[k]``: the line the caller knows the row starts on."""
+    column_map = dict(column_map or {})
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: empty file, header row required")
+        header = set(reader.fieldnames)
+        for col in required:
+            if column_map.get(col, col) not in header:
+                raise ParseError(
+                    f"{path}: missing required column {column_map.get(col, col)!r}"
+                )
+        rows = []
+        for lineno, raw in zip(lines, reader, strict=True):
+            row = {}
+            for col in (*required, *optional):
+                value = raw.get(column_map.get(col, col))
+                if value is None and col in required:
+                    raise ParseError("row has too few fields", line=lineno)
+                row[col] = value.strip() if value is not None else None
+            rows.append((lineno, row))
+    return rows
+
+
+def dictreader_parse_items(path, column_map, lines):
+    records = []
+    for lineno, row in dictreader_rows(
+        path, ITEM_COLUMNS[:3], column_map, lines, optional=("external_ref",)
+    ):
+        try:
+            records.append(
+                ItemRecord(
+                    item_id=row["item_id"],
+                    group=row["group"],
+                    category=row["category"],
+                    external_ref=row["external_ref"] or None,
+                )
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        return ItemCatalog(records)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def dictreader_parse_duels(path, catalog, column_map, lines):
+    duels = []
+    for lineno, row in dictreader_rows(path, DUEL_COLUMNS, column_map, lines):
+        try:
+            duel = DuelRecord(**row)
+        except (ValidationError, TypeError) as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+        if catalog is not None:
+            for item in (duel.item_a, duel.item_b):
+                if item not in catalog:
+                    raise ReferentialError(
+                        f"{path}: line {lineno}: unknown item {item!r}"
+                    )
+            ga = catalog.group_of(duel.item_a)
+            gb = catalog.group_of(duel.item_b)
+            if ga != GROUP_A or gb != GROUP_B:
+                raise ValidationError(
+                    f"{path}: line {lineno}: item_a must be group A and item_b "
+                    f"group B (got {ga}, {gb})"
+                )
+        duels.append(duel)
+    return duels
+
+
+def dictreader_parse_tags(path, column_map, lines):
+    tags = []
+    for lineno, row in dictreader_rows(path, TAG_COLUMNS, column_map, lines):
+        try:
+            tags.append(
+                TagRecord(
+                    duel_id=row["duel_id"],
+                    item_id=row["item_id"],
+                    rater_id=row["rater_id"],
+                    raw_text=row["raw_tag"],
+                )
+            )
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+    return tags
+
+
+def per_record_aggregate_tags(
+    records, group_of, stopword_prefixes, dash_merge_lexicon, smoothing_epsilon
+):
+    """Tag counts by group, normalizing every record's raw text anew."""
+    per_group = {}
+    for rec in records:
+        per_group.setdefault(group_of[rec.item_id], []).extend(
+            normalize_tag(rec.raw_text, stopword_prefixes, dash_merge_lexicon)
+        )
+    return {
+        g: TagDistribution.from_tags(tags, smoothing_epsilon)
+        for g, tags in per_group.items()
+    }
+
+
+def _all_rows_rank_direction(target, reference, vocabulary, top_k, min_count):
+    total_t, total_r = target.total, reference.total
+    rows = []
+    for tag in vocabulary:
+        ct = target.counts.get(tag, 0)
+        cr = reference.counts.get(tag, 0)
+        if ct + cr < min_count:
+            continue
+        kl = pointwise_kl(
+            target.probability(tag, vocabulary), reference.probability(tag, vocabulary)
+        )
+        chi2, p = chi_square_2x2([[ct, total_t - ct], [cr, total_r - cr]])
+        rows.append(
+            DistinctiveTag(
+                tag=tag,
+                kl=kl,
+                count_target=ct,
+                count_reference=cr,
+                chi2=chi2,
+                p_value=p,
+                stars=significance_stars(p),
+            )
+        )
+    rows.sort(key=lambda r: (-r.kl, -(r.count_target + r.count_reference), r.tag))
+    return rows[:top_k]
+
+
+def all_rows_distinctive_tags(tags_a, tags_b, top_k, min_count):
+    """Both directions of the ranking, with a chi-square test for every tag
+    that passes ``min_count`` and the cut to ``top_k`` made last."""
+    vocabulary = sorted(set(tags_a.counts) | set(tags_b.counts))
+    return (
+        _all_rows_rank_direction(tags_a, tags_b, vocabulary, top_k, min_count),
+        _all_rows_rank_direction(tags_b, tags_a, vocabulary, top_k, min_count),
     )

@@ -1,14 +1,19 @@
 import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from duelbias import tournament
 from duelbias.choice_model import FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
+    DUEL_COLUMNS,
+    ITEM_COLUMNS,
+    TAG_COLUMNS,
     parse_duels,
     parse_items,
     parse_tags,
@@ -17,6 +22,7 @@ from duelbias.datasets import (
     write_tags,
 )
 from duelbias.errors import (
+    DuelBiasError,
     NumericalError,
     ParseError,
     ReferentialError,
@@ -31,6 +37,11 @@ from duelbias.pipeline import (
     write_report_bundle,
 )
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
+from oracles import (
+    dictreader_parse_duels,
+    dictreader_parse_items,
+    dictreader_parse_tags,
+)
 
 
 CATEGORIES = ("pizza", "salad")
@@ -162,6 +173,75 @@ class TestParseErrors:
             parse_duels(path)
         assert exc.value.line == 2
 
+    # parser, header, a valid row with a quoted newline, a row that fails
+    # (it too spans two lines)
+    ROW_ERRORS = {
+        "items": (
+            parse_items, "item_id,group,category", 'x,A,"pizza\nslice"',
+            'y,C,"pizza\nslice"', ValidationError,
+        ),
+        "duels": (
+            parse_duels, ",".join(DUEL_COLUMNS), 'd0,"pizza\nslice",tasty,a1,b1,A,r1',
+            'd1,"pizza\nslice",tasty,a1,b1,X,r1', ParseError,
+        ),
+        "tags": (
+            parse_tags, ",".join(TAG_COLUMNS), 'd0,a1,r1,"fresh\ncrust"',
+            '"d\n1",a1,r1,  ', ParseError,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ROW_ERRORS))
+    @pytest.mark.parametrize(
+        "layout, line",
+        [
+            ("{header}\n{single}\n\n\n{bad}\n", 5),  # after two blank lines
+            ("{header}\r\n\r\n{single}\r\n{bad}\r\n", 4),
+            ("{header}\n{quoted}\n{bad}\n", 4),  # row 2 spans lines 2-3
+            ("{header}\n\n{quoted}\n\n{quoted}\n{bad}\n", 8),
+        ],
+    )
+    def test_error_names_the_file_line(self, tmp_path, kind, layout, line):
+        parser, header, quoted, bad, error = self.ROW_ERRORS[kind]
+        path = tmp_path / f"{kind}.csv"
+        text = layout.format(
+            header=header, quoted=quoted, single=quoted.replace("\n", " "), bad=bad
+        )
+        path.write_bytes(text.encode())
+        with pytest.raises(error, match=f"line {line}: ") as exc:
+            parser(path)
+        assert getattr(exc.value, "line", line) == line
+
+    def test_valid_rows_around_blank_lines_and_quoted_newlines(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(
+            b'duel_id,item_id,rater_id,raw_tag\n\nd0,a1,r1,"fresh\ncrust"\n'
+            b'\r\nd1, a2 ,r1,"thin, crisp"\n'
+        )
+        assert parse_tags(path) == [
+            TagRecord("d0", "a1", "r1", "fresh\ncrust"),
+            TagRecord("d1", "a2", "r1", "thin, crisp"),
+        ]
+
+    @pytest.mark.parametrize(
+        "item_a, match",
+        [("ghost", "line 2: unknown item 'ghost'"), ("b-pizza-1", "line 2: item_a")],
+    )
+    def test_earlier_referential_error_wins(
+        self, tmp_path, fixture_data, item_a, match
+    ):
+        catalog, _, _ = fixture_data
+        path = self.write(
+            tmp_path,
+            "duels.csv",
+            [
+                DUEL_COLUMNS,
+                ["d0", "pizza", "tasty", item_a, "b-pizza-0", "B", "r1"],
+                ["d1", "pizza", "tasty", "a-pizza-0", "b-pizza-0", "X", "r1"],
+            ],
+        )
+        with pytest.raises(ValidationError, match=match):
+            parse_duels(path, catalog)
+
     def test_duel_against_unknown_item(self, tmp_path, fixture_data):
         catalog, _, _ = fixture_data
         header = [
@@ -206,6 +286,104 @@ class TestParseErrors:
             },
         )
         assert catalog.ids() == ["x"]
+
+
+# per column, values a valid row may hold (with commas, quotes, newlines or
+# surrounding spaces) and, drawn one time in ten, values that fail (unknown
+# group or item, bad winner, self-duel, empty tag)
+_ORACLE_VALUES = {
+    "item_id": (["a0", " a1", "b0 ", "b1", "a\n2", "i, j", '"k"'], [""]),
+    "group": (["A", "B", " B "], ["C", ""]),
+    "category": (["pizza", "pizza pie", '"pizza"'], [""]),
+    "external_ref": (["", "ref/1", " u, v "], []),
+    "duel_id": (["d0", "d1", ' "d" ', "d\n2"], []),
+    "dimension": (["tasty", " healthy\n"], []),
+    "item_a": (["a0", " a1", "a0\n"], ["b0", "ghost"]),
+    "item_b": (["b0", "b1 "], ["a1", "a0"]),
+    "winner": (["A", " B", "B"], ["X", ""]),
+    "rater_id": (["r1", "", "r, 2"], []),
+    "raw_tag": ([" Looks tasty ", "thin, crisp", "two\nlines"], ["  ", ""]),
+    "note": (["", "x", "1, 2"], []),
+}
+_ORACLE_LAYOUTS = {
+    "items": (ITEM_COLUMNS, parse_items, dictreader_parse_items),
+    "duels": (DUEL_COLUMNS, parse_duels, dictreader_parse_duels),
+    "tags": (TAG_COLUMNS, parse_tags, dictreader_parse_tags),
+}
+_ORACLE_CATALOG = ItemCatalog(
+    [ItemRecord(i, i[0].upper(), "pizza") for i in ("a0", "a1", "b0", "b1")]
+)
+
+
+@st.composite
+def csv_files(draw):
+    """(kind, CSV text, column map, with catalog, line of each non-blank row)."""
+    kind = draw(st.sampled_from(sorted(_ORACLE_LAYOUTS)))
+    columns = list(_ORACLE_LAYOUTS[kind][0])
+    if kind == "items" and draw(st.booleans()):
+        columns.remove("external_ref")  # the one optional column
+    if draw(st.integers(0, 19)) == 0:
+        columns.remove(draw(st.sampled_from(columns)))  # maybe a required one
+    columns += draw(st.lists(st.sampled_from(["note", *columns]), max_size=2))
+    columns = draw(st.permutations(columns))  # a repeat is a repeated name
+    column_map = None
+    if draw(st.booleans()):
+        column_map = {c: f"my {c}" for c in _ORACLE_LAYOUTS[kind][0]}
+    header = [column_map.get(c, c) if column_map else c for c in columns]
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator)
+    writer.writerow(header)
+    lines, line = [], 2
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            row = []  # a blank line
+        else:
+            row = []
+            for c in columns:
+                valid, failing = _ORACLE_VALUES[c]
+                fail = failing and draw(st.integers(0, 9)) == 0
+                row.append(draw(st.sampled_from(failing if fail else valid)))
+            cut = draw(st.integers(-2, 2)) if draw(st.integers(0, 9)) == 0 else 0
+            row = row[: len(row) - cut] if cut > 0 else row + ["extra"] * -cut
+        writer.writerow(row)
+        if row:
+            lines.append(line)
+        line += 1 + sum(field.count("\n") for field in row)
+    return kind, out.getvalue(), column_map, draw(st.booleans()), lines
+
+
+def _outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except DuelBiasError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return result.records if isinstance(result, ItemCatalog) else result
+
+
+class TestParserOracle:
+    """The column reader against the csv.DictReader parsers it replaced
+    (``oracles.dictreader_parse_*``), given each row's line."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("oracle")
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files())
+    def test_same_records_and_errors(self, workdir, case):
+        kind, text, column_map, with_catalog, lines = case
+        path = workdir / f"{kind}.csv"
+        path.write_bytes(text.encode())
+        _, parse, oracle = _ORACLE_LAYOUTS[kind]
+        if kind == "duels":
+            catalog = _ORACLE_CATALOG if with_catalog else None
+            got = _outcome(parse, path, catalog, column_map)
+            expected = _outcome(oracle, path, catalog, column_map, lines)
+        else:
+            got = _outcome(parse, path, column_map)
+            expected = _outcome(oracle, path, column_map, lines)
+        assert got == expected
 
 
 class TestPipeline:

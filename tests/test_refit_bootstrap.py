@@ -10,6 +10,7 @@ import pytest
 from duelbias.bias import percentile_ci
 from duelbias.choice_model import SUM_ONE, FitConfig
 from duelbias.errors import UnstableBootstrapError
+from duelbias import pipeline
 from duelbias.pipeline import (
     AnalysisConfig,
     _derived_seed,
@@ -79,6 +80,28 @@ class TestRefitBiasReplicates:
         expected, discards = per_replicate(catalog, duels, config, seed)
         assert len(values) == 200 - sum(discards.values())
         np.testing.assert_allclose(values, expected, rtol=0, atol=AGREEMENT)
+
+    @pytest.mark.parametrize("block_duels", [1, 450, 2**16])
+    def test_weights_are_the_per_replicate_draws(self, monkeypatch, block_duels):
+        # 200 duels: blocks of 1, of 2 (the last one short) and of all 23
+        catalog, duels = tournament(3)
+        config = AnalysisConfig(bootstrap_replicates=23)
+        seen = []
+        fit_replicates = pipeline.fit_replicates
+
+        def spy(graph, weights, *args):
+            seen.append(weights.copy())
+            return fit_replicates(graph, weights, *args)
+
+        monkeypatch.setattr(pipeline, "fit_replicates", spy)
+        monkeypatch.setattr(pipeline, "_REFIT_BLOCK_DUELS", block_duels)
+        batched(catalog, duels, config, 9)
+        rng = np.random.default_rng(9)
+        expected = [
+            np.bincount(rng.integers(0, 200, size=200), minlength=200)
+            for _ in range(23)
+        ]
+        assert np.array_equal(np.concatenate(seen), np.stack(expected))
 
     def test_raw_scores_in_sum_one_gauge(self):
         catalog, duels = tournament(5, n_side=6, n_duels=150)

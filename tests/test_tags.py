@@ -17,7 +17,11 @@ from duelbias.tags import (
     significance_stars,
 )
 from duelbias.stats import PValue
-from oracles import chi2_stat_observed_expected
+from oracles import (
+    all_rows_distinctive_tags,
+    chi2_stat_observed_expected,
+    per_record_aggregate_tags,
+)
 
 
 class TestNormalizeTag:
@@ -193,3 +197,89 @@ class TestAggregateTags:
         records = [TagRecord("d1", item_id="ghost", rater_id="r", raw_text="x")]
         with pytest.raises(KeyError):
             aggregate_tags(records, {})
+
+
+def _tag_log(seed, mirrored):
+    """Seeded tag records over a pool of raw texts, each used many times,
+    with stopword prefixes, mixed case, comma-joined tags and dash
+    variants; each text leans to one group by its own share. Mirrored,
+    group B repeats group A's raw texts, so every tag has equal counts and
+    a KL of exactly 0; otherwise "salty" and "sweet", which come only as a
+    pair, tie on KL and count."""
+    rng = np.random.default_rng(seed)
+    words = [
+        f"{adjective} {noun}"
+        for adjective in ("crisp", "soft", "oily", "fresh", "burnt")
+        for noun in ("crust", "bun", "rice", "salad", "sauce", "bread")
+    ]
+    pool = [
+        f"{prefix}{word}"
+        for word in words
+        for prefix in ("", "looks ", "Very ", "SEEMS ")
+    ]
+    pool += ["mouth watering", "mouthwatering", "salty, sweet", "Fresh bun,, oily rice"]
+    share_a = rng.uniform(0.1, 0.9, size=len(pool))
+    records = []
+    for k in range(1500):
+        j = rng.integers(len(pool))
+        groups = "AB" if mirrored else "AB"[int(rng.random() > share_a[j])]
+        for group in groups:
+            item = f"{group.lower()}{rng.integers(5)}"
+            records.append(TagRecord(f"d{k}", item, f"r{k % 7}", pool[j]))
+    group_of = {f"{g.lower()}{i}": g for g in "AB" for i in range(5)}
+    return records, group_of
+
+
+class TestTagOracle:
+    """aggregate_tags and distinctive_tags against the per-record
+    normalization and the all-rows ranking they replaced (oracles)."""
+
+    RESOURCES = {
+        "default": (None, None),
+        "custom": (frozenset({"looks", "very"}), {"thin crust": "thin-crust"}),
+    }
+
+    @staticmethod
+    def details(rows):
+        return [
+            (r.tag, r.kl, r.count_target, r.count_reference, r.chi2, r.p_value, r.stars)
+            for r in rows
+        ]
+
+    @pytest.mark.parametrize("resources", sorted(RESOURCES))
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_distributions_and_rankings(self, seed, mirrored, resources):
+        records, group_of = _tag_log(seed, mirrored)
+        stopwords, lexicon = self.RESOURCES[resources]
+        dists = aggregate_tags(records, group_of, stopwords, lexicon)
+        if resources == "default":
+            stopwords, lexicon = default_stopword_prefixes(), default_dash_lexicon()
+        expected = per_record_aggregate_tags(
+            records, group_of, stopwords, lexicon, 0.5
+        )
+        assert dists == expected
+        assert list(dists) == list(expected)
+        for g in dists:
+            assert list(dists[g].counts.items()) == list(expected[g].counts.items())
+
+        a, b = dists["A"], dists["B"]
+        vocabulary = set(a.counts) | set(b.counts)
+        totals = sorted({a.counts.get(t, 0) + b.counts.get(t, 0) for t in vocabulary})
+        boundary = totals[len(totals) // 2]
+        vocabulary = len(vocabulary)
+        for min_count in (boundary, boundary + 1):
+            for top_k in (0, 1, 20, vocabulary + 5):
+                got = distinctive_tags(a, b, top_k=top_k, min_count=min_count)
+                want = all_rows_distinctive_tags(a, b, top_k, min_count)
+                assert [self.details(rows) for rows in got] == [
+                    self.details(rows) for rows in want
+                ]
+        # the boundary tags are in at min_count and out one above it
+        counted = [
+            len(distinctive_tags(a, b, vocabulary, m)[0])
+            for m in (boundary, boundary + 1)
+        ]
+        assert counted[0] > counted[1]
+        if mirrored:
+            assert {r.kl for r in distinctive_tags(a, b, vocabulary)[0]} == {0.0}
