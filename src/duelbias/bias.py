@@ -53,8 +53,6 @@ class RaterSummary:
 class RankCurvePoint:
     x: float
     y: float
-    ci_low: float | None = None
-    ci_high: float | None = None
 
 
 @dataclass(frozen=True)
@@ -247,28 +245,16 @@ def rank_curve(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
     grid: Sequence[float] = DEFAULT_RANK_GRID,
-    bootstrap_replicates: int | None = None,
-    seed: int = 0,
 ) -> tuple[RankCurvePoint, ...]:
     """For each percentile x of group B, the percentile rank within group A
-    of group B's x-th percentile score; non-decreasing in x.
-
-    If ``bootstrap_replicates`` is given, both groups are resampled with
-    replacement to attach 95% CIs to each point.
-    """
+    of group B's x-th percentile score; non-decreasing in x. Its bootstrap
+    CIs come from the rank-curve rows of ``resample_two_groups``."""
     if len(scores_a) == 0 or len(scores_b) == 0:
         raise ValidationError("both groups must be non-empty")
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     ys = midpoint_ranks(np.percentile(b, grid), np.sort(a))
-    if bootstrap_replicates is None:
-        return tuple(RankCurvePoint(float(x), float(y)) for x, y in zip(grid, ys))
-    _, boot = resample_two_groups(a, b, bootstrap_replicates, seed, grid)
-    lows, highs = percentile_ci(boot)
-    return tuple(
-        RankCurvePoint(float(x), float(y), float(lo), float(hi))
-        for x, y, lo, hi in zip(grid, ys, lows, highs)
-    )
+    return tuple(RankCurvePoint(float(x), float(y)) for x, y in zip(grid, ys))
 
 
 def score_correlations(

@@ -5,9 +5,9 @@ strictly positive latent scores. Fitting is Newton's method on
 log-scores, each step solved matrix-free by conjugate gradients,
 optionally regularized by pseudo-duels against a virtual anchor item,
 which makes the maximizer exist for any data. One Newton loop fits a
-batch of duel sets over the same items in lockstep, one row each: per-row
-duel arrays (``fit_duel_arrays``, e.g. the replicates of a rank-recovery
-simulation) or weightings of one graph (``fit_replicates``, e.g. the
+batch of weighted duel sets over the same items in lockstep, one row each
+(``fit_duel_arrays``): per-row duel arrays (e.g. the replicates of a
+rank-recovery simulation) or weightings of one shared duel list (e.g. the
 resamples of a duel bootstrap); ``fit`` is its one-row, unit-weight case.
 """
 
@@ -76,7 +76,7 @@ class ComparisonGraph:
 class FitConfig:
     """``tolerance`` bounds max |d/d log s| of the (regularized)
     log-likelihood at a converged fit; ``max_iterations`` caps the number
-    of Newton steps. In a batch (``fit_replicates``) both apply to each
+    of Newton steps. In a batch (``fit_duel_arrays``) both apply to each
     row on its own."""
 
     max_iterations: int = 10_000
@@ -359,7 +359,7 @@ class ReplicateFits:
 def _fit_rows(n, duels, weights, config, start) -> ReplicateFits:
     """Fit each row of ``weights`` (rows, m) over the duels ``duels``,
     (2, rows, m) or one shared list (2, 1, m), from the log-scores ``start``
-    (n,); see ``fit_duel_arrays`` and ``fit_replicates``."""
+    (n,); see ``fit_duel_arrays``."""
     log_s = np.empty((len(weights), n))
     log_s[:] = start
     iterations = np.zeros(len(weights), dtype=int)
@@ -388,16 +388,24 @@ def fit_duel_arrays(
     winners,
     losers,
     config: FitConfig | None = None,
+    weights=None,
+    initial_scores=None,
 ) -> ReplicateFits:
-    """Fit one duel set per row over the same ``n_items`` items: in row r,
-    item winners[r, j] beat item losers[r, j]. Both arrays are
-    (rows, m) integer indices, e.g. the simulated tournaments of several
-    replicates.
+    """Fit one weighted duel set per row over the same ``n_items`` items:
+    row r counts the duel "item winners[r, j] beat item losers[r, j]"
+    weights[r, j] times, e.g. bootstrap multiplicities. ``winners`` and
+    ``losers`` are (rows, m) integer indices, e.g. the simulated
+    tournaments of several replicates, or (1, m) for one duel list shared
+    by every row of ``weights``; ``weights`` is (rows, m) and defaults to
+    unit weights. A shared list lets rows leave the batch without
+    renumbering their duel indices (see ``_newton``).
 
-    All rows run in one lockstep Newton-CG loop (see ``fit``) from log-score
-    0; each converges, or not, on its own, and leaves the batch when it
-    does. With alpha = 0 a row whose win graph is not strongly connected
-    has no maximizer: it keeps the starting scores, unconverged after 0
+    All rows run in one lockstep Newton-CG loop (see ``fit``) from the
+    scores ``initial_scores`` (n_items,), by default 1; each converges, or
+    not, on its own, and leaves the batch when it does. With alpha = 0 a
+    row whose win graph (duels of positive weight) is not strongly
+    connected, which includes any row that leaves an item silent, has no
+    maximizer: it keeps the starting scores, unconverged after 0
     iterations. Each row's fit is bit-identical to the same row fitted
     alone.
     """
@@ -411,6 +419,18 @@ def fit_duel_arrays(
             f"winners and losers must be (rows, duels) arrays of one shape, "
             f"got {wi.shape} and {li.shape}"
         )
+    if weights is None:
+        weights = np.ones(wi.shape)
+    weights = np.asarray(weights, dtype=float)
+    if (
+        weights.ndim != 2
+        or weights.shape[1] != wi.shape[1]
+        or len(wi) not in (1, len(weights))
+    ):
+        raise ValidationError(
+            f"weights must be (rows, duels) with one column per duel, got "
+            f"{weights.shape} for duel arrays {wi.shape}"
+        )
     if wi.size:
         if not (
             np.issubdtype(wi.dtype, np.integer) and np.issubdtype(li.dtype, np.integer)
@@ -421,44 +441,8 @@ def fit_duel_arrays(
         if (wi == li).any():
             raise ValidationError("an item dueled itself")
     duels = np.stack((wi, li)).astype(np.intp, copy=False)
-    return _fit_rows(n_items, duels, np.ones(wi.shape), config, 0.0)
-
-
-def fit_replicates(
-    graph: ComparisonGraph,
-    weights,
-    config: FitConfig | None = None,
-    initial_scores: Mapping[Hashable, float] | None = None,
-) -> ReplicateFits:
-    """Fit ``graph`` once per row of ``weights`` (rows, n_duels), where row r
-    counts duel j weights[r, j] times, e.g. bootstrap multiplicities.
-
-    All rows share the graph's duel list, which lets rows leave the batch
-    without renumbering their duel indices (see ``_newton``), and all rows
-    run in one lockstep Newton-CG loop (see ``fit``) from the same
-    starting scores; each converges, or not, on its own. With alpha = 0 a
-    row whose win graph (duels of positive weight) is not strongly
-    connected, which includes any row that leaves an item silent, has no
-    maximizer: it keeps the starting scores, unconverged after 0
-    iterations.
-    """
-    if config is None:
-        config = FitConfig()
-    n = graph.n_items
-    if n == 0:
-        raise DegenerateFitError("comparison graph has no items")
-    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != len(d):
-        raise ValidationError(
-            f"weights must have one column per duel ({len(d)}), "
-            f"got shape {weights.shape}"
-        )
-    if initial_scores is not None:
-        s = np.array([initial_scores[item] for item in graph.items], dtype=float)
-    else:
-        s = np.ones(n, dtype=float)
-    return _fit_rows(n, d.T[:, None, :], weights, config, np.log(s))
+    start = 0.0 if initial_scores is None else np.log(initial_scores)
+    return _fit_rows(n_items, duels, weights, config, start)
 
 
 def fit(
@@ -482,7 +466,7 @@ def fit(
     maximizer, so the starting scores come back unconverged after 0
     iterations.
 
-    This is ``fit_replicates`` with one row of unit weights: one Newton
+    This is ``fit_duel_arrays`` with one row of unit weights: one Newton
     loop serves single fits and batches of weighted refits.
 
     The result is expressed in the configured gauge; the regularization
@@ -492,20 +476,24 @@ def fit(
     if config is None:
         config = FitConfig()
     n = graph.n_items
+    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
     if config.regularization_alpha == 0.0:
         if not graph.duels:
             raise DegenerateFitError(
                 "no duels and no regularization: likelihood has no maximizer"
             )
-        appearances = np.bincount(
-            np.array(graph.duels, dtype=np.intp).ravel(), minlength=n
-        )
+        appearances = np.bincount(d.ravel(), minlength=n)
         silent = [graph.items[i] for i in range(n) if appearances[i] == 0]
         if silent:
             raise UnidentifiableItemsError(silent)
-    fits = fit_replicates(
-        graph, np.ones((1, len(graph.duels))), config, initial_scores
-    )
+    if n == 0:
+        raise DegenerateFitError("comparison graph has no items")
+    start = 0.0
+    if initial_scores is not None:
+        start = np.log([initial_scores[item] for item in graph.items])
+    # the graph's duels are already valid: fit them without fit_duel_arrays'
+    # checks, so that a single fit pays for no second validation
+    fits = _fit_rows(n, d.T[:, None, :], np.ones((1, len(d))), config, start)
     scores = dict(zip(graph.items, fits.scores[0].tolist()))
     return ScoreTable(
         scores=scores,

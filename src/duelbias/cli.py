@@ -10,8 +10,8 @@ Subcommands:
     freq       category frequency comparison
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
-Flags override values from --config (JSON); DUELBIAS_OUTPUT_DIR sets the
-default output directory.
+For simulate, fit and bias, flags override values from --config (JSON);
+DUELBIAS_OUTPUT_DIR sets the default output directory.
 """
 
 from __future__ import annotations
@@ -40,13 +40,14 @@ from .errors import (
 from .pipeline import (
     AnalysisConfig,
     duel_outcomes_json,
-    fit_converged_tournament,
+    fit_tournament,
     frequency_json,
     run_pipeline,
     tag_json,
     write_distinctive_tags,
     write_json,
     write_report_bundle,
+    write_scores,
 )
 from .records import GROUP_A, GROUP_B
 from .tournament import (
@@ -184,23 +185,21 @@ def cmd_fit(args) -> None:
     # fit every tournament before writing, so an unconverged one leaves no
     # scores behind
     tables = [
-        (c, d, fit_converged_tournament(catalog, duels, c, d, fit_config))
-        for c, d in pairs
+        (c, d, fit_tournament(catalog, duels, c, d, fit_config)) for c, d in pairs
     ]
-    path = _outpath(args, "scores.csv")
-    diagnostics = {}
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["category", "dimension", "item_id", "score"])
-        for category, dimension, table in tables:
-            for item in sorted(table.scores):
-                writer.writerow([category, dimension, item, repr(table.scores[item])])
-            diagnostics[f"{category}/{dimension}"] = {
-                "converged": table.converged,
-                "iterations": table.iterations,
-                "log_likelihood": table.log_likelihood,
-            }
-    print(path)
+    print(
+        write_scores(
+            _outpath(args, "scores.csv"), [(c, d, t.scores) for c, d, t in tables]
+        )
+    )
+    diagnostics = {
+        f"{c}/{d}": {
+            "converged": t.converged,
+            "iterations": t.iterations,
+            "log_likelihood": t.log_likelihood,
+        }
+        for c, d, t in tables
+    }
     print(write_json(_outpath(args, "fit_diagnostics.json"), diagnostics))
 
 
@@ -242,11 +241,6 @@ def cmd_tags(args) -> None:
     catalog = parse_items(args.items, _column_map(args))
     records = parse_tags(args.tags, _column_map(args))
     group_of = {r.item_id: r.group for r in catalog.records}
-    for rec in records:
-        if rec.item_id not in group_of:
-            raise ReferentialError(
-                f"{args.tags}: tag references unknown item {rec.item_id!r}"
-            )
     stopwords = (
         tags_mod.load_stopword_prefixes(args.stopwords)
         if args.stopwords
@@ -282,10 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, config=False, column_map=True):
         p.add_argument("--output-dir", default=None)
-        p.add_argument("--config", default=None, help="JSON file with defaults")
-        p.add_argument("--column-map", default=None, help="JSON column-name map")
+        if config:
+            p.add_argument("--config", default=None, help="JSON file with defaults")
+        if column_map:
+            p.add_argument("--column-map", default=None, help="JSON column-name map")
 
     def fit_options(p):
         p.add_argument("--alpha", type=float, default=None)
@@ -313,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rater-noise", type=float, default=None,
         help="perception-noise scale for rater-normal (default 0.25; 0 = noiseless)",
     )
-    common(p)
+    common(p, config=True, column_map=False)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("design", help="balanced duel schedule")
@@ -330,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", default=None)
     p.add_argument("--dimension", default=None)
     fit_options(p)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bias", help="full bias report")
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", action="append", default=None)
     p.add_argument("--dimension", action="append", default=None)
     fit_options(p)
-    common(p)
+    common(p, config=True)
     p.set_defaults(func=cmd_bias)
 
     p = sub.add_parser("duelstats", help="win fractions and rater statistics")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bias as bias_mod
 from . import tags as tags_mod
-from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit, fit_replicates
+from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit, fit_duel_arrays
 from .errors import (
     NumericalError,
     ReferentialError,
@@ -136,39 +136,26 @@ def fit_tournament(
     category: str,
     dimension: str,
     fit_config: FitConfig,
-):
-    """Fit one (category, dimension) tournament over the category's items."""
-    return fit(tournament_graph(catalog, duels, category, dimension), fit_config)
-
-
-def _require_converged(table: ScoreTable) -> ScoreTable:
-    """Return ``table``, or raise NumericalError if its fit did not converge,
-    so that an unconverged fit never turns into a bias number."""
-    if not table.converged:
-        hint = (
-            "; with alpha 0 the win graph must be strongly connected"
-            if table.regularization == 0.0
-            else ""
-        )
-        raise NumericalError(
-            f"score fit did not converge after {table.iterations} iterations{hint}"
-        )
-    return table
-
-
-def fit_converged_tournament(
-    catalog: ItemCatalog,
-    duels: Sequence[DuelRecord],
-    category: str,
-    dimension: str,
-    fit_config: FitConfig,
 ) -> ScoreTable:
-    """``fit_tournament``, raising NumericalError for an unconverged fit; any
-    error names the tournament and keeps its type and attributes."""
+    """Fit one (category, dimension) tournament over the category's items.
+
+    An unconverged fit raises NumericalError, so that it never turns into
+    a bias number. Any error names the tournament and keeps its type and
+    attributes.
+    """
     try:
-        return _require_converged(
-            fit_tournament(catalog, duels, category, dimension, fit_config)
-        )
+        table = fit(tournament_graph(catalog, duels, category, dimension), fit_config)
+        if not table.converged:
+            hint = (
+                "; with alpha 0 the win graph must be strongly connected"
+                if table.regularization == 0.0
+                else ""
+            )
+            raise NumericalError(
+                f"score fit did not converge after {table.iterations} "
+                f"iterations{hint}"
+            )
+        return table
     except Exception as exc:
         # rewrite the message in place: a new instance would lose the
         # type's own constructor arguments (e.g. item_ids)
@@ -200,8 +187,9 @@ def refit_bias_replicates(
     Replicate r resamples the tournament's m duels with replacement (the r-th
     ``integers(0, m, size=m)`` draw of one generator seeded with ``seed``),
     which is the same as counting each duel by its multiplicity in the
-    resample. The replicates are refitted together by ``fit_replicates``,
-    a block at a time, warm-started from the point fit. A replicate whose
+    resample. The replicates are refitted together by ``fit_duel_arrays``
+    over the tournament's one duel list, a block at a time, warm-started
+    from the point fit. A replicate whose
     fit does not converge is discarded; with alpha 0 that includes every
     replicate whose win graph is not strongly connected. More than 10%
     discards raise UnstableBootstrapError.
@@ -209,6 +197,8 @@ def refit_bias_replicates(
     replicates = config.bootstrap_replicates
     graph = tournament_graph(catalog, duels, category, dimension)
     m = len(graph.duels)
+    winners, losers = np.array(graph.duels, dtype=np.intp).T[:, None]
+    start = point.score_array(graph.items)
     index = {item: i for i, item in enumerate(graph.items)}
     group_a, group_b = (
         [index[i] for i in catalog.ids(group=g, category=category)]
@@ -225,7 +215,9 @@ def refit_bias_replicates(
         draws = rng.integers(0, m, size=(rows, m))
         draws += m * np.arange(rows)[:, None]
         weights[:rows] = np.bincount(draws.ravel(), minlength=rows * m).reshape(rows, m)
-        fits = fit_replicates(graph, weights[:rows], config.fit, point.scores)
+        fits = fit_duel_arrays(
+            graph.n_items, winners, losers, config.fit, weights[:rows], start
+        )
         scores = fits.scores[fits.converged]
         if config.bias_log_scale:
             scores = np.log(scores)
@@ -295,9 +287,7 @@ def run_pipeline(
         cat_duels = [
             d for d in selected if d.category == category and d.dimension == dimension
         ]
-        table = fit_converged_tournament(
-            catalog, cat_duels, category, dimension, config.fit
-        )
+        table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
         gs = _group_scores(catalog, category, table, config.bias_log_scale)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)
@@ -476,23 +466,31 @@ def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> s
     return path
 
 
+def write_scores(path: str, tables) -> str:
+    """Write one row per item of each (category, dimension, scores) in
+    ``tables``, in that order and items sorted; returns the path."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["category", "dimension", "item_id", "score"])
+        for category, dimension, scores in tables:
+            for item in sorted(scores):
+                writer.writerow([category, dimension, item, repr(scores[item])])
+    return path
+
+
 def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
     """Write report.json plus flat CSV tables; returns the written paths."""
     os.makedirs(outdir, exist_ok=True)
     written = [write_json(os.path.join(outdir, "report.json"), bundle)]
 
     if bundle.get("tournaments"):
-        path = os.path.join(outdir, "scores.csv")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["category", "dimension", "item_id", "score"])
-            for key in sorted(bundle["tournaments"]):
-                t = bundle["tournaments"][key]
-                for item in sorted(t["scores"]):
-                    writer.writerow(
-                        [t["category"], t["dimension"], item, repr(t["scores"][item])]
-                    )
-        written.append(path)
+        tournaments = [bundle["tournaments"][k] for k in sorted(bundle["tournaments"])]
+        written.append(
+            write_scores(
+                os.path.join(outdir, "scores.csv"),
+                [(t["category"], t["dimension"], t["scores"]) for t in tournaments],
+            )
+        )
 
         path = os.path.join(outdir, "rank_curves.csv")
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -500,8 +498,7 @@ def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
             writer.writerow(
                 ["category", "dimension", "x", "y", "ci_low", "ci_high"]
             )
-            for key in sorted(bundle["tournaments"]):
-                t = bundle["tournaments"][key]
+            for t in tournaments:
                 for pt in t["rank_curve"]:
                     writer.writerow(
                         [t["category"], t["dimension"], pt["x"], pt["y"],

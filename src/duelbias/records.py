@@ -48,9 +48,6 @@ class ItemCatalog:
     def __contains__(self, item_id):
         return item_id in self._by_id
 
-    def __getitem__(self, item_id) -> ItemRecord:
-        return self._by_id[item_id]
-
     def group_of(self, item_id: str) -> str:
         return self._by_id[item_id].group
 

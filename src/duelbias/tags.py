@@ -14,7 +14,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ReferentialError, ValidationError
 from .records import TagRecord
 from .stats import PValue, chi_square_2x2
 
@@ -127,7 +127,10 @@ def aggregate_tags(
     dash_merge_lexicon: Mapping[str, str] | None = None,
     smoothing_epsilon: float = DEFAULT_SMOOTHING,
 ) -> dict[str, TagDistribution]:
-    """Normalize raw tag records and aggregate per-mention counts by group."""
+    """Normalize raw tag records and aggregate per-mention counts by group.
+
+    A record whose item has no group in ``group_of`` raises ReferentialError.
+    """
     if stopword_prefixes is None:
         stopword_prefixes = default_stopword_prefixes()
     if dash_merge_lexicon is None:
@@ -135,7 +138,11 @@ def aggregate_tags(
     normalized: dict[str, list[str]] = {}  # raw text -> its tags
     per_group: dict[str, list[str]] = {}
     for rec in records:
-        group = group_of[rec.item_id]
+        group = group_of.get(rec.item_id)
+        if group is None:
+            raise ReferentialError(
+                f"tag in duel {rec.duel_id!r} references unknown item {rec.item_id!r}"
+            )
         tags = normalized.get(rec.raw_text)
         if tags is None:
             tags = normalized[rec.raw_text] = normalize_tag(
@@ -200,6 +207,11 @@ def _rank_direction(
     candidates.sort()
     rows = []
     for neg_kl, _, tag, ct, cr in candidates[:top_k]:
+        if not 0 < ct + cr < total_t + total_r:
+            raise ValidationError(
+                f"tag {tag!r}: {ct + cr} of {total_t + total_r} tag mentions, so "
+                "its 2x2 chi-square table has an empty column"
+            )
         chi2, p = chi_square_2x2([[ct, total_t - ct], [cr, total_r - cr]])
         rows.append(
             DistinctiveTag(

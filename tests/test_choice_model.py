@@ -10,7 +10,6 @@ from duelbias.choice_model import (
     ScoreTable,
     fit,
     fit_duel_arrays,
-    fit_replicates,
     log_likelihood,
     regularized_log_likelihood,
     win_probability,
@@ -282,6 +281,12 @@ def bootstrap_weights(m, replicates, seed):
     return np.array([np.bincount(idx, minlength=m) for idx in draws])
 
 
+def shared_duels(g):
+    """The (1, m) winner and loser arrays of one duel list shared by every
+    row of a batch: the duels of ``g``."""
+    return np.array(g.duels, dtype=np.intp).T[:, None]
+
+
 class TestFitReplicates:
     @pytest.mark.parametrize(
         "n, alpha", [(2, 0.1), (20, 0.1), (200, 0.1), (2, 0.0), (20, 0.0)]
@@ -290,7 +295,7 @@ class TestFitReplicates:
         config = FitConfig(regularization_alpha=alpha)
         g = random_graph(n, 10 * n, seed=n, win_cycle=alpha == 0.0)
         weights = bootstrap_weights(len(g.duels), 30, seed=n)
-        fits = fit_replicates(g, weights, config)
+        fits = fit_duel_arrays(n, *shared_duels(g), config, weights)
         assert fits.converged.sum() >= 20
         for row, scores, anchor in zip(
             weights[fits.converged],
@@ -309,11 +314,13 @@ class TestFitReplicates:
         g = random_graph(n, 10 * n, seed=n, win_cycle=alpha == 0.0)
         weights = bootstrap_weights(len(g.duels), 30, seed=n)
         rng = np.random.default_rng(n)
-        initial = {i: math.exp(x) for i, x in zip(g.items, rng.normal(size=n))}
-        batch = fit_replicates(g, weights, config, initial)
+        initial = np.exp(rng.normal(size=n))
+        batch = fit_duel_arrays(n, *shared_duels(g), config, weights, initial)
         assert len(set(batch.iterations.tolist())) > 1
         for r in range(len(weights)):
-            alone = fit_replicates(g, weights[r : r + 1], config, initial)
+            alone = fit_duel_arrays(
+                n, *shared_duels(g), config, weights[r : r + 1], initial
+            )
             assert np.array_equal(alone.scores[0], batch.scores[r])
             assert alone.anchor_scores[0] == batch.anchor_scores[r]
             assert alone.iterations[0] == batch.iterations[r]
@@ -322,7 +329,7 @@ class TestFitReplicates:
     def test_fit_is_one_row_of_unit_weights(self):
         g = random_graph(20, 200, seed=3, win_cycle=False)
         table = fit(g)
-        fits = fit_replicates(g, np.ones((1, len(g.duels))))
+        fits = fit_duel_arrays(20, *shared_duels(g))
         assert fits.scores[0].tolist() == [table.scores[i] for i in g.items]
         assert fits.iterations[0] == table.iterations
         assert fits.converged[0] == table.converged
@@ -330,9 +337,11 @@ class TestFitReplicates:
     def test_step_cap_applies_per_row(self):
         g = random_graph(20, 200, seed=4, win_cycle=False)
         weights = bootstrap_weights(len(g.duels), 30, seed=4)
-        free = fit_replicates(g, weights)
+        free = fit_duel_arrays(20, *shared_duels(g), weights=weights)
         cap = int(np.median(free.iterations))
-        capped = fit_replicates(g, weights, FitConfig(max_iterations=cap))
+        capped = fit_duel_arrays(
+            20, *shared_duels(g), FitConfig(max_iterations=cap), weights
+        )
         within = free.iterations <= cap
         assert 0 < within.sum() < len(weights)
         assert capped.converged.tolist() == within.tolist()
@@ -342,7 +351,9 @@ class TestFitReplicates:
     def test_alpha_zero_rows_without_maximizer_keep_starting_scores(self):
         g = graph_of([("a", "b"), ("b", "c"), ("c", "a"), ("b", "a")])
         weights = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 1]])
-        fits = fit_replicates(g, weights, FitConfig(regularization_alpha=0.0))
+        fits = fit_duel_arrays(
+            3, *shared_duels(g), FitConfig(regularization_alpha=0.0), weights
+        )
         # row 1 leaves c without a win, row 2 leaves nothing beating b
         assert fits.converged.tolist() == [True, False, False]
         assert fits.iterations[1:].tolist() == [0, 0]
@@ -397,9 +408,13 @@ class TestFitReplicates:
     def test_weights_need_one_column_per_duel(self):
         g = graph_of([("a", "b"), ("b", "a")])
         with pytest.raises(ValidationError):
-            fit_replicates(g, np.ones((3, 3)))
+            fit_duel_arrays(2, *shared_duels(g), weights=np.ones((3, 3)))
         with pytest.raises(ValidationError):
-            fit_replicates(g, np.ones(2))
+            fit_duel_arrays(2, *shared_duels(g), weights=np.ones(2))
+        # per-row duel arrays need one row of weights each
+        winners, losers = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError):
+            fit_duel_arrays(2, winners, losers, weights=np.ones((3, 2)))
 
 
 class TestScoreTable:

@@ -854,6 +854,50 @@ class TestCLI:
         assert headers[0] == headers[1]
         assert "p" in headers[0]
 
+    @pytest.mark.parametrize("fault", ["unknown-item", "one-tag"])
+    @pytest.mark.parametrize("command", ["tags", "bias"])
+    def test_bad_tag_log_exits_2(self, fixture_data, tmp_path, capsys, command, fault):
+        catalog, duels, tags = fixture_data
+        if fault == "unknown-item":
+            tags = tags + [TagRecord("t1", "ghost", "r1", "fresh")]
+            message = "duel 't1' references unknown item 'ghost'"
+        else:
+            # every tag of both groups is one tag: it has no chi-square test
+            tags = [
+                TagRecord(f"t{k}", f"{g}-pizza-0", "r1", "fresh")
+                for g in "ab"
+                for k in range(6)
+            ]
+            message = "tag 'fresh'"
+        items, duels_path, tags_path = write_fixture(tmp_path, catalog, duels, tags)
+        args = ["--tags", tags_path, "--items", items]
+        if command == "bias":
+            args += ["--duels", duels_path, "--bootstrap", "100", "--unit", "item"]
+        rc = main([command, *args, "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["design", "--items", "i.csv", "--duels-per-item", "2"], "--config"),
+            (["duelstats", "--duels", "d.csv"], "--config"),
+            (["tags", "--items", "i.csv", "--tags", "t.csv"], "--config"),
+            (["freq", "--items", "i.csv"], "--config"),
+            (["simulate"], "--column-map"),
+        ],
+        ids=["design", "duelstats", "tags", "freq", "simulate"],
+    )
+    def test_flag_the_command_would_not_read_rejected(
+        self, tmp_path, capsys, command, flag
+    ):
+        # the flag names a file that does not exist, which a command that
+        # accepted the flag and ignored it would never notice
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, str(tmp_path / "nope.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_numerical_error_exits_3(self, tmp_path, capsys):
         # one item never compared: unidentifiable under alpha=0
         items = [

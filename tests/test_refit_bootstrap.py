@@ -14,7 +14,7 @@ from duelbias import pipeline
 from duelbias.pipeline import (
     AnalysisConfig,
     _derived_seed,
-    fit_converged_tournament,
+    fit_tournament,
     refit_bias_replicates,
     run_pipeline,
 )
@@ -52,7 +52,7 @@ def tournament(seed, n_side=4, n_duels=200, sparse_outcomes=""):
 
 
 def batched(catalog, duels, config, seed):
-    point = fit_converged_tournament(catalog, duels, "pizza", "tasty", config.fit)
+    point = fit_tournament(catalog, duels, "pizza", "tasty", config.fit)
     return refit_bias_replicates(
         catalog, duels, "pizza", "tasty", point, config, seed
     )
@@ -61,7 +61,7 @@ def batched(catalog, duels, config, seed):
 def per_replicate(catalog, duels, config, seed):
     """The refits as the pipeline ran them before: warm-started from the
     point fit's scores."""
-    point = fit_converged_tournament(catalog, duels, "pizza", "tasty", config.fit)
+    point = fit_tournament(catalog, duels, "pizza", "tasty", config.fit)
     return loop_refit_bias_replicates(
         catalog, duels, "pizza", "tasty", config.fit, config.bias_log_scale,
         config.bootstrap_replicates, seed, point.scores,
@@ -87,13 +87,14 @@ class TestRefitBiasReplicates:
         catalog, duels = tournament(3)
         config = AnalysisConfig(bootstrap_replicates=23)
         seen = []
-        fit_replicates = pipeline.fit_replicates
+        fit_duel_arrays = pipeline.fit_duel_arrays
 
-        def spy(graph, weights, *args):
+        def spy(n, winners, losers, config, weights, *args):
+            assert winners.shape == losers.shape == (1, 200)
             seen.append(weights.copy())
-            return fit_replicates(graph, weights, *args)
+            return fit_duel_arrays(n, winners, losers, config, weights, *args)
 
-        monkeypatch.setattr(pipeline, "fit_replicates", spy)
+        monkeypatch.setattr(pipeline, "fit_duel_arrays", spy)
         monkeypatch.setattr(pipeline, "_REFIT_BLOCK_DUELS", block_duels)
         batched(catalog, duels, config, 9)
         rng = np.random.default_rng(9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duelbias.errors import ValidationError
+from duelbias.errors import ReferentialError, ValidationError
 from duelbias.records import TagRecord
 from duelbias.tags import (
     TagDistribution,
@@ -174,6 +174,13 @@ class TestDistinctiveTags:
         tied = [r.tag for r in list_a if r.count_target == 10]
         assert tied == sorted(tied)
 
+    def test_tag_without_a_chi_square_test_rejected(self):
+        # the only tag of both groups leaves its 2x2 table a column of zeros
+        dist = TagDistribution.from_tags(["fresh"] * 6)
+        with pytest.raises(ValidationError, match="'fresh'"):
+            distinctive_tags(dist, dist)
+        assert distinctive_tags(dist, dist, top_k=0) == ([], [])
+
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValidationError):
             distinctive_tags(
@@ -195,7 +202,9 @@ class TestAggregateTags:
 
     def test_unknown_item_raises(self):
         records = [TagRecord("d1", item_id="ghost", rater_id="r", raw_text="x")]
-        with pytest.raises(KeyError):
+        with pytest.raises(
+            ReferentialError, match="duel 'd1' references unknown item 'ghost'"
+        ):
             aggregate_tags(records, {})
 
 
