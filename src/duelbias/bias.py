@@ -188,41 +188,51 @@ def resample_two_groups(
     Returns the per-replicate mean differences mean(b) - mean(a), shape
     (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
     the midpoint percentile rank within the resampled A of each grid
-    percentile of the resampled B. Each replicate draws A's indices, then
-    B's, with one ``integers`` call each, so the random stream does not
-    depend on the block size. The statistics are computed a block of
-    replicates at a time, and each replicate's values are bit-identical
-    to those computed for it alone. NaN values are rejected.
+    percentile of the resampled B. Each block of replicates is drawn with
+    one ``integers`` call whose per-index bounds make row r hold A's
+    indices, then B's: the same stream as two calls per replicate, so the
+    values do not depend on the block size. A rank is counted from the
+    multiplicities of A's items in sorted order, and each replicate's
+    values are bit-identical to those computed for it alone. Non-finite
+    values are rejected.
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
-    if np.isnan(values_a).any() or np.isnan(values_b).any():
-        # NaN compares false with everything, so it has no midpoint rank
-        raise ValidationError("resampled values must not be NaN")
+    if not (np.isfinite(values_a).all() and np.isfinite(values_b).all()):
+        # NaN has no midpoint rank, and an infinite value can make a grid
+        # percentile NaN (inf - inf)
+        raise ValidationError("resampled values must be finite")
     n_a, n_b = len(values_a), len(values_b)
     rng = np.random.default_rng(seed)
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
     block = max(1, min(replicates, _RESAMPLE_BLOCK_VALUES // (n_a + n_b)))
-    idx_a = np.empty((block, n_a), dtype=np.intp)
-    idx_b = np.empty((block, n_b), dtype=np.intp)
+    bounds = np.repeat([n_a, n_b], [n_a, n_b])
+    order = np.argsort(values_a)
+    sorted_a = values_a[order]
+    # 1 + each A item's position in sorted_a: column 0 of a row's counts
+    # stays 0, so their cumulative sum at j counts the draws below position j
+    slot = np.empty(n_a, dtype=np.intp)
+    slot[order] = np.arange(1, n_a + 1)
     for start in range(0, replicates, block):
         stop = min(start + block, replicates)
         m = stop - start
-        for k in range(m):
-            idx_a[k] = rng.integers(0, n_a, size=n_a)
-            idx_b[k] = rng.integers(0, n_b, size=n_b)
-        a = values_a[idx_a[:m]]
-        b = values_b[idx_b[:m]]
+        idx = rng.integers(0, bounds, size=(m, n_a + n_b))
+        idx_a, idx_b = idx[:, :n_a], idx[:, n_a:]
+        b = values_b[idx_b]
         # means of the unsorted rows: sorting first would change the
         # summation order and with it the last bits
-        diffs[start:stop] = b.mean(axis=1) - a.mean(axis=1)
+        diffs[start:stop] = b.mean(axis=1) - values_a[idx_a].mean(axis=1)
         if len(grid):
-            q = np.percentile(np.sort(b, axis=1), grid, axis=1).T[:, :, None]
-            a = a[:, None, :]
-            # exact counts, the integers searchsorted gives on sorted rows
-            below = np.count_nonzero(a < q, axis=2)
-            not_above = np.count_nonzero(a <= q, axis=2)
+            q = np.percentile(np.sort(b, axis=1), grid, axis=1).T
+            slots = slot[idx_a]
+            slots += (n_a + 1) * np.arange(m)[:, None]
+            cumulative = np.bincount(slots.ravel(), minlength=m * (n_a + 1))
+            cumulative = cumulative.reshape(m, n_a + 1).cumsum(axis=1)
+            below, not_above = (
+                np.take_along_axis(cumulative, np.searchsorted(sorted_a, q, side), 1)
+                for side in ("left", "right")
+            )
             rows[start:stop] = 50.0 * (below + not_above) / n_a
     return diffs, rows
 

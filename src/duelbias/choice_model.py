@@ -401,13 +401,13 @@ def fit_duel_arrays(
     renumbering their duel indices (see ``_newton``).
 
     All rows run in one lockstep Newton-CG loop (see ``fit``) from the
-    scores ``initial_scores`` (n_items,), by default 1; each converges, or
-    not, on its own, and leaves the batch when it does. With alpha = 0 a
-    row whose win graph (duels of positive weight) is not strongly
-    connected, which includes any row that leaves an item silent, has no
-    maximizer: it keeps the starting scores, unconverged after 0
-    iterations. Each row's fit is bit-identical to the same row fitted
-    alone.
+    scores ``initial_scores`` (n_items,), finite and positive, by default
+    1; each converges, or not, on its own, and leaves the batch when it
+    does. With alpha = 0 a row whose win graph (duels of positive weight)
+    is not strongly connected, which includes any row that leaves an item
+    silent, has no maximizer: it keeps the starting scores, unconverged
+    after 0 iterations. Each row's fit is bit-identical to the same row
+    fitted alone.
     """
     if config is None:
         config = FitConfig()
@@ -441,7 +441,17 @@ def fit_duel_arrays(
         if (wi == li).any():
             raise ValidationError("an item dueled itself")
     duels = np.stack((wi, li)).astype(np.intp, copy=False)
-    start = 0.0 if initial_scores is None else np.log(initial_scores)
+    start = 0.0
+    if initial_scores is not None:
+        initial_scores = np.asarray(initial_scores, dtype=float)
+        if initial_scores.shape != (n_items,):
+            raise ValidationError(
+                f"initial_scores must have shape ({n_items},), "
+                f"got {initial_scores.shape}"
+            )
+        if not (np.isfinite(initial_scores).all() and (initial_scores > 0).all()):
+            raise ValidationError("initial_scores must be finite and positive")
+        start = np.log(initial_scores)
     return _fit_rows(n_items, duels, weights, config, start)
 
 

@@ -85,11 +85,8 @@ def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
 
 
 def _digest(lines: Sequence[str]) -> str:
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    text = "".join(line + "\n" for line in lines)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def input_digests(
@@ -255,17 +252,20 @@ def run_pipeline(
                     f"duel {d.duel_id!r} references unknown item {item!r}"
                 )
 
-    selected = [
-        d
-        for d in duels
-        if (config.dimensions is None or d.dimension in config.dimensions)
-        and (config.categories is None or d.category in config.categories)
-    ]
-    if not selected:
+    # the selected duels of each tournament and of each dimension, in file order
+    by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
+    by_dimension: dict[str, list[DuelRecord]] = {}
+    for d in duels:
+        if (config.dimensions is None or d.dimension in config.dimensions) and (
+            config.categories is None or d.category in config.categories
+        ):
+            by_pair.setdefault((d.category, d.dimension), []).append(d)
+            by_dimension.setdefault(d.dimension, []).append(d)
+    if not by_pair:
         raise ValidationError("no duels left after applying the configured filters")
 
-    pairs = sorted({(d.category, d.dimension) for d in selected})
-    dimensions = sorted({dim for _, dim in pairs})
+    pairs = sorted(by_pair)
+    dimensions = sorted(by_dimension)
 
     bundle: dict = {
         "config": _config_json(config),
@@ -284,9 +284,7 @@ def run_pipeline(
     }
 
     for category, dimension in pairs:
-        cat_duels = [
-            d for d in selected if d.category == category and d.dimension == dimension
-        ]
+        cat_duels = by_pair[category, dimension]
         table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
         gs = _group_scores(catalog, category, table, config.bias_log_scale)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
@@ -346,7 +344,7 @@ def run_pipeline(
             dim_scores[dimension][item] = score
 
     for dimension in dimensions:
-        dim_duels = [d for d in selected if d.dimension == dimension]
+        dim_duels = by_dimension[dimension]
         outcomes = duel_outcomes_json(
             bias_mod.duel_win_fraction(dim_duels),
             bias_mod.rater_macro_average(dim_duels),

@@ -68,16 +68,6 @@ def _logsumexp(logs: Sequence[float]) -> float:
     return m + math.log(math.fsum(math.exp(x - m) for x in logs))
 
 
-def _binom_logpmf(k: int, n: int, log_p: float, log_q: float) -> float:
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * log_p
-        + (n - k) * log_q
-    )
-
-
 def binomial_two_sided(k: int, n: int, p0: float = 0.5) -> PValue:
     """Exact two-sided binomial test of k successes in n trials against p0.
 
@@ -91,7 +81,12 @@ def binomial_two_sided(k: int, n: int, p0: float = 0.5) -> PValue:
         raise ValueError(f"null probability must be in (0, 1), got {p0}")
     log_p = math.log(p0)
     log_q = math.log1p(-p0)
-    logpmf = [_binom_logpmf(j, n, log_p, log_q) for j in range(n + 1)]
+    # lg[j] = log(j!), one lgamma per outcome
+    lg = [math.lgamma(j + 1) for j in range(n + 1)]
+    logpmf = [
+        lg[n] - lg[j] - lg[n - j] + j * log_p + (n - j) * log_q
+        for j in range(n + 1)
+    ]
     # tolerance absorbs lgamma rounding; ties at the observed pmf are included
     cutoff = logpmf[k] + 1e-9
     selected = [lp for lp in logpmf if lp <= cutoff]

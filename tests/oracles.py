@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths under test: brute
 force enumeration, exact rational arithmetic, and grid search. The refit
 bootstrap and the rank-recovery simulation are checked against the paths
-they replaced: one graph and one single fit per replicate. The CSV
+they replaced: one graph and one single fit per replicate. So are the
+two-sample resampler and the binomial test, for bit equality. The CSV
 parsers are checked against the ``csv.DictReader`` parsers they replaced,
 and the tag ranking against the version that tested every tag.
 """
@@ -32,7 +33,7 @@ from duelbias.records import (
     ItemRecord,
     TagRecord,
 )
-from duelbias.stats import chi_square_2x2
+from duelbias.stats import PValue, chi_square_2x2
 from duelbias.tags import (
     DistinctiveTag,
     TagDistribution,
@@ -55,6 +56,25 @@ def exact_binomial_two_sided(k: int, n: int) -> Fraction:
     pmf = [Fraction(comb(n, j), 2**n) for j in range(n + 1)]
     observed = pmf[k]
     return sum(p for p in pmf if p <= observed)
+
+
+def three_lgamma_binomial_two_sided(k: int, n: int, p0: float) -> PValue:
+    """stats.binomial_two_sided with three lgamma calls per outcome, in the
+    same order of operations, and no table of log-factorials."""
+    log_p = math.log(p0)
+    log_q = math.log1p(-p0)
+    logpmf = [
+        math.lgamma(n + 1)
+        - math.lgamma(j + 1)
+        - math.lgamma(n - j + 1)
+        + j * log_p
+        + (n - j) * log_q
+        for j in range(n + 1)
+    ]
+    selected = [lp for lp in logpmf if lp <= logpmf[k] + 1e-9]
+    top = max(selected)
+    log_total = top + math.log(math.fsum(math.exp(x - top) for x in selected))
+    return PValue.from_log10(min(log_total / math.log(10), 0.0))
 
 
 def chi2_stat_observed_expected(table) -> float:

@@ -239,7 +239,7 @@ def _boundary_replicates(n_a, n_b):
 class TestResampleTwoGroups:
     @pytest.mark.parametrize(
         "n_a, n_b",
-        [(1, 2), (2, 7), (7, 1), (400, 400), (1000, 1000), (400, 1000)],
+        [(1, 2), (2, 7), (7, 1), (13, 9), (400, 400), (1000, 1000), (400, 1000)],
     )
     @pytest.mark.parametrize("grid", [(), (50,) + DEFAULT_RANK_GRID, (0, 100)])
     def test_bit_identical_to_per_replicate_loop(self, n_a, n_b, grid):
@@ -260,6 +260,42 @@ class TestResampleTwoGroups:
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a constant A group: every grid percentile ties all of A or none
+            ([0.3] * 40, [0.1, 0.3, 0.3, 0.5, 0.3, 0.2, 0.7]),
+            # -0.0 and 0.0 compare equal, so they tie within and across groups
+            ([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.0], [0.0, -0.0, -0.0, 0.5, 0.0]),
+        ],
+    )
+    def test_ties_bit_identical_to_per_replicate_loop(self, a, b):
+        a, b = np.array(a), np.array(b)
+        grid = (50,) + DEFAULT_RANK_GRID + (0, 100)
+        for replicates, seed in ((100, 0), (1000, 7)):
+            diffs, rows = resample_two_groups(a, b, replicates, seed, grid)
+            want_diffs, want_rows = loop_resample_two_groups(
+                a, b, replicates, seed, grid
+            )
+            assert np.array_equal(diffs, want_diffs)
+            assert np.array_equal(rows, want_rows)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a resample holding -inf and inf can have a NaN grid percentile
+            ([0, 1, 2, 3], [-np.inf, 0.5, np.inf, 1.5, np.inf]),
+            ([0, np.inf, 2, 3], [0, 0.5, 1.5]),
+            ([0, -np.inf, 2, 3], [0, 0.5, 1.5]),
+            ([0, 1, 2, 3], [0, -np.inf, 1.5]),
+        ],
+    )
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(ValidationError):
+            resample_two_groups(
+                np.array(a, dtype=float), np.array(b, dtype=float), 100, 0, (50, 5, 95)
+            )
 
     @pytest.mark.parametrize(
         "n, grid", [(1000, ()), (200, tuple(range(5, 101, 5)))]

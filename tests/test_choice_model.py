@@ -405,6 +405,16 @@ class TestFitReplicates:
         with pytest.raises(ValidationError):
             fit_duel_arrays(2, np.array(winners), np.array(losers))
 
+    @pytest.mark.parametrize(
+        "initial_scores",
+        [[0.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0]],
+    )
+    def test_initial_scores_validated(self, initial_scores):
+        with pytest.raises(ValidationError):
+            fit_duel_arrays(
+                3, [[0, 1, 2]], [[1, 2, 0]], initial_scores=np.array(initial_scores)
+            )
+
     def test_weights_need_one_column_per_duel(self):
         g = graph_of([("a", "b"), ("b", "a")])
         with pytest.raises(ValidationError):

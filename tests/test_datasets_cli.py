@@ -33,6 +33,7 @@ from duelbias.pipeline import (
     AnalysisConfig,
     dump_report,
     fit_tournament,
+    input_digests,
     run_pipeline,
     write_report_bundle,
 )
@@ -412,6 +413,37 @@ class TestPipeline:
             pooled = bundle["pooled"][dim]
             assert pooled["pooled_score_bias"]["point"] > 0
             assert pooled["win_fraction"]["fraction"] > 0.5
+
+    def test_input_digests_pinned(self):
+        catalog = ItemCatalog(
+            [
+                ItemRecord("a1", "A", "pizza", "img/a1.jpg"),
+                ItemRecord("a2", "A", "pizza"),
+                ItemRecord("b1", "B", "pizza", "caf\u00e9"),
+            ]
+        )
+        duels = [
+            DuelRecord("d1", "pizza", "tasty", "a1", "b1", "B", "r1"),
+            DuelRecord("d2", "pizza", "tasty", "a2", "b1", "A", "r2"),
+            DuelRecord("d3", "pizza", "healthy", "a1", "b1", "B", "r1"),
+        ]
+        tags = [
+            TagRecord("d1", "b1", "r1", "cr\u00e8me fra\u00eeche"),
+            TagRecord("d2", "a2", "r2", "cheesy, hot"),
+        ]
+        items = "6cfbdca9fe314abe60dcd6a7270bc60791a0749d1abecf0c61f114ed743c8b99"
+        duel_digest = "ccc216d31882caaee07a017bd4e5ba2c6e204f656911afba24d0fad1b86f135f"
+        assert input_digests(catalog, duels, tags) == {
+            "items": items,
+            "duels": duel_digest,
+            "tags": "d20d5bcd2c5097a323678e43658400fc964c572e95c045e85008c930aede4566",
+        }
+        # an empty tag log hashes the empty string
+        assert input_digests(catalog, duels, []) == {
+            "items": items,
+            "duels": duel_digest,
+            "tags": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }
 
     def test_report_serialization_is_deterministic(self, fixture_data):
         catalog, duels, tags = fixture_data

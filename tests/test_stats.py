@@ -18,6 +18,7 @@ from oracles import (
     brute_percentile_rank,
     chi2_stat_observed_expected,
     exact_binomial_two_sided,
+    three_lgamma_binomial_two_sided,
 )
 
 
@@ -80,6 +81,14 @@ class TestBinomial:
         # P(X=0 or outcomes as unlikely) for n=3, p0=0.1
         p = binomial_two_sided(3, 3, 0.1)
         assert float(p) == pytest.approx(0.001, rel=1e-9)
+
+    @pytest.mark.parametrize("p0", [0.5, 0.3])
+    @pytest.mark.parametrize("n", [1, 7, 2000, 10000])
+    def test_equal_to_three_lgamma_calls_per_outcome(self, n, p0):
+        for k in (0, n // 2, n):
+            assert binomial_two_sided(k, n, p0) == three_lgamma_binomial_two_sided(
+                k, n, p0
+            ), k
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
