@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Check that two source trees of duelbias write byte-identical outputs.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories, for example of a clean
+checkout of the parent commit and of the working tree. The script
+generates the README demo set (generator seed 0) and the benchmark's
+large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
+runs the same ``duelbias`` commands with each tree, and prints for every
+output file whether the two trees' files are identical. It exits 1 if any
+file differs, is missing from one side, or a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+
+GENERATOR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "generate_synthetic_dataset.py")
+# the benchmark's large set and command arguments (bench/inputs.py, bench/run.py)
+LARGE_SET_ARGS = ("--items-per-side", "200",
+                  "--categories", "pizza,salad,burger,pasta,soup")
+SIMULATE_ARGS = ("simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",
+                 "--replicates", "5", "--seed", "1")
+REFIT_DEMO_SEEDS = (1, 2, 3)
+
+# runs duelbias.cli from the tree given as the first argument, and fails if
+# another copy of the package (say, an installed one) is imported instead
+CHILD = (
+    "import os, sys, duelbias.cli; "
+    "found = os.path.realpath(duelbias.cli.__file__); "
+    "found.startswith(os.path.realpath(sys.argv[1]) + os.sep) "
+    "or sys.exit('duelbias imported from ' + found); "
+    "sys.exit(duelbias.cli.main(sys.argv[2:]))"
+)
+
+
+def commands(demo: str, large: str) -> dict[str, list[str]]:
+    """Output directory name -> duelbias arguments."""
+    d_in = ["--items", f"{demo}/items.csv", "--duels", f"{demo}/duels.csv"]
+    l_in = ["--items", f"{large}/items.csv", "--duels", f"{large}/duels.csv"]
+    tags = ["--tags", f"{demo}/tags.csv"]
+    out = {
+        f"demo-bias-{unit}": ["bias", *d_in, *tags, "--unit", unit,
+                              "--bootstrap", "1000"]
+        for unit in ("duel", "item")
+    }
+    out["large-bias-item"] = ["bias", *l_in, "--unit", "item", "--bootstrap", "1000"]
+    out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
+    out["simulate"] = list(SIMULATE_ARGS)
+    for seed in REFIT_DEMO_SEEDS:
+        out[f"refit-demo-seed{seed}"] = [
+            "bias", *d_in, "--unit", "duel", "--bootstrap", "100",
+            "--category", "pizza", "--dimension", "tasty", "--seed", str(seed),
+        ]
+    return out
+
+
+def run(tree: str, args: list[str], cwd: str) -> int:
+    env = dict(os.environ, PYTHONPATH=tree)
+    done = subprocess.run([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
+                          env=env, stdout=subprocess.DEVNULL)
+    return done.returncode
+
+
+def generate(tree: str, out: str, seed: int, extra=()) -> None:
+    env = dict(os.environ, PYTHONPATH=tree)
+    subprocess.run([sys.executable, GENERATOR, "--out", out, "--seed", str(seed),
+                    *extra], check=True, env=env, stdout=subprocess.DEVNULL)
+
+
+def files_under(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(d, f), root)
+        for d, _, names in os.walk(root) for f in names
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    args = parser.parse_args()
+    trees = {"old": os.path.realpath(args.old_src),
+             "new": os.path.realpath(args.new_src)}
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        demo, large = os.path.join(tmp, "demo"), os.path.join(tmp, "large")
+        generate(trees["old"], demo, 0)
+        generate(trees["old"], large, 1, LARGE_SET_ARGS)
+        for name, cli_args in commands(demo, large).items():
+            outs = {}
+            for side, tree in trees.items():
+                outs[side] = os.path.join(tmp, side, name)
+                code = run(tree, [*cli_args, "--output-dir", outs[side]], tmp)
+                if code != 0:
+                    print(f"{name}: FAILED with the {side} tree (exit {code})")
+                    ok = False
+            # a missing output directory walks as empty
+            old, new = files_under(outs["old"]), files_under(outs["new"])
+            for rel in sorted(old | new):
+                if rel not in old or rel not in new:
+                    verdict = f"only in {'old' if rel in old else 'new'}"
+                elif filecmp.cmp(os.path.join(outs["old"], rel),
+                                 os.path.join(outs["new"], rel), shallow=False):
+                    verdict = "identical"
+                else:
+                    verdict = "DIFFERS"
+                ok = ok and verdict == "identical"
+                print(f"{name}/{rel}: {verdict}")
+    print("all outputs identical" if ok else "outputs differ")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

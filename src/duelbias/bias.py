@@ -188,26 +188,35 @@ def resample_two_groups(
     Returns the per-replicate mean differences mean(b) - mean(a), shape
     (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
     the midpoint percentile rank within the resampled A of each grid
-    percentile of the resampled B. Each block of replicates is drawn with
-    one ``integers`` call whose per-index bounds make row r hold A's
-    indices, then B's: the same stream as two calls per replicate, so the
-    values do not depend on the block size. A rank is counted from the
+    percentile of the resampled B. Row r of a block holds A's indices, then
+    B's, drawn as ``integers(0, bounds)`` with per-index bounds would draw
+    them (see ``_draw_indices``): the same stream as two calls per
+    replicate, so the values do not depend on the block size. The grid
+    percentiles are read from the sorted B rows with numpy's ``linear``
+    rule (see ``_sorted_percentiles``), a rank is counted from the
     multiplicities of A's items in sorted order, and each replicate's
-    values are bit-identical to those computed for it alone. Non-finite
-    values are rejected.
+    values are bit-identical to those computed for it alone. Empty groups
+    and non-finite values are rejected.
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
+    values_a = np.asarray(values_a, dtype=float)
+    values_b = np.asarray(values_b, dtype=float)
+    n_a, n_b = len(values_a), len(values_b)
+    if n_a == 0 or n_b == 0:
+        raise ValidationError("both groups must be non-empty")
     if not (np.isfinite(values_a).all() and np.isfinite(values_b).all()):
         # NaN has no midpoint rank, and an infinite value can make a grid
         # percentile NaN (inf - inf)
         raise ValidationError("resampled values must be finite")
-    n_a, n_b = len(values_a), len(values_b)
     rng = np.random.default_rng(seed)
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
     block = max(1, min(replicates, _RESAMPLE_BLOCK_VALUES // (n_a + n_b)))
-    bounds = np.repeat([n_a, n_b], [n_a, n_b])
+    # per-block buffers, sliced to the block's m rows
+    idx_buf = np.empty((block, n_a + n_b), dtype=np.uint64)
+    a_buf = np.empty((block, n_a))
+    b_buf = np.empty((block, n_b))
     order = np.argsort(values_a)
     sorted_a = values_a[order]
     # 1 + each A item's position in sorted_a: column 0 of a row's counts
@@ -217,14 +226,16 @@ def resample_two_groups(
     for start in range(0, replicates, block):
         stop = min(start + block, replicates)
         m = stop - start
-        idx = rng.integers(0, bounds, size=(m, n_a + n_b))
+        idx = _draw_indices(rng, (n_a, n_b), (n_a, n_b), idx_buf[:m])
         idx_a, idx_b = idx[:, :n_a], idx[:, n_a:]
-        b = values_b[idx_b]
+        a = np.take(values_a, idx_a, out=a_buf[:m], mode="clip")
+        b = np.take(values_b, idx_b, out=b_buf[:m], mode="clip")
         # means of the unsorted rows: sorting first would change the
         # summation order and with it the last bits
-        diffs[start:stop] = b.mean(axis=1) - values_a[idx_a].mean(axis=1)
+        diffs[start:stop] = b.mean(axis=1) - a.mean(axis=1)
         if len(grid):
-            q = np.percentile(np.sort(b, axis=1), grid, axis=1).T
+            b.sort(axis=1)
+            q = _sorted_percentiles(b, grid)
             slots = slot[idx_a]
             slots += (n_a + 1) * np.arange(m)[:, None]
             cumulative = np.bincount(slots.ravel(), minlength=m * (n_a + 1))
@@ -235,6 +246,71 @@ def resample_two_groups(
             )
             rows[start:stop] = 50.0 * (below + not_above) / n_a
     return diffs, rows
+
+
+def _draw_indices(
+    rng: np.random.Generator,
+    bounds: Sequence[int],
+    widths: Sequence[int],
+    out: np.ndarray,
+) -> np.ndarray:
+    """Fill ``out``, a C-contiguous (m, sum(widths)) uint64 array, with the
+    indices ``rng.integers(0, np.repeat(bounds, widths), size=out.shape)``
+    returns, leave ``rng`` where that call leaves it, and return ``out``
+    viewed as int64.
+
+    That call maps each raw 32-bit value u of the generator's stream to
+    (u * n) >> 32 for a bound n (Lemire's multiply-shift, ACM TOMACS 29(1),
+    2019) and draws again where the low 32 bits of u * n fall below
+    (2**32 - n) % n. Here one call reads the block's raw values and the map
+    runs on each slice of columns with its scalar bound. A block with a
+    value that would be drawn again (about 300 in 2**32 at a few hundred
+    items), or with a bound of 1, for which numpy draws nothing, is drawn
+    from the saved state with the per-index call itself.
+    """
+    if all(1 < n < 2**32 for n in bounds):
+        state = rng.bit_generator.state
+        raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)
+        edges = np.cumsum((0, *widths)).tolist()
+        spans = [(n, slice(lo, hi)) for n, lo, hi in zip(bounds, edges, edges[1:])]
+        # the low 32 bits of u * n, in uint32 arithmetic, against numpy's threshold
+        if not any(
+            (raw[:, cols] * np.uint32(n) < (2**32 - n) % n).any() for n, cols in spans
+        ):
+            for n, cols in spans:
+                np.multiply(raw[:, cols], n, out=out[:, cols], dtype=np.uint64)
+            np.right_shift(out, np.uint64(32), out=out)
+            return out.view(np.int64)
+        rng.bit_generator.state = state
+    out[...] = rng.integers(0, np.repeat(bounds, widths), size=out.shape)
+    return out.view(np.int64)
+
+
+def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
+    """``np.percentile(rows, grid, axis=1).T`` for rows sorted along axis 1.
+
+    numpy's default ``linear`` rule, step by step, reading the neighbours
+    straight from the sorted rows instead of partitioning them again: the
+    virtual index (n - 1) * (grid / 100), its floor and the next index,
+    both replaced by -1 (the last value) where the virtual index reaches
+    n - 1, the weight as the virtual index minus the lower neighbour's
+    index, and the interpolation of numpy's ``_lerp``, which switches to
+    b - (b - a) * (1 - g) where g >= 0.5. The same operations in the same
+    order give the same bits, signed zeros included.
+    """
+    n = rows.shape[1]
+    virtual = (n - 1) * (np.asarray(grid, dtype=float) / 100)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    top = virtual >= n - 1
+    lower[top] = upper[top] = -1
+    gamma = virtual - lower
+    a = rows[:, lower.astype(np.intp)]
+    b = rows[:, upper.astype(np.intp)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def median_percentile_rank(

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from duelbias.bias import (
     _RESAMPLE_BLOCK_VALUES,
     DEFAULT_RANK_GRID,
+    _draw_indices,
+    _sorted_percentiles,
     bootstrap_ci,
     duel_win_fraction,
     frequency_divergence,
@@ -261,6 +263,11 @@ class TestResampleTwoGroups:
         with pytest.raises(ValidationError):
             resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
 
+    @pytest.mark.parametrize("a, b", [([], [1.0, 2.0]), ([1.0, 2.0], [])])
+    def test_empty_group_rejected(self, a, b):
+        with pytest.raises(ValidationError):
+            resample_two_groups(np.array(a), np.array(b), 100, 0, (50,))
+
     @pytest.mark.parametrize(
         "a, b",
         [
@@ -311,6 +318,65 @@ class TestResampleTwoGroups:
             tracemalloc.stop()
         # a (1000, 1000) int64 index matrix alone would take 7.6 MiB
         assert peak < 4 * 2**20
+
+
+class TestDrawIndices:
+    @pytest.mark.parametrize(
+        "bounds, widths",
+        [
+            # powers of two reject nothing; 400 and 3 reject about 300 and 1
+            # raw values in 2**32, so these blocks take the multiply-shift
+            ((400, 3), (400, 3)),
+            ((2**20, 7, 2), (5, 9, 1)),
+            # 2**31 + 1 rejects about half of all raw values: every block
+            # falls back to the per-index call
+            ((2**31 + 1,), (6,)),
+            ((13, 2**31 + 1), (4, 3)),
+            # numpy draws nothing for a bound of 1
+            ((1, 200), (1, 200)),
+            ((1,), (5,)),
+        ],
+    )
+    def test_same_values_and_stream_as_per_index_bounds(self, bounds, widths):
+        for seed in range(5):
+            for m in (1, 3, 64):
+                rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+                out = np.empty((m, sum(widths)), dtype=np.uint64)
+                got = _draw_indices(rng, bounds, widths, out)
+                want = want_rng.integers(
+                    0, np.repeat(bounds, widths), size=(m, sum(widths))
+                )
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (seed, m)
+                assert rng.integers(0, 2**63) == want_rng.integers(0, 2**63)
+
+
+class TestSortedPercentiles:
+    GRID = (0, 2.5, 5, 33.3, 50, 66.7, 95, 97.5, 100)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.7], [-0.0], [0.0]],
+            [[1.0, 2.0], [-0.0, 0.0], [0.0, -0.0], [3.0, 3.0]],
+            [[0.1, 0.2, 0.4], [-1.0, -0.0, 0.0], [0.5, 0.5, 0.5]],
+            [[0.1, 0.2, 0.2, 0.9], [-0.0, -0.0, 0.0, 0.0], [-2.0, -1.5, 1e300, 1e300]],
+        ],
+    )
+    def test_equal_to_numpy_percentile(self, rows):
+        rows = np.sort(np.array(rows), axis=1)
+        for grid in (self.GRID, (50,) + DEFAULT_RANK_GRID, (100, 0)):
+            got = _sorted_percentiles(rows, grid)
+            want = np.percentile(rows, grid, axis=1).T
+            assert np.array_equal(got, want), grid
+            assert np.array_equal(np.signbit(got), np.signbit(want)), grid
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 201])
+    def test_equal_on_rounded_normal_rows(self, n):
+        rng = np.random.default_rng(n)
+        rows = np.sort(np.round(rng.normal(size=(30, n)), 1), axis=1)
+        got = _sorted_percentiles(rows, self.GRID)
+        assert np.array_equal(got, np.percentile(rows, self.GRID, axis=1).T)
 
 
 class TestScoreCorrelations:

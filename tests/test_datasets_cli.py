@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias import tournament
+from duelbias.bias import percentile_ci
 from duelbias.choice_model import FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
@@ -31,6 +32,7 @@ from duelbias.errors import (
 )
 from duelbias.pipeline import (
     AnalysisConfig,
+    _derived_seed,
     dump_report,
     fit_tournament,
     input_digests,
@@ -42,6 +44,7 @@ from oracles import (
     dictreader_parse_duels,
     dictreader_parse_items,
     dictreader_parse_tags,
+    loop_resample_two_groups,
 )
 
 
@@ -500,6 +503,45 @@ class TestPipeline:
         for t in bundle["tournaments"].values():
             (at_50,) = [p["ci"] for p in t["rank_curve"] if p["x"] == 50]
             assert t["median_percentile"]["ci"] == at_50
+
+    def test_item_unit_cis_match_per_replicate_loop(self, fixture_data):
+        catalog, duels, tags = fixture_data
+        config = self.config()
+        bundle = run_pipeline(config, catalog, duels, tags)
+        grid = (50,) + tuple(config.rank_grid)
+        for dim in DIMENSIONS:
+            pooled = {"A": [], "B": []}
+            for cat in sorted(CATEGORIES):
+                t = bundle["tournaments"][f"{cat}/{dim}"]
+                logs = {
+                    g: np.log([t["scores"][i] for i in catalog.ids(g, cat)])
+                    for g in ("A", "B")
+                }
+                diffs, boot = loop_resample_two_groups(
+                    logs["A"],
+                    logs["B"],
+                    config.bootstrap_replicates,
+                    _derived_seed(config.seed, cat, dim),
+                    grid,
+                )
+                (med_low, *lows), (med_high, *highs) = percentile_ci(boot).tolist()
+                assert t["score_bias"]["ci"] == percentile_ci(diffs).tolist()
+                assert t["median_percentile"]["ci"] == [med_low, med_high]
+                assert [p["ci"] for p in t["rank_curve"]] == [
+                    list(ci) for ci in zip(lows, highs)
+                ]
+                for g in pooled:
+                    pooled[g].append(logs[g])
+            diffs, _ = loop_resample_two_groups(
+                np.concatenate(pooled["A"]),
+                np.concatenate(pooled["B"]),
+                config.bootstrap_replicates,
+                _derived_seed(config.seed, "__pooled__", dim),
+            )
+            assert (
+                bundle["pooled"][dim]["pooled_score_bias"]["ci"]
+                == percentile_ci(diffs).tolist()
+            )
 
     def test_unknown_duel_item_rejected(self, fixture_data):
         catalog, duels, _ = fixture_data

@@ -90,6 +90,17 @@ class TestBinomial:
                 k, n, p0
             ), k
 
+    @pytest.mark.parametrize("p0", [0.5, 0.3, 0.01, 0.97])
+    @pytest.mark.parametrize("n", [2, 50, 333, 2000])
+    def test_equal_to_three_lgamma_calls_at_random_k(self, n, p0):
+        # uneven tails: the kept outcomes span many orders of magnitude on
+        # both sides, and some fall more than 746 below the largest
+        rng = np.random.default_rng(n)
+        for k in rng.integers(0, n + 1, size=4).tolist():
+            assert binomial_two_sided(k, n, p0) == three_lgamma_binomial_two_sided(
+                k, n, p0
+            ), k
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             binomial_two_sided(5, 4)
