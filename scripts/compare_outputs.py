@@ -7,9 +7,10 @@ OLD_SRC and NEW_SRC are ``src`` directories, for example of a clean
 checkout of the parent commit and of the working tree. The script
 generates the README demo set (generator seed 0) and the benchmark's
 large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
-runs the same ``duelbias`` commands with each tree, and prints for every
-output file whether the two trees' files are identical. It exits 1 if any
-file differs, is missing from one side, or a command fails.
+runs the same ``duelbias`` commands with each tree (every subcommand at
+least once, so every output writer), and prints for every output file
+whether the two trees' files are identical. It exits 1 if any file
+differs, is missing from one side, or a command fails.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ def commands(demo: str, large: str) -> dict[str, list[str]]:
     }
     out["large-bias-item"] = ["bias", *l_in, "--unit", "item", "--bootstrap", "1000"]
     out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
+    out["demo-fit"] = ["fit", *d_in]
+    for distinct in (False, True):
+        out[f"demo-design{'-distinct' if distinct else ''}"] = [
+            "design", "--items", f"{demo}/items.csv", "--duels-per-item", "4",
+            "--seed", "2", *(["--distinct-opponents"] if distinct else []),
+        ]
+    out["demo-tags"] = ["tags", "--items", f"{demo}/items.csv", *tags]
+    out["demo-freq"] = ["freq", "--items", f"{demo}/items.csv"]
     out["simulate"] = list(SIMULATE_ARGS)
     for seed in REFIT_DEMO_SEEDS:
         out[f"refit-demo-seed{seed}"] = [

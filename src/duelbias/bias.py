@@ -38,8 +38,7 @@ class WinFraction:
     fraction: float
     p_value: PValue
     n: int
-    wins: int
-    side: str  # which group's wins the fraction counts
+    wins: int  # group B's wins
 
 
 @dataclass(frozen=True)
@@ -66,28 +65,23 @@ class FrequencyComparison:
     spearman_p: PValue | None
 
 
-def duel_win_fraction(duels: Sequence[DuelRecord], side: str = GROUP_B) -> WinFraction:
-    """Fraction of duels won by ``side`` with an exact two-sided binomial test
+def duel_win_fraction(duels: Sequence[DuelRecord]) -> WinFraction:
+    """Fraction of duels won by group B with an exact two-sided binomial test
     against the fair-coin null."""
-    if side not in (GROUP_A, GROUP_B):
-        raise ValidationError(f"side must be 'A' or 'B', got {side!r}")
     n = len(duels)
     if n == 0:
         raise ValidationError("win fraction requires at least one duel")
-    wins = sum(1 for d in duels if d.winner == side)
+    wins = sum(1 for d in duels if d.winner == GROUP_B)
     return WinFraction(
         fraction=wins / n,
         p_value=binomial_two_sided(wins, n, 0.5),
         n=n,
         wins=wins,
-        side=side,
     )
 
 
-def rater_macro_average(
-    duels: Sequence[DuelRecord], side: str = GROUP_B
-) -> RaterSummary:
-    """Per-rater win fractions for ``side`` and their unweighted mean.
+def rater_macro_average(duels: Sequence[DuelRecord]) -> RaterSummary:
+    """Per-rater win fractions of group B and their unweighted mean.
 
     Every rater counts once in the macro mean regardless of how many duels
     they judged. The histogram uses fixed bins of width 0.05 on [0, 1].
@@ -96,7 +90,7 @@ def rater_macro_average(
     wins: dict[str, int] = {}
     for d in duels:
         totals[d.rater_id] = totals.get(d.rater_id, 0) + 1
-        if d.winner == side:
+        if d.winner == GROUP_B:
             wins[d.rater_id] = wins.get(d.rater_id, 0) + 1
     per_rater = {r: wins.get(r, 0) / totals[r] for r in totals}
     if not per_rater:
@@ -114,21 +108,16 @@ def rater_macro_average(
     return RaterSummary(per_rater=per_rater, macro_mean=macro, histogram=histogram)
 
 
-def score_bias(
-    scores_a: Sequence[float], scores_b: Sequence[float], log_scale: bool = True
-) -> float:
-    """Mean score of group B minus mean score of group A.
+def score_bias(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
+    """Mean log-score of group B minus mean log-score of group A.
 
-    Both groups must come from the same joint fit. By default the means
-    are taken over log-scores, which makes the difference independent of
-    the normalization gauge; raw-score mode is available for comparison.
+    Both groups must come from the same joint fit. Taking the means over
+    log-scores makes the difference independent of the normalization gauge.
     """
     if len(scores_a) == 0 or len(scores_b) == 0:
         raise ValidationError("score bias requires both groups non-empty")
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
-    if log_scale:
-        a, b = np.log(a), np.log(b)
+    a = np.log(np.asarray(scores_a, dtype=float))
+    b = np.log(np.asarray(scores_b, dtype=float))
     return float(b.mean() - a.mean())
 
 
@@ -344,10 +333,10 @@ def rank_curve(
 
 
 def score_correlations(
-    score_tables: Mapping[str, Mapping[Hashable, float]], log_scale: bool = True
+    score_tables: Mapping[str, Mapping[Hashable, float]],
 ) -> tuple[tuple[str, ...], np.ndarray, list[list[PValue]]]:
-    """Pearson correlation matrix between per-dimension scores over the same
-    items. Returns (dimensions, r matrix, p-value matrix)."""
+    """Pearson correlation matrix between per-dimension log-scores over the
+    same items. Returns (dimensions, r matrix, p-value matrix)."""
     dims = tuple(score_tables)
     if not dims:
         raise ValidationError("need at least one dimension")
@@ -355,11 +344,7 @@ def score_correlations(
     if any(s != item_sets[0] for s in item_sets):
         raise ValidationError("all dimensions must cover the identical item set")
     items = sorted(item_sets[0])
-    mat = np.array(
-        [[float(score_tables[d][i]) for i in items] for d in dims], dtype=float
-    )
-    if log_scale:
-        mat = np.log(mat)
+    mat = np.log([[float(score_tables[d][i]) for i in items] for d in dims])
     k = len(dims)
     r = np.eye(k)
     p: list[list[PValue]] = [[PValue(value=0.0)] * k for _ in range(k)]

@@ -17,7 +17,6 @@ DUELBIAS_OUTPUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,7 +24,7 @@ import sys
 from . import bias as bias_mod
 from . import tags as tags_mod
 from .choice_model import FitConfig
-from .datasets import load_column_map, parse_duels, parse_items, parse_tags
+from .datasets import load_column_map, parse_duels, parse_items, parse_tags, write_csv
 from .errors import (
     DegenerateFitError,
     NumericalError,
@@ -38,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .pipeline import (
+    BOOTSTRAP_UNITS,
     AnalysisConfig,
     duel_outcomes_json,
     fit_tournament,
@@ -95,24 +95,33 @@ def _load_config_defaults(path) -> dict:
     return cfg
 
 
-def _merged(args, cfg: dict, key: str, default):
-    """Priority: explicit flag > config file > default."""
+def _converted(kind, key: str, value):
+    """``kind(value)``; a value that does not convert raises ValidationError
+    naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        message = f"{key}: expected {kind.__name__}, got {value!r}"
+        raise ValidationError(message) from None
+
+
+def _merged(args, cfg: dict, key: str, default, kind=None):
+    """Priority: explicit flag > config file > default; converted by
+    ``kind`` (int or float) if given."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
+    if value is None:
+        value = cfg.get(key, default)
+    return value if kind is None else _converted(kind, key, value)
 
 
 def cmd_simulate(args) -> None:
     cfg = _load_config_defaults(args.config)
     budgets = _merged(args, cfg, "budgets", list(DEFAULT_BUDGETS))
     if isinstance(budgets, str):
-        budgets = [int(b) for b in budgets.split(",")]
-    replicates = int(_merged(args, cfg, "replicates", 50))
-    seed = int(_merged(args, cfg, "seed", 0))
-    n_items = int(_merged(args, cfg, "items", 100))
+        budgets = [_converted(int, "budgets", b) for b in budgets.split(",")]
+    replicates = _merged(args, cfg, "replicates", 50, int)
+    seed = _merged(args, cfg, "seed", 0, int)
+    n_items = _merged(args, cfg, "items", 100, int)
     if n_items % 2 != 0:
         raise ValidationError("--items must be even (two equal groups)")
     curve = simulate_rank_recovery(
@@ -121,14 +130,16 @@ def cmd_simulate(args) -> None:
         replicates=replicates,
         seed=seed,
         outcome_noise=_merged(args, cfg, "outcome", "rater-normal"),
-        rater_noise_scale=float(_merged(args, cfg, "rater_noise", 0.25)),
+        rater_noise_scale=_merged(args, cfg, "rater_noise", 0.25, float),
     )
-    path = _outpath(args, "recovery_curve.csv")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["budget", "mean_tau", "std_tau", "replicates", "seed"])
-        for b, m, s in zip(curve.budgets, curve.mean_tau, curve.std_tau):
-            writer.writerow([b, repr(m), repr(s), curve.replicates, curve.seed])
+    path = write_csv(
+        _outpath(args, "recovery_curve.csv"),
+        ["budget", "mean_tau", "std_tau", "replicates", "seed"],
+        (
+            [b, repr(m), repr(s), curve.replicates, curve.seed]
+            for b, m, s in zip(curve.budgets, curve.mean_tau, curve.std_tau)
+        ),
+    )
     print(path)
 
 
@@ -143,20 +154,19 @@ def cmd_design(args) -> None:
         seed=args.seed,
         distinct_opponents=args.distinct_opponents,
     )
-    path = _outpath(args, "schedule.csv")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["pair_index", "item_a", "item_b"])
-        for i, (a, b) in enumerate(plan.pairs):
-            writer.writerow([i, a, b])
+    path = write_csv(
+        _outpath(args, "schedule.csv"),
+        ["pair_index", "item_a", "item_b"],
+        ([i, a, b] for i, (a, b) in enumerate(plan.pairs)),
+    )
     print(path)
 
 
 def _fit_config(args, cfg: dict) -> FitConfig:
     return FitConfig(
-        max_iterations=int(_merged(args, cfg, "max_iterations", 10_000)),
-        tolerance=float(_merged(args, cfg, "tolerance", 1e-8)),
-        regularization_alpha=float(_merged(args, cfg, "alpha", 0.1)),
+        max_iterations=_merged(args, cfg, "max_iterations", 10_000, int),
+        tolerance=_merged(args, cfg, "tolerance", 1e-8, float),
+        regularization_alpha=_merged(args, cfg, "alpha", 0.1, float),
         normalization=_merged(args, cfg, "normalization", "geometric-mean-one"),
     )
 
@@ -211,9 +221,9 @@ def cmd_bias(args) -> None:
     config = AnalysisConfig(
         dimensions=tuple(args.dimension) if args.dimension else None,
         categories=tuple(args.category) if args.category else None,
-        bootstrap_replicates=int(_merged(args, cfg, "bootstrap", 1000)),
+        bootstrap_replicates=_merged(args, cfg, "bootstrap", 1000, int),
         bootstrap_unit=_merged(args, cfg, "unit", "duel"),
-        seed=int(_merged(args, cfg, "seed", 0)),
+        seed=_merged(args, cfg, "seed", 0, int),
         fit=_fit_config(args, cfg),
     )
     bundle = run_pipeline(config, catalog, duels, tags)
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duels", required=True)
     p.add_argument("--tags", default=None)
     p.add_argument("--bootstrap", type=int, default=None)
-    p.add_argument("--unit", choices=["duel", "item"], default=None)
+    p.add_argument("--unit", choices=BOOTSTRAP_UNITS, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--category", action="append", default=None)
     p.add_argument("--dimension", action="append", default=None)
@@ -350,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tags", help="distinctive-tag rankings")
     p.add_argument("--tags", required=True)
     p.add_argument("--items", required=True)
-    p.add_argument("--top-k", type=int, default=20)
-    p.add_argument("--min-count", type=int, default=5)
+    p.add_argument("--top-k", type=int, default=tags_mod.DEFAULT_TOP_K)
+    p.add_argument("--min-count", type=int, default=tags_mod.DEFAULT_MIN_COUNT)
     p.add_argument("--stopwords", default=None, help="stopword-prefix file")
     p.add_argument("--lexicon", default=None, help="dash-merge lexicon file")
     common(p)

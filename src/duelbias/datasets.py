@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ReferentialError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, ItemRecord, TagRecord
@@ -129,18 +129,20 @@ def parse_duels(
     catalog: ItemCatalog | None = None,
     column_map: Mapping[str, str] | None = None,
 ) -> list[DuelRecord]:
-    """Read duel records. With a catalog, item references and group sides
-    are validated; without one, only structural checks apply."""
+    """Read duel records. With a catalog, item references, group sides and
+    the items' categories are validated; without one, only structural
+    checks apply."""
     lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    groups = (
-        None if catalog is None else {r.item_id: r.group for r in catalog.records}
-    )
+    places = None  # item -> (group, category), one lookup per item of a row
+    if catalog is not None:
+        places = {r.item_id: (r.group, r.category) for r in catalog.records}
     duels = []
     try:
         for values in zip(*columns):
             duel = DuelRecord(*values)
-            if groups is not None and (
-                groups.get(duel.item_a) != GROUP_A or groups.get(duel.item_b) != GROUP_B
+            if places is not None and (
+                places.get(duel.item_a) != (GROUP_A, duel.category)
+                or places.get(duel.item_b) != (GROUP_B, duel.category)
             ):
                 break
             duels.append(duel)
@@ -149,11 +151,19 @@ def parse_duels(
     if len(duels) < len(lines):
         line = lines[len(duels)]
         for item in (duel.item_a, duel.item_b):
-            if item not in groups:
+            if item not in places:
                 raise ReferentialError(f"{path}: line {line}: unknown item {item!r}")
-        raise ValidationError(
-            f"{path}: line {line}: item_a must be group A and item_b "
-            f"group B (got {groups[duel.item_a]}, {groups[duel.item_b]})"
+        (group_a, _), (group_b, _) = places[duel.item_a], places[duel.item_b]
+        if (group_a, group_b) != (GROUP_A, GROUP_B):
+            raise ValidationError(
+                f"{path}: line {line}: item_a must be group A and item_b "
+                f"group B (got {group_a}, {group_b})"
+            )
+        item = duel.item_a if places[duel.item_a][1] != duel.category else duel.item_b
+        raise ReferentialError(
+            f"{path}: line {line}: duel {duel.duel_id!r} has category "
+            f"{duel.category!r}, but its item {item!r} is catalogued as "
+            f"{places[item][1]!r}"
         )
     return duels
 
@@ -169,28 +179,30 @@ def parse_tags(path, column_map: Mapping[str, str] | None = None) -> list[TagRec
     return tags
 
 
-def write_items(path, catalog: ItemCatalog) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write a header row and then ``rows`` as UTF-8 CSV; returns the path."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(ITEM_COLUMNS)
-        for r in catalog.records:
-            writer.writerow([r.item_id, r.group, r.category, r.external_ref or ""])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
-def write_duels(path, duels: Sequence[DuelRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(DUEL_COLUMNS)
-        for d in duels:
-            writer.writerow(
-                [d.duel_id, d.category, d.dimension, d.item_a, d.item_b, d.winner,
-                 d.rater_id]
-            )
+def write_items(path, catalog: ItemCatalog) -> str:
+    rows = (
+        [r.item_id, r.group, r.category, r.external_ref or ""] for r in catalog.records
+    )
+    return write_csv(path, ITEM_COLUMNS, rows)
 
 
-def write_tags(path, tags: Sequence[TagRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(TAG_COLUMNS)
-        for t in tags:
-            writer.writerow([t.duel_id, t.item_id, t.rater_id, t.raw_text])
+def write_duels(path, duels: Sequence[DuelRecord]) -> str:
+    rows = (
+        [d.duel_id, d.category, d.dimension, d.item_a, d.item_b, d.winner, d.rater_id]
+        for d in duels
+    )
+    return write_csv(path, DUEL_COLUMNS, rows)
+
+
+def write_tags(path, tags: Sequence[TagRecord]) -> str:
+    rows = ([t.duel_id, t.item_id, t.rater_id, t.raw_text] for t in tags)
+    return write_csv(path, TAG_COLUMNS, rows)

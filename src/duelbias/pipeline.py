@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -15,6 +14,7 @@ import numpy as np
 from . import bias as bias_mod
 from . import tags as tags_mod
 from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit, fit_duel_arrays
+from .datasets import write_csv
 from .errors import (
     NumericalError,
     ReferentialError,
@@ -27,6 +27,10 @@ from .stats import PValue
 # duel multiplicities held per block of refitted bootstrap replicates;
 # bounds a block's working set at a few MiB for any tournament size
 _REFIT_BLOCK_DUELS = 2**16
+# resampled units of the per-tournament score-bias CI: duels (with refits) or items
+BOOTSTRAP_UNITS = ("duel", "item")
+# the rank-curve column whose CI is the median-percentile CI
+_MEDIAN_COLUMN = bias_mod.DEFAULT_RANK_GRID.index(50)
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,13 @@ class AnalysisConfig:
     bootstrap_unit: str = "duel"  # unit for the per-tournament score-bias CI
     seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
-    bias_log_scale: bool = True
-    rank_grid: tuple[int, ...] = bias_mod.DEFAULT_RANK_GRID
-    tag_top_k: int = 20
-    tag_min_count: int = tags_mod.DEFAULT_MIN_COUNT
-    tag_smoothing: float = tags_mod.DEFAULT_SMOOTHING
+
+    def __post_init__(self):
+        if self.bootstrap_unit not in BOOTSTRAP_UNITS:
+            raise ValidationError(
+                f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
+                f"got {self.bootstrap_unit!r}"
+            )
 
 
 def pvalue_json(p: PValue) -> dict:
@@ -160,13 +166,11 @@ def fit_tournament(
         raise
 
 
-def _group_scores(catalog, category, table, log_scale):
-    out = {}
-    for group in (GROUP_A, GROUP_B):
-        ids = catalog.ids(group=group, category=category)
-        values = np.array([table.scores[i] for i in ids], dtype=float)
-        out[group] = np.log(values) if log_scale else values
-    return out
+def _group_log_scores(catalog, category, table):
+    return {
+        g: np.log([table.scores[i] for i in catalog.ids(group=g, category=category)])
+        for g in (GROUP_A, GROUP_B)
+    }
 
 
 def refit_bias_replicates(
@@ -215,9 +219,7 @@ def refit_bias_replicates(
         fits = fit_duel_arrays(
             graph.n_items, winners, losers, config.fit, weights[:rows], start
         )
-        scores = fits.scores[fits.converged]
-        if config.bias_log_scale:
-            scores = np.log(scores)
+        scores = np.log(fits.scores[fits.converged])
         values.append(scores[:, group_b].mean(axis=1) - scores[:, group_a].mean(axis=1))
     values = np.concatenate(values)
     failures = replicates - len(values)
@@ -240,6 +242,7 @@ def run_pipeline(
     and seed give a byte-identical serialization.
     """
     known_categories = set(catalog.categories())
+    category_of = {r.item_id: r.category for r in catalog.records}
     for d in duels:
         if d.category not in known_categories:
             raise ReferentialError(
@@ -247,9 +250,14 @@ def run_pipeline(
                 "missing from the catalog"
             )
         for item in (d.item_a, d.item_b):
-            if item not in catalog:
+            if item not in category_of:
                 raise ReferentialError(
                     f"duel {d.duel_id!r} references unknown item {item!r}"
+                )
+            if category_of[item] != d.category:
+                raise ReferentialError(
+                    f"duel {d.duel_id!r} has category {d.category!r}, but its "
+                    f"item {item!r} is catalogued as {category_of[item]!r}"
                 )
 
     # the selected duels of each tournament and of each dimension, in file order
@@ -286,21 +294,20 @@ def run_pipeline(
     for category, dimension in pairs:
         cat_duels = by_pair[category, dimension]
         table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
-        gs = _group_scores(catalog, category, table, config.bias_log_scale)
+        gs = _group_log_scores(catalog, category, table)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)
-        # one resample gives the item-unit score CI, the median-percentile
-        # CI (grid column 0) and the rank-curve CIs
+        # one resample gives the item-unit score CI and the rank-curve CIs,
+        # the median-percentile CI among them at x = 50
         diffs, boot = bias_mod.resample_two_groups(
             gs[GROUP_A],
             gs[GROUP_B],
             config.bootstrap_replicates,
             seed,
-            grid=(50,) + tuple(config.rank_grid),
+            grid=bias_mod.DEFAULT_RANK_GRID,
         )
-        (med_low, *curve_lows), (med_high, *curve_highs) = (
-            bias_mod.percentile_ci(boot).tolist()
-        )
+        curve_lows, curve_highs = bias_mod.percentile_ci(boot).tolist()
+        med_low, med_high = curve_lows[_MEDIAN_COLUMN], curve_highs[_MEDIAN_COLUMN]
         if config.bootstrap_unit == "duel":
             refits = refit_bias_replicates(
                 catalog, cat_duels, category, dimension, table, config, seed
@@ -309,7 +316,7 @@ def run_pipeline(
         else:
             low, high = bias_mod.percentile_ci(diffs).tolist()
         median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])
-        curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B], grid=config.rank_grid)
+        curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B])
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
         bundle["tournaments"][f"{category}/{dimension}"] = {
             "category": category,
@@ -373,9 +380,7 @@ def run_pipeline(
             tables = {
                 d: {i: dim_scores[d][i] for i in common} for d in dimensions
             }
-            dims, r, p = bias_mod.score_correlations(
-                tables, log_scale=config.bias_log_scale
-            )
+            dims, r, p = bias_mod.score_correlations(tables)
             bundle["score_correlations"] = {
                 "dimensions": list(dims),
                 "r": [[float(v) for v in row] for row in r],
@@ -389,16 +394,9 @@ def run_pipeline(
 
     if tags:
         group_of = {r.item_id: r.group for r in catalog.records}
-        dists = tags_mod.aggregate_tags(
-            tags, group_of, smoothing_epsilon=config.tag_smoothing
-        )
+        dists = tags_mod.aggregate_tags(tags, group_of)
         if GROUP_A in dists and GROUP_B in dists:
-            list_a, list_b = tags_mod.distinctive_tags(
-                dists[GROUP_A],
-                dists[GROUP_B],
-                top_k=config.tag_top_k,
-                min_count=config.tag_min_count,
-            )
+            list_a, list_b = tags_mod.distinctive_tags(dists[GROUP_A], dists[GROUP_B])
             bundle["distinctive_tags"] = {
                 GROUP_A: [tag_json(t) for t in list_a],
                 GROUP_B: [tag_json(t) for t in list_b],
@@ -423,7 +421,6 @@ def _config_json(config: AnalysisConfig) -> dict:
     out = asdict(config)
     out["dimensions"] = list(config.dimensions) if config.dimensions else None
     out["categories"] = list(config.categories) if config.categories else None
-    out["rank_grid"] = list(config.rank_grid)
     return out
 
 
@@ -447,33 +444,24 @@ def write_json(path: str, payload: dict) -> str:
 
 def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> str:
     """Write ``tag_json`` rows per group, ranked from 1; returns the path."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            ["group", "rank", "tag", "kl", "count_target", "count_reference",
-             "chi2", "p", "stars"]
-        )
-        for group in sorted(ranked):
-            for rank, t in enumerate(ranked[group], 1):
-                p = PValue(value=t["p"].get("value"), log10_value=t["p"].get("log10"))
-                writer.writerow(
-                    [group, rank, t["tag"], repr(t["kl"]), t["count_target"],
-                     t["count_reference"], repr(t["chi2"]), repr(float(p)),
-                     t["stars"]]
-                )
-    return path
+    header = ["group", "rank", "tag", "kl", "count_target", "count_reference",
+              "chi2", "p", "stars"]
+    rows = []
+    for group in sorted(ranked):
+        for rank, t in enumerate(ranked[group], 1):
+            p = PValue(value=t["p"].get("value"), log10_value=t["p"].get("log10"))
+            rows.append(
+                [group, rank, t["tag"], repr(t["kl"]), t["count_target"],
+                 t["count_reference"], repr(t["chi2"]), repr(float(p)), t["stars"]]
+            )
+    return write_csv(path, header, rows)
 
 
 def write_scores(path: str, tables) -> str:
     """Write one row per item of each (category, dimension, scores) in
     ``tables``, in that order and items sorted; returns the path."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["category", "dimension", "item_id", "score"])
-        for category, dimension, scores in tables:
-            for item in sorted(scores):
-                writer.writerow([category, dimension, item, repr(scores[item])])
-    return path
+    rows = [[c, d, item, repr(s[item])] for c, d, s in tables for item in sorted(s)]
+    return write_csv(path, ["category", "dimension", "item_id", "score"], rows)
 
 
 def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
@@ -490,19 +478,13 @@ def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
             )
         )
 
-        path = os.path.join(outdir, "rank_curves.csv")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["category", "dimension", "x", "y", "ci_low", "ci_high"]
-            )
-            for t in tournaments:
-                for pt in t["rank_curve"]:
-                    writer.writerow(
-                        [t["category"], t["dimension"], pt["x"], pt["y"],
-                         pt["ci"][0], pt["ci"][1]]
-                    )
-        written.append(path)
+        header = ["category", "dimension", "x", "y", "ci_low", "ci_high"]
+        rows = [
+            [t["category"], t["dimension"], pt["x"], pt["y"], *pt["ci"]]
+            for t in tournaments
+            for pt in t["rank_curve"]
+        ]
+        written.append(write_csv(os.path.join(outdir, "rank_curves.csv"), header, rows))
 
     if "distinctive_tags" in bundle:
         written.append(
@@ -513,15 +495,14 @@ def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
         )
 
     if "frequency_comparison" in bundle:
-        path = os.path.join(outdir, "frequency.csv")
         fc = bundle["frequency_comparison"]
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["category", "freq_a", "freq_b", "ratio_b_over_a"])
-            for cat, fa, fb, ratio in zip(
-                fc["categories"], fc["freq_a"], fc["freq_b"], fc["ratio_b_over_a"]
-            ):
-                writer.writerow([cat, fa, fb, "inf" if ratio is None else ratio])
-        written.append(path)
+        ratios = ["inf" if r is None else r for r in fc["ratio_b_over_a"]]
+        written.append(
+            write_csv(
+                os.path.join(outdir, "frequency.csv"),
+                ["category", "freq_a", "freq_b", "ratio_b_over_a"],
+                zip(fc["categories"], fc["freq_a"], fc["freq_b"], ratios),
+            )
+        )
 
     return written

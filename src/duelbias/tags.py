@@ -19,6 +19,7 @@ from .records import TagRecord
 from .stats import PValue, chi_square_2x2
 
 DEFAULT_SMOOTHING = 0.5
+DEFAULT_TOP_K = 20
 DEFAULT_MIN_COUNT = 5
 
 _STAR_THRESHOLDS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
@@ -92,32 +93,29 @@ def normalize_tag(
 class TagDistribution:
     """Normalized-tag counts for one group, with additive smoothing.
 
-    Probabilities are (count + eps) / (total + eps * |vocabulary|), where
-    the vocabulary is supplied by the caller (usually the union over both
-    groups) so both distributions share the same support. ``counts`` must
-    not change after ``total`` is first read.
+    Probabilities are (count + eps) / (total + eps * |vocabulary|), with eps
+    ``DEFAULT_SMOOTHING``, where the vocabulary is supplied by the caller
+    (usually the union over both groups) so both distributions share the
+    same support. ``counts`` must not change after ``total`` is first read.
     """
 
     counts: dict[str, int]
-    smoothing_epsilon: float = DEFAULT_SMOOTHING
 
     @cached_property
     def total(self) -> int:
         return sum(self.counts.values())
 
     def probability(self, tag: str, vocabulary: Sequence[str]) -> float:
-        eps = self.smoothing_epsilon
+        eps = DEFAULT_SMOOTHING
         denom = self.total + eps * len(vocabulary)
         return (self.counts.get(tag, 0) + eps) / denom
 
     @classmethod
-    def from_tags(
-        cls, tags: Iterable[str], smoothing_epsilon: float = DEFAULT_SMOOTHING
-    ) -> "TagDistribution":
+    def from_tags(cls, tags: Iterable[str]) -> "TagDistribution":
         counts: dict[str, int] = {}
         for tag in tags:
             counts[tag] = counts.get(tag, 0) + 1
-        return cls(counts=counts, smoothing_epsilon=smoothing_epsilon)
+        return cls(counts=counts)
 
 
 def aggregate_tags(
@@ -125,7 +123,6 @@ def aggregate_tags(
     group_of: Mapping[str, str],
     stopword_prefixes: frozenset[str] | None = None,
     dash_merge_lexicon: Mapping[str, str] | None = None,
-    smoothing_epsilon: float = DEFAULT_SMOOTHING,
 ) -> dict[str, TagDistribution]:
     """Normalize raw tag records and aggregate per-mention counts by group.
 
@@ -149,10 +146,7 @@ def aggregate_tags(
                 rec.raw_text, stopword_prefixes, dash_merge_lexicon
             )
         per_group.setdefault(group, []).extend(tags)
-    return {
-        g: TagDistribution.from_tags(tags, smoothing_epsilon)
-        for g, tags in per_group.items()
-    }
+    return {g: TagDistribution.from_tags(tags) for g, tags in per_group.items()}
 
 
 def pointwise_kl(p_target: float, p_reference: float) -> float:
@@ -230,7 +224,7 @@ def _rank_direction(
 def distinctive_tags(
     tags_a: TagDistribution,
     tags_b: TagDistribution,
-    top_k: int = 20,
+    top_k: int = DEFAULT_TOP_K,
     min_count: int = DEFAULT_MIN_COUNT,
 ) -> tuple[list[DistinctiveTag], list[DistinctiveTag]]:
     """Tags most distinctive of group A and of group B, ranked by pointwise

@@ -196,14 +196,14 @@ def loop_resample_two_groups(values_a, values_b, replicates, seed, grid=()):
 
 
 def loop_refit_bias_replicates(
-    catalog, duels, category, dimension, fit_config, log_scale, replicates, seed,
-    warm_start,
+    catalog, duels, category, dimension, fit_config, replicates, seed, warm_start,
 ):
     """Duel-unit refit bootstrap of one tournament, one replicate at a time:
     the same draws as pipeline.refit_bias_replicates, but each resample of
     ``duels`` is filtered to the tournament, built into its own
-    ComparisonGraph and fitted alone from ``warm_start``. A replicate whose
-    fit raises a package error or does not converge is discarded.
+    ComparisonGraph and fitted alone from ``warm_start``. The bias is taken
+    over log-scores. A replicate whose fit raises a package error or does
+    not converge is discarded.
 
     Returns the score bias of every kept replicate, in replicate order, and
     the discards counted by reason (the error's type name or "unconverged").
@@ -230,11 +230,9 @@ def loop_refit_bias_replicates(
             discards[reason] = discards.get(reason, 0) + 1
             continue
         a, b = (
-            np.array([table.scores[i] for i in catalog.ids(group=g, category=category)])
+            np.log([table.scores[i] for i in catalog.ids(group=g, category=category)])
             for g in ("A", "B")
         )
-        if log_scale:
-            a, b = np.log(a), np.log(b)
         values.append(float(b.mean() - a.mean()))
     return np.array(values), discards
 
@@ -336,6 +334,7 @@ def dictreader_parse_items(path, column_map, lines):
 
 
 def dictreader_parse_duels(path, catalog, column_map, lines):
+    category_of = {r.item_id: r.category for r in catalog.records} if catalog else {}
     duels = []
     for lineno, row in dictreader_rows(path, DUEL_COLUMNS, column_map, lines):
         try:
@@ -355,6 +354,13 @@ def dictreader_parse_duels(path, catalog, column_map, lines):
                     f"{path}: line {lineno}: item_a must be group A and item_b "
                     f"group B (got {ga}, {gb})"
                 )
+            for item in (duel.item_a, duel.item_b):
+                if category_of[item] != duel.category:
+                    raise ReferentialError(
+                        f"{path}: line {lineno}: duel {duel.duel_id!r} has "
+                        f"category {duel.category!r}, but its item {item!r} is "
+                        f"catalogued as {category_of[item]!r}"
+                    )
         duels.append(duel)
     return duels
 
@@ -376,19 +382,14 @@ def dictreader_parse_tags(path, column_map, lines):
     return tags
 
 
-def per_record_aggregate_tags(
-    records, group_of, stopword_prefixes, dash_merge_lexicon, smoothing_epsilon
-):
+def per_record_aggregate_tags(records, group_of, stopword_prefixes, dash_merge_lexicon):
     """Tag counts by group, normalizing every record's raw text anew."""
     per_group = {}
     for rec in records:
         per_group.setdefault(group_of[rec.item_id], []).extend(
             normalize_tag(rec.raw_text, stopword_prefixes, dash_merge_lexicon)
         )
-    return {
-        g: TagDistribution.from_tags(tags, smoothing_epsilon)
-        for g, tags in per_group.items()
-    }
+    return {g: TagDistribution.from_tags(tags) for g, tags in per_group.items()}
 
 
 def _all_rows_rank_direction(target, reference, vocabulary, top_k, min_count):

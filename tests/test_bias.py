@@ -59,20 +59,9 @@ class TestWinFraction:
         assert wf.wins == 0
         assert float(wf.p_value) == pytest.approx(0.001953125, abs=1e-12)
 
-    def test_side_a_is_complement(self):
-        duels = make_duels("ABBBA")
-        wf_b = duel_win_fraction(duels, side="B")
-        wf_a = duel_win_fraction(duels, side="A")
-        assert wf_a.fraction + wf_b.fraction == pytest.approx(1.0)
-        assert float(wf_a.p_value) == pytest.approx(float(wf_b.p_value))
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             duel_win_fraction([])
-
-    def test_bad_side(self):
-        with pytest.raises(ValidationError):
-            duel_win_fraction(make_duels("AB"), side="C")
 
 
 class TestRaterMacroAverage:
@@ -104,9 +93,6 @@ class TestScoreBias:
         got = score_bias([1.0, 3.0], [2.0, 4.0])
         expected = (math.log(2) + math.log(4)) / 2 - (math.log(1) + math.log(3)) / 2
         assert got == pytest.approx(expected)
-
-    def test_raw_scale_example(self):
-        assert score_bias([1.0, 3.0], [2.0, 4.0], log_scale=False) == pytest.approx(1.0)
 
     def test_sign_flips_when_groups_swap(self):
         a, b = [1.0, 2.0], [3.0, 5.0]
@@ -390,17 +376,6 @@ class TestScoreCorrelations:
         assert r[0, 1] == pytest.approx(1.0)
         assert r[1, 0] == pytest.approx(1.0)
         assert np.allclose(np.diag(r), 1.0)
-
-    def test_log_scale_vs_raw(self):
-        # both geometric progressions, so log-scores are affinely related
-        tables = {
-            "u": {"i1": 1.0, "i2": 4.0, "i3": 16.0},
-            "v": {"i1": 2.0, "i2": 4.0, "i3": 8.0},
-        }
-        _, r_log, _ = score_correlations(tables, log_scale=True)
-        _, r_raw, _ = score_correlations(tables, log_scale=False)
-        assert r_log[0, 1] == pytest.approx(1.0)
-        assert r_raw[0, 1] < 1.0
 
     def test_item_set_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias import tournament
-from duelbias.bias import percentile_ci
+from duelbias.bias import DEFAULT_RANK_GRID, percentile_ci
 from duelbias.choice_model import FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
@@ -274,6 +274,24 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="group"):
             parse_duels(path, catalog)
 
+    def test_duel_item_of_another_category_rejected(self, tmp_path, fixture_data):
+        catalog, _, _ = fixture_data
+        path = self.write(
+            tmp_path,
+            "duels.csv",
+            [
+                DUEL_COLUMNS,
+                ["d0", "pizza", "tasty", "a-pizza-0", "b-pizza-0", "B", "r1"],
+                ["d1", "pizza", "tasty", "a-pizza-0", "b-salad-0", "B", "r1"],
+            ],
+        )
+        message = (
+            "line 3: duel 'd1' has category 'pizza', but its item 'b-salad-0' "
+            "is catalogued as 'salad'"
+        )
+        with pytest.raises(ReferentialError, match=message):
+            parse_duels(path, catalog)
+
     def test_column_map_adapts_layout(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -498,7 +516,7 @@ class TestPipeline:
     def test_median_percentile_ci_is_rank_curve_ci_at_50(self, fixture_data):
         catalog, duels, tags = fixture_data
         config = self.config()
-        assert 50 in config.rank_grid
+        assert 50 in DEFAULT_RANK_GRID
         bundle = run_pipeline(config, catalog, duels, tags)
         for t in bundle["tournaments"].values():
             (at_50,) = [p["ci"] for p in t["rank_curve"] if p["x"] == 50]
@@ -508,7 +526,7 @@ class TestPipeline:
         catalog, duels, tags = fixture_data
         config = self.config()
         bundle = run_pipeline(config, catalog, duels, tags)
-        grid = (50,) + tuple(config.rank_grid)
+        grid = (50,) + DEFAULT_RANK_GRID
         for dim in DIMENSIONS:
             pooled = {"A": [], "B": []}
             for cat in sorted(CATEGORIES):
@@ -549,6 +567,18 @@ class TestPipeline:
             DuelRecord("dx", "pizza", "tasty", "ghost", "b-pizza-0", "B", "r1")
         ]
         with pytest.raises(ReferentialError):
+            run_pipeline(self.config(), catalog, bad)
+
+    def test_duel_item_of_another_category_rejected(self, fixture_data):
+        catalog, duels, _ = fixture_data
+        bad = duels + [
+            DuelRecord("dx", "pizza", "tasty", "a-salad-0", "b-pizza-0", "B", "r1")
+        ]
+        message = (
+            "duel 'dx' has category 'pizza', but its item 'a-salad-0' is "
+            "catalogued as 'salad'"
+        )
+        with pytest.raises(ReferentialError, match=message):
             run_pipeline(self.config(), catalog, bad)
 
     def test_bundle_written_to_disk(self, fixture_data, tmp_path):
@@ -761,6 +791,61 @@ class TestCLI:
         assert rc == 2
         assert "at least 100 replicates" in capsys.readouterr().err
 
+    def test_unknown_bootstrap_unit_exits_2(self, paths, capsys):
+        (items, duels, _), tmp_path = paths
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"unit": "dule"}))
+        out = tmp_path / "unit"
+        rc = main(
+            ["bias", "--items", items, "--duels", duels, "--config", str(cfg),
+             "--bootstrap", "100", "--output-dir", str(out)]
+        )
+        assert rc == 2
+        assert "'dule'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (["simulate", "--budgets", "100,x"], None,
+             "budgets: expected int, got 'x'"),
+            (["bias"], {"bootstrap": "abc"}, "bootstrap: expected int, got 'abc'"),
+        ],
+        ids=["simulate-budgets", "bias-config"],
+    )
+    def test_value_that_does_not_convert_exits_2(
+        self, paths, capsys, command, config, message
+    ):
+        (items, duels, _), tmp_path = paths
+        args = list(command)
+        if command == ["bias"]:
+            args += ["--items", items, "--duels", duels]
+        if config is not None:
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([*args, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bias", "fit"])
+    def test_duel_item_of_another_category_exits_2(
+        self, fixture_data, tmp_path, capsys, command
+    ):
+        catalog, duels, _ = fixture_data
+        duels = duels + [
+            DuelRecord("dx", "pizza", "tasty", "a-pizza-0", "b-salad-0", "B", "r1")
+        ]
+        items, duels_path, _ = write_fixture(tmp_path, catalog, duels, [])
+        out = tmp_path / "out"
+        args = ["--items", items, "--duels", duels_path, "--output-dir", str(out)]
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert "duel 'dx' has category 'pizza'" in err
+        assert "catalogued as 'salad'" in err
+        assert not out.exists()
+
     def test_tournament_error_keeps_type_and_attributes(self, tmp_path, capsys):
         # b2 is never compared: unidentifiable under alpha=0
         catalog = ItemCatalog(
@@ -927,6 +1012,16 @@ class TestCLI:
         ]
         assert headers[0] == headers[1]
         assert "p" in headers[0]
+        # bias --tags ranks with the tags command's default settings
+        assert main(
+            ["tags", "--tags", tags, "--items", items,
+             "--output-dir", str(tmp_path / "tags-default")]
+        ) == 0
+        tables = [
+            (tmp_path / out / "distinctive_tags.csv").read_bytes()
+            for out in ("tags-default", "bias")
+        ]
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("fault", ["unknown-item", "one-tag"])
     @pytest.mark.parametrize("command", ["tags", "bias"])

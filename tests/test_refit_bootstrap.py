@@ -63,8 +63,8 @@ def per_replicate(catalog, duels, config, seed):
     point fit's scores."""
     point = fit_tournament(catalog, duels, "pizza", "tasty", config.fit)
     return loop_refit_bias_replicates(
-        catalog, duels, "pizza", "tasty", config.fit, config.bias_log_scale,
-        config.bootstrap_replicates, seed, point.scores,
+        catalog, duels, "pizza", "tasty", config.fit, config.bootstrap_replicates,
+        seed, point.scores,
     )
 
 
@@ -108,7 +108,6 @@ class TestRefitBiasReplicates:
         catalog, duels = tournament(5, n_side=6, n_duels=150)
         config = AnalysisConfig(
             bootstrap_replicates=100,
-            bias_log_scale=False,
             fit=FitConfig(normalization=SUM_ONE),
         )
         values = batched(catalog, duels, config, 5)

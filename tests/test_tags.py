@@ -71,7 +71,7 @@ class TestNormalizeTag:
 
 class TestTagDistribution:
     def test_smoothed_probability(self):
-        dist = TagDistribution.from_tags(["x", "x", "y"], smoothing_epsilon=0.5)
+        dist = TagDistribution.from_tags(["x", "x", "y"])
         vocab = ["x", "y", "z"]
         # (2 + 0.5) / (3 + 0.5 * 3)
         assert dist.probability("x", vocab) == pytest.approx(2.5 / 4.5)
@@ -264,9 +264,7 @@ class TestTagOracle:
         dists = aggregate_tags(records, group_of, stopwords, lexicon)
         if resources == "default":
             stopwords, lexicon = default_stopword_prefixes(), default_dash_lexicon()
-        expected = per_record_aggregate_tags(
-            records, group_of, stopwords, lexicon, 0.5
-        )
+        expected = per_record_aggregate_tags(records, group_of, stopwords, lexicon)
         assert dists == expected
         assert list(dists) == list(expected)
         for g in dists:
