@@ -8,7 +8,8 @@ checkout of the parent commit and of the working tree. The script
 generates the README demo set (generator seed 0) and the benchmark's
 large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
 runs the same ``duelbias`` commands with each tree (every subcommand at
-least once, so every output writer), and prints for every output file
+least once, so every output writer; ``bias`` and ``simulate`` also with
+their settings in a ``--config`` file), and prints for every output file
 whether the two trees' files are identical. It exits 1 if any file
 differs, is missing from one side, or a command fails.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import json
 import os
 import subprocess
 import sys
@@ -42,8 +44,9 @@ CHILD = (
 )
 
 
-def commands(demo: str, large: str) -> dict[str, list[str]]:
-    """Output directory name -> duelbias arguments."""
+def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
+    """Output directory name -> duelbias arguments; the config files of the
+    runs that read their settings from ``--config`` are written into ``tmp``."""
     d_in = ["--items", f"{demo}/items.csv", "--duels", f"{demo}/duels.csv"]
     l_in = ["--items", f"{large}/items.csv", "--duels", f"{large}/duels.csv"]
     tags = ["--tags", f"{demo}/tags.csv"]
@@ -68,6 +71,18 @@ def commands(demo: str, large: str) -> dict[str, list[str]]:
             "bias", *d_in, "--unit", "duel", "--bootstrap", "100",
             "--category", "pizza", "--dimension", "tasty", "--seed", str(seed),
         ]
+    config_runs = {
+        "demo-bias-config": (["bias", *d_in], {
+            "bootstrap": 200, "unit": "duel", "seed": 4, "alpha": 0.2,
+            "tolerance": 1e-9}),
+        "simulate-config": (["simulate"], {
+            "budgets": "100,200", "replicates": 3, "rater_noise": 0.3}),
+    }
+    for name, (command, settings) in config_runs.items():
+        path = os.path.join(tmp, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(settings, f)
+        out[name] = [*command, "--config", path]
     return out
 
 
@@ -103,7 +118,7 @@ def main() -> int:
         demo, large = os.path.join(tmp, "demo"), os.path.join(tmp, "large")
         generate(trees["old"], demo, 0)
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
-        for name, cli_args in commands(demo, large).items():
+        for name, cli_args in commands(demo, large, tmp).items():
             outs = {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)

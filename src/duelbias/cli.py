@@ -29,7 +29,6 @@ from .errors import (
     DegenerateFitError,
     NumericalError,
     ParseError,
-    ReferentialError,
     SizeMismatchError,
     InfeasibleScheduleError,
     UnidentifiableItemsError,
@@ -52,6 +51,9 @@ from .pipeline import (
 from .records import GROUP_A, GROUP_B
 from .tournament import (
     DEFAULT_BUDGETS,
+    DEFAULT_RATER_NOISE,
+    OUTCOME_BRADLEY_TERRY,
+    OUTCOME_RATER_NORMAL,
     sample_balanced_duels,
     simulate_rank_recovery,
 )
@@ -59,7 +61,6 @@ from .tournament import (
 _VALIDATION_ERRORS = (
     ParseError,
     ValidationError,
-    ReferentialError,
     SizeMismatchError,
     InfeasibleScheduleError,
     FileNotFoundError,
@@ -96,18 +97,24 @@ def _load_config_defaults(path) -> dict:
 
 
 def _converted(kind, key: str, value):
-    """``kind(value)``; a value that does not convert raises ValidationError
-    naming ``key``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        message = f"{key}: expected {kind.__name__}, got {value!r}"
-        raise ValidationError(message) from None
+    """A flag's or --config value as ``kind``: int or float from a number or
+    string, ``list`` as the ints of a list or comma-separated string. A bool,
+    a float for an int, or a value that does not convert raises ValidationError."""
+    if kind is list and isinstance(value, (str, list)):
+        parts = value.split(",") if isinstance(value, str) else value
+        return [_converted(int, key, part) for part in parts]
+    wrong_type = isinstance(value, bool) or (kind is int and isinstance(value, float))
+    if kind is not list and not wrong_type:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _merged(args, cfg: dict, key: str, default, kind=None):
     """Priority: explicit flag > config file > default; converted by
-    ``kind`` (int or float) if given."""
+    ``_converted(kind, ...)`` if ``kind`` is given."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is None:
         value = cfg.get(key, default)
@@ -116,9 +123,7 @@ def _merged(args, cfg: dict, key: str, default, kind=None):
 
 def cmd_simulate(args) -> None:
     cfg = _load_config_defaults(args.config)
-    budgets = _merged(args, cfg, "budgets", list(DEFAULT_BUDGETS))
-    if isinstance(budgets, str):
-        budgets = [_converted(int, "budgets", b) for b in budgets.split(",")]
+    budgets = _merged(args, cfg, "budgets", list(DEFAULT_BUDGETS), list)
     replicates = _merged(args, cfg, "replicates", 50, int)
     seed = _merged(args, cfg, "seed", 0, int)
     n_items = _merged(args, cfg, "items", 100, int)
@@ -129,8 +134,8 @@ def cmd_simulate(args) -> None:
         budgets=budgets,
         replicates=replicates,
         seed=seed,
-        outcome_noise=_merged(args, cfg, "outcome", "rater-normal"),
-        rater_noise_scale=_merged(args, cfg, "rater_noise", 0.25, float),
+        outcome_noise=_merged(args, cfg, "outcome", OUTCOME_RATER_NORMAL),
+        rater_noise_scale=_merged(args, cfg, "rater_noise", DEFAULT_RATER_NOISE, float),
     )
     path = write_csv(
         _outpath(args, "recovery_curve.csv"),
@@ -163,11 +168,12 @@ def cmd_design(args) -> None:
 
 
 def _fit_config(args, cfg: dict) -> FitConfig:
+    d = FitConfig()
     return FitConfig(
-        max_iterations=_merged(args, cfg, "max_iterations", 10_000, int),
-        tolerance=_merged(args, cfg, "tolerance", 1e-8, float),
-        regularization_alpha=_merged(args, cfg, "alpha", 0.1, float),
-        normalization=_merged(args, cfg, "normalization", "geometric-mean-one"),
+        max_iterations=_merged(args, cfg, "max_iterations", d.max_iterations, int),
+        tolerance=_merged(args, cfg, "tolerance", d.tolerance, float),
+        regularization_alpha=_merged(args, cfg, "alpha", d.regularization_alpha, float),
+        normalization=_merged(args, cfg, "normalization", d.normalization),
     )
 
 
@@ -218,12 +224,15 @@ def cmd_bias(args) -> None:
     catalog = parse_items(args.items, _column_map(args))
     duels = parse_duels(args.duels, catalog, _column_map(args))
     tags = parse_tags(args.tags, _column_map(args)) if args.tags else None
+    d = AnalysisConfig()
     config = AnalysisConfig(
         dimensions=tuple(args.dimension) if args.dimension else None,
         categories=tuple(args.category) if args.category else None,
-        bootstrap_replicates=_merged(args, cfg, "bootstrap", 1000, int),
-        bootstrap_unit=_merged(args, cfg, "unit", "duel"),
-        seed=_merged(args, cfg, "seed", 0, int),
+        bootstrap_replicates=_merged(
+            args, cfg, "bootstrap", d.bootstrap_replicates, int
+        ),
+        bootstrap_unit=_merged(args, cfg, "unit", d.bootstrap_unit),
+        seed=_merged(args, cfg, "seed", d.seed, int),
         fit=_fit_config(args, cfg),
     )
     bundle = run_pipeline(config, catalog, duels, tags)
@@ -294,30 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--column-map", default=None, help="JSON column-name map")
 
     def fit_options(p):
-        p.add_argument("--alpha", type=float, default=None)
+        p.add_argument("--alpha", default=None)
         p.add_argument(
-            "--tolerance", type=float, default=None,
+            "--tolerance", default=None,
             help="converged once max |d/d log s| of the log-likelihood is "
-            "below this (default 1e-8)",
+            f"below this (default {FitConfig.tolerance})",
         )
         p.add_argument(
-            "--max-iterations", type=int, default=None,
-            help="cap on Newton steps per fit (default 10000)",
+            "--max-iterations", default=None,
+            help=f"cap on Newton steps per fit (default {FitConfig.max_iterations})",
         )
         p.add_argument("--normalization", default=None)
 
     p = sub.add_parser("simulate", help="rank-recovery simulation sweep")
-    p.add_argument("--items", type=int, default=None, help="total items (two groups)")
+    p.add_argument("--items", default=None, help="total items (two groups)")
     p.add_argument("--budgets", default=None, help="comma-separated duel budgets")
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--replicates", default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument(
-        "--outcome", choices=["rater-normal", "bradley-terry"], default=None,
-        help="duel outcome model (default: rater-normal)",
+        "--outcome", choices=[OUTCOME_RATER_NORMAL, OUTCOME_BRADLEY_TERRY],
+        default=None, help=f"duel outcome model (default: {OUTCOME_RATER_NORMAL})",
     )
     p.add_argument(
-        "--rater-noise", type=float, default=None,
-        help="perception-noise scale for rater-normal (default 0.25; 0 = noiseless)",
+        "--rater-noise", default=None,
+        help=f"perception-noise scale for {OUTCOME_RATER_NORMAL} "
+        f"(default {DEFAULT_RATER_NOISE}; 0 = noiseless)",
     )
     common(p, config=True, column_map=False)
     p.set_defaults(func=cmd_simulate)
@@ -343,9 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True)
     p.add_argument("--duels", required=True)
     p.add_argument("--tags", default=None)
-    p.add_argument("--bootstrap", type=int, default=None)
+    p.add_argument("--bootstrap", default=None)
     p.add_argument("--unit", choices=BOOTSTRAP_UNITS, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", default=None)
     p.add_argument("--category", action="append", default=None)
     p.add_argument("--dimension", action="append", default=None)
     fit_options(p)

@@ -22,8 +22,8 @@ import csv
 import json
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ReferentialError, ValidationError
-from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, ItemRecord, TagRecord
+from .errors import ParseError, ValidationError
+from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
 
 ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
 DUEL_COLUMNS = (
@@ -129,42 +129,22 @@ def parse_duels(
     catalog: ItemCatalog | None = None,
     column_map: Mapping[str, str] | None = None,
 ) -> list[DuelRecord]:
-    """Read duel records. With a catalog, item references, group sides and
-    the items' categories are validated; without one, only structural
-    checks apply."""
+    """Read duel records. With a catalog, each duel must pass
+    ``catalog.check_duel``; without one, only structural checks apply."""
     lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    places = None  # item -> (group, category), one lookup per item of a row
-    if catalog is not None:
-        places = {r.item_id: (r.group, r.category) for r in catalog.records}
     duels = []
-    try:
-        for values in zip(*columns):
+    for line, values in zip(lines, zip(*columns)):
+        try:
             duel = DuelRecord(*values)
-            if places is not None and (
-                places.get(duel.item_a) != (GROUP_A, duel.category)
-                or places.get(duel.item_b) != (GROUP_B, duel.category)
-            ):
-                break
-            duels.append(duel)
-    except ValidationError as exc:
-        raise ParseError(f"{path}: {exc}", line=lines[len(duels)]) from exc
-    if len(duels) < len(lines):
-        line = lines[len(duels)]
-        for item in (duel.item_a, duel.item_b):
-            if item not in places:
-                raise ReferentialError(f"{path}: line {line}: unknown item {item!r}")
-        (group_a, _), (group_b, _) = places[duel.item_a], places[duel.item_b]
-        if (group_a, group_b) != (GROUP_A, GROUP_B):
-            raise ValidationError(
-                f"{path}: line {line}: item_a must be group A and item_b "
-                f"group B (got {group_a}, {group_b})"
-            )
-        item = duel.item_a if places[duel.item_a][1] != duel.category else duel.item_b
-        raise ReferentialError(
-            f"{path}: line {line}: duel {duel.duel_id!r} has category "
-            f"{duel.category!r}, but its item {item!r} is catalogued as "
-            f"{places[item][1]!r}"
-        )
+        except ValidationError as exc:
+            raise ParseError(f"{path}: {exc}", line=line) from exc
+        if catalog is not None:
+            try:
+                catalog.check_duel(duel)
+            except ValidationError as exc:
+                exc.args = (f"{path}: line {line}: {exc}",)
+                raise
+        duels.append(duel)
     return duels
 
 

@@ -6,21 +6,17 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import bias as bias_mod
 from . import tags as tags_mod
-from .choice_model import ComparisonGraph, FitConfig, ScoreTable, fit, fit_duel_arrays
+from .choice_model import GEOMETRIC_MEAN_ONE, SUM_ONE, ComparisonGraph, FitConfig
+from .choice_model import ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
-from .errors import (
-    NumericalError,
-    ReferentialError,
-    UnstableBootstrapError,
-    ValidationError,
-)
+from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, TagRecord
 from .stats import PValue
 
@@ -238,27 +234,16 @@ def run_pipeline(
 ) -> dict:
     """Run every analysis and return a JSON-serializable report bundle.
 
+    Every duel must pass ``catalog.check_duel``; an error names the duel.
     The bundle is a pure function of (inputs, config): identical inputs
     and seed give a byte-identical serialization.
     """
-    known_categories = set(catalog.categories())
-    category_of = {r.item_id: r.category for r in catalog.records}
     for d in duels:
-        if d.category not in known_categories:
-            raise ReferentialError(
-                f"duel {d.duel_id!r} references category {d.category!r} "
-                "missing from the catalog"
-            )
-        for item in (d.item_a, d.item_b):
-            if item not in category_of:
-                raise ReferentialError(
-                    f"duel {d.duel_id!r} references unknown item {item!r}"
-                )
-            if category_of[item] != d.category:
-                raise ReferentialError(
-                    f"duel {d.duel_id!r} has category {d.category!r}, but its "
-                    f"item {item!r} is catalogued as {category_of[item]!r}"
-                )
+        try:
+            catalog.check_duel(d)
+        except ValidationError as exc:
+            exc.args = (f"duel {d.duel_id!r}: {exc}",)
+            raise
 
     # the selected duels of each tournament and of each dimension, in file order
     by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
@@ -274,6 +259,9 @@ def run_pipeline(
 
     pairs = sorted(by_pair)
     dimensions = sorted(by_dimension)
+    # every statistic comes from geometric-mean-one fits, so none depends on
+    # the requested gauge; only the written scores are rescaled to it
+    fitted = replace(config, fit=replace(config.fit, normalization=GEOMETRIC_MEAN_ONE))
 
     bundle: dict = {
         "config": _config_json(config),
@@ -293,7 +281,7 @@ def run_pipeline(
 
     for category, dimension in pairs:
         cat_duels = by_pair[category, dimension]
-        table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
+        table = fit_tournament(catalog, cat_duels, category, dimension, fitted.fit)
         gs = _group_log_scores(catalog, category, table)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)
@@ -310,7 +298,7 @@ def run_pipeline(
         med_low, med_high = curve_lows[_MEDIAN_COLUMN], curve_highs[_MEDIAN_COLUMN]
         if config.bootstrap_unit == "duel":
             refits = refit_bias_replicates(
-                catalog, cat_duels, category, dimension, table, config, seed
+                catalog, cat_duels, category, dimension, table, fitted, seed
             )
             low, high = bias_mod.percentile_ci(refits).tolist()
         else:
@@ -318,16 +306,18 @@ def run_pipeline(
         median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])
         curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B])
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
+        sum_one = config.fit.normalization == SUM_ONE
+        scale = sum(table.scores.values()) if sum_one else 1.0
         bundle["tournaments"][f"{category}/{dimension}"] = {
             "category": category,
             "dimension": dimension,
             "n_duels": len(cat_duels),
-            "scores": {k: table.scores[k] for k in sorted(table.scores)},
+            "scores": {k: table.scores[k] / scale for k in sorted(table.scores)},
             "fit": {
                 "converged": table.converged,
                 "iterations": table.iterations,
                 "log_likelihood": table.log_likelihood,
-                "normalization": table.normalization,
+                "normalization": config.fit.normalization,
                 "regularization": table.regularization,
             },
             "score_bias": {"point": point, "ci": [low, high]},

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ValidationError
+from .errors import ReferentialError, ValidationError
 
 GROUP_A = "A"
 GROUP_B = "B"
@@ -58,6 +58,26 @@ class ItemCatalog:
             if (group is None or r.group == group)
             and (category is None or r.category == category)
         ]
+
+    def check_duel(self, duel: DuelRecord) -> None:
+        """Raise at the first break of the duel rule, checking item_a before
+        item_b: an unknown item (ReferentialError), then item_a not in group A
+        or item_b not in group B (ValidationError), then an item catalogued in
+        another category than the duel's (ReferentialError)."""
+        a, b = self._by_id.get(duel.item_a), self._by_id.get(duel.item_b)
+        if a is None or b is None:
+            item = duel.item_a if a is None else duel.item_b
+            raise ReferentialError(f"unknown item {item!r}")
+        if a.group != GROUP_A or b.group != GROUP_B:
+            raise ValidationError(
+                f"item_a must be group A and item_b group B (got {a.group}, {b.group})"
+            )
+        for rec in (a, b):
+            if rec.category != duel.category:
+                raise ReferentialError(
+                    f"duel {duel.duel_id!r} has category {duel.category!r}, but "
+                    f"its item {rec.item_id!r} is catalogued as {rec.category!r}"
+                )
 
     def categories(self) -> list[str]:
         seen = dict.fromkeys(r.category for r in self.records)

@@ -581,6 +581,70 @@ class TestPipeline:
         with pytest.raises(ReferentialError, match=message):
             run_pipeline(self.config(), catalog, bad)
 
+    @pytest.mark.parametrize(
+        "item_a, item_b, error",
+        [
+            ("a-pizza-0", "b-pizza-0", None),
+            ("ghost", "b-pizza-0", ReferentialError),
+            ("a-pizza-0", "ghost", ReferentialError),
+            ("b-pizza-0", "a-pizza-0", ValidationError),  # sides swapped
+            ("a-pizza-0", "a-pizza-1", ValidationError),
+            ("b-pizza-0", "b-pizza-1", ValidationError),
+            ("a-salad-0", "b-pizza-0", ReferentialError),
+            ("a-pizza-0", "b-salad-0", ReferentialError),
+        ],
+        ids=["valid", "unknown-a", "unknown-b", "swapped", "two-a", "two-b",
+             "a-other-category", "b-other-category"],
+    )
+    def test_parser_and_pipeline_apply_one_duel_rule(
+        self, fixture_data, tmp_path, item_a, item_b, error
+    ):
+        catalog, duels, _ = fixture_data
+        duels = duels + [
+            DuelRecord("dx", "pizza", "tasty", item_a, item_b, "B", "r1")
+        ]
+        path = tmp_path / "duels.csv"
+        write_duels(path, duels)
+        if error is None:
+            assert parse_duels(path, catalog) == duels
+            run_pipeline(self.config(), catalog, duels)
+            return
+        with pytest.raises(ValidationError) as parsed:
+            parse_duels(path, catalog)
+        with pytest.raises(ValidationError) as piped:
+            run_pipeline(self.config(), catalog, duels)
+        assert type(parsed.value) is type(piped.value) is error
+        prefix = f"{path}: line {len(duels) + 1}: "
+        assert str(parsed.value).startswith(prefix)
+        assert str(parsed.value).removeprefix(prefix) in str(piped.value)
+        assert "'dx'" in str(piped.value)
+
+    def test_statistics_do_not_depend_on_the_gauge(self, fixture_data):
+        # half of group A's pizza items dropped: the groups' category mixes
+        # differ, so a per-tournament gauge would shift the pooled numbers
+        catalog, duels, _ = fixture_data
+        dropped = {"a-pizza-2", "a-pizza-3"}
+        catalog = ItemCatalog(r for r in catalog.records if r.item_id not in dropped)
+        duels = [d for d in duels if d.item_a not in dropped]
+        bundles = {
+            gauge: run_pipeline(
+                AnalysisConfig(
+                    bootstrap_replicates=100, bootstrap_unit="item",
+                    fit=FitConfig(normalization=gauge),
+                ),
+                catalog,
+                duels,
+            )
+            for gauge in ("geometric-mean-one", "sum-one")
+        }
+        default, sum_one = bundles["geometric-mean-one"], bundles["sum-one"]
+        assert sum_one["pooled"] == default["pooled"]
+        assert sum_one["score_correlations"] == default["score_correlations"]
+        for key, t in sum_one["tournaments"].items():
+            assert t["fit"]["normalization"] == "sum-one"
+            assert sum(t["scores"].values()) == pytest.approx(1.0, rel=1e-12)
+            assert t["score_bias"] == default["tournaments"][key]["score_bias"]
+
     def test_bundle_written_to_disk(self, fixture_data, tmp_path):
         catalog, duels, tags = fixture_data
         bundle = run_pipeline(self.config(), catalog, duels, tags)
@@ -625,6 +689,17 @@ class TestCLI:
         assert str(out) in capsys.readouterr().out
         rows = list(csv.DictReader(open(out)))
         assert [r["budget"] for r in rows] == ["8", "16"]
+
+    def test_simulate_budgets_list_in_config_matches_flag(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"budgets": [100, 200]}))
+        common = ["simulate", "--items", "20", "--replicates", "2"]
+        for out, extra in (("flag", ["--budgets", "100,200"]),
+                           ("config", ["--config", str(cfg)])):
+            assert main([*common, *extra, "--output-dir", str(tmp_path / out)]) == 0
+        curves = [(tmp_path / out / "recovery_curve.csv").read_bytes()
+                  for out in ("flag", "config")]
+        assert curves[0] == curves[1]
 
     def test_simulate_unconverged_fit_exits_3(self, tmp_path, capsys, monkeypatch):
         # one Newton step is too few: the curve is not written
@@ -810,15 +885,21 @@ class TestCLI:
             (["simulate", "--budgets", "100,x"], None,
              "budgets: expected int, got 'x'"),
             (["bias"], {"bootstrap": "abc"}, "bootstrap: expected int, got 'abc'"),
+            (["simulate"], {"budgets": ["100", "x"]}, "budgets: expected int, got 'x'"),
+            (["bias"], {"bootstrap": 150.9}, "bootstrap: expected int, got 150.9"),
+            (["bias"], {"seed": True}, "seed: expected int, got True"),
+            (["bias", "--bootstrap", "150.9"], None,
+             "bootstrap: expected int, got '150.9'"),
         ],
-        ids=["simulate-budgets", "bias-config"],
+        ids=["simulate-budgets", "bias-config", "simulate-budgets-list",
+             "bias-fractional-config", "bias-bool-config", "bias-fractional-flag"],
     )
     def test_value_that_does_not_convert_exits_2(
         self, paths, capsys, command, config, message
     ):
         (items, duels, _), tmp_path = paths
         args = list(command)
-        if command == ["bias"]:
+        if command[0] == "bias":
             args += ["--items", items, "--duels", duels]
         if config is not None:
             cfg = tmp_path / "config.json"
