@@ -9,7 +9,8 @@ generates the README demo set (generator seed 0) and the benchmark's
 large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
 runs the same ``duelbias`` commands with each tree (every subcommand at
 least once, so every output writer; ``bias`` and ``simulate`` also with
-their settings in a ``--config`` file), and prints for every output file
+their settings in a ``--config`` file, ``fit`` and ``bias`` also with
+``--normalization sum-one``), and prints for every output file
 whether the two trees' files are identical. It exits 1 if any file
 differs, is missing from one side, or a command fails.
 """
@@ -58,6 +59,11 @@ def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
     out["large-bias-item"] = ["bias", *l_in, "--unit", "item", "--bootstrap", "1000"]
     out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
     out["demo-fit"] = ["fit", *d_in]
+    out["demo-fit-pizza-tasty"] = ["fit", *d_in, "--category", "pizza",
+                                   "--dimension", "tasty"]
+    out["demo-fit-sum-one"] = ["fit", *d_in, "--normalization", "sum-one"]
+    out["demo-bias-sum-one"] = ["bias", *d_in, "--normalization", "sum-one",
+                                "--unit", "item", "--bootstrap", "1000"]
     for distinct in (False, True):
         out[f"demo-design{'-distinct' if distinct else ''}"] = [
             "design", "--items", f"{demo}/items.csv", "--duels-per-item", "4",

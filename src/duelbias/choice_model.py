@@ -87,10 +87,10 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not self.tolerance > 0:
-            raise ValidationError("tolerance must be positive")
-        if self.regularization_alpha < 0:
-            raise ValidationError("regularization_alpha must be nonnegative")
+        if not 0 < self.tolerance < math.inf:
+            raise ValidationError("tolerance must be finite and positive")
+        if not 0 <= self.regularization_alpha < math.inf:
+            raise ValidationError("regularization_alpha must be finite and nonnegative")
         if self.normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
             raise ValidationError(f"unknown normalization {self.normalization!r}")
 
@@ -383,6 +383,20 @@ def _fit_rows(n, duels, weights, config, start) -> ReplicateFits:
     return ReplicateFits(scores, anchors, iterations, converged)
 
 
+def _start_log_scores(n_items: int, initial_scores) -> np.ndarray | float:
+    """Log of ``initial_scores``, (n_items,) finite and positive; 0 if None."""
+    if initial_scores is None:
+        return 0.0
+    initial_scores = np.asarray(initial_scores, dtype=float)
+    if initial_scores.shape != (n_items,):
+        raise ValidationError(
+            f"initial_scores must have shape ({n_items},), got {initial_scores.shape}"
+        )
+    if not (np.isfinite(initial_scores).all() and (initial_scores > 0).all()):
+        raise ValidationError("initial_scores must be finite and positive")
+    return np.log(initial_scores)
+
+
 def fit_duel_arrays(
     n_items: int,
     winners,
@@ -441,17 +455,7 @@ def fit_duel_arrays(
         if (wi == li).any():
             raise ValidationError("an item dueled itself")
     duels = np.stack((wi, li)).astype(np.intp, copy=False)
-    start = 0.0
-    if initial_scores is not None:
-        initial_scores = np.asarray(initial_scores, dtype=float)
-        if initial_scores.shape != (n_items,):
-            raise ValidationError(
-                f"initial_scores must have shape ({n_items},), "
-                f"got {initial_scores.shape}"
-            )
-        if not (np.isfinite(initial_scores).all() and (initial_scores > 0).all()):
-            raise ValidationError("initial_scores must be finite and positive")
-        start = np.log(initial_scores)
+    start = _start_log_scores(n_items, initial_scores)
     return _fit_rows(n_items, duels, weights, config, start)
 
 
@@ -498,9 +502,9 @@ def fit(
             raise UnidentifiableItemsError(silent)
     if n == 0:
         raise DegenerateFitError("comparison graph has no items")
-    start = 0.0
     if initial_scores is not None:
-        start = np.log([initial_scores[item] for item in graph.items])
+        initial_scores = [initial_scores[item] for item in graph.items]
+    start = _start_log_scores(n, initial_scores)
     # the graph's duels are already valid: fit them without fit_duel_arrays'
     # checks, so that a single fit pays for no second validation
     fits = _fit_rows(n, d.T[:, None, :], np.ones((1, len(d))), config, start)

@@ -17,36 +17,30 @@ DUELBIAS_OUTPUT_DIR sets the default output directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import bias as bias_mod
 from . import tags as tags_mod
 from .choice_model import FitConfig
-from .datasets import load_column_map, parse_duels, parse_items, parse_tags, write_csv
-from .errors import (
-    DegenerateFitError,
-    NumericalError,
-    ParseError,
-    SizeMismatchError,
-    InfeasibleScheduleError,
-    UnidentifiableItemsError,
-    UnstableBootstrapError,
-    ValidationError,
-)
+from .datasets import load_column_map, load_json, parse_duels, parse_items
+from .datasets import parse_tags, write_csv
+from .errors import NumericalError, ValidationError
 from .pipeline import (
     BOOTSTRAP_UNITS,
     AnalysisConfig,
+    distinctive_tag_rows,
     duel_outcomes_json,
+    duels_by_dimension,
     fit_tournament,
     frequency_json,
     run_pipeline,
-    tag_json,
+    select_tournaments,
     write_distinctive_tags,
     write_json,
     write_report_bundle,
     write_scores,
+    written_scores,
 )
 from .records import GROUP_A, GROUP_B
 from .tournament import (
@@ -56,21 +50,6 @@ from .tournament import (
     OUTCOME_RATER_NORMAL,
     sample_balanced_duels,
     simulate_rank_recovery,
-)
-
-_VALIDATION_ERRORS = (
-    ParseError,
-    ValidationError,
-    SizeMismatchError,
-    InfeasibleScheduleError,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    DegenerateFitError,
-    UnidentifiableItemsError,
-    UnstableBootstrapError,
-    NumericalError,
-    FloatingPointError,
 )
 
 OUTPUT_DIR_ENV = "DUELBIAS_OUTPUT_DIR"
@@ -87,10 +66,7 @@ def _outpath(args, name: str) -> str:
 
 
 def _load_config_defaults(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        cfg = json.load(f)
+    cfg = {} if path is None else load_json(path)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: config file must hold a JSON object")
     return cfg
@@ -178,34 +154,26 @@ def _fit_config(args, cfg: dict) -> FitConfig:
 
 
 def _column_map(args):
-    if getattr(args, "column_map", None):
-        return load_column_map(args.column_map)
-    return None
+    return load_column_map(args.column_map) if args.column_map else None
 
 
 def cmd_fit(args) -> None:
     cfg = _load_config_defaults(args.config)
-    catalog = parse_items(args.items, _column_map(args))
-    duels = parse_duels(args.duels, catalog, _column_map(args))
+    column_map = _column_map(args)
+    catalog = parse_items(args.items, column_map)
+    duels = parse_duels(args.duels, catalog, column_map)
     fit_config = _fit_config(args, cfg)
-    pairs = sorted(
-        {
-            (d.category, d.dimension)
-            for d in duels
-            if (args.category is None or d.category == args.category)
-            and (args.dimension is None or d.dimension == args.dimension)
-        }
-    )
-    if not pairs:
-        raise ValidationError("no duels match the requested category/dimension")
+    tournaments = select_tournaments(duels, args.dimension, args.category)
     # fit every tournament before writing, so an unconverged one leaves no
     # scores behind
-    tables = [
-        (c, d, fit_tournament(catalog, duels, c, d, fit_config)) for c, d in pairs
-    ]
+    tables = {
+        key: fit_tournament(catalog, tournament, *key, fit_config)
+        for key, tournament in tournaments.items()
+    }
     print(
         write_scores(
-            _outpath(args, "scores.csv"), [(c, d, t.scores) for c, d, t in tables]
+            _outpath(args, "scores.csv"),
+            [(c, d, written_scores(t, fit_config)) for (c, d), t in tables.items()],
         )
     )
     diagnostics = {
@@ -214,16 +182,17 @@ def cmd_fit(args) -> None:
             "iterations": t.iterations,
             "log_likelihood": t.log_likelihood,
         }
-        for c, d, t in tables
+        for (c, d), t in tables.items()
     }
     print(write_json(_outpath(args, "fit_diagnostics.json"), diagnostics))
 
 
 def cmd_bias(args) -> None:
     cfg = _load_config_defaults(args.config)
-    catalog = parse_items(args.items, _column_map(args))
-    duels = parse_duels(args.duels, catalog, _column_map(args))
-    tags = parse_tags(args.tags, _column_map(args)) if args.tags else None
+    column_map = _column_map(args)
+    catalog = parse_items(args.items, column_map)
+    duels = parse_duels(args.duels, catalog, column_map)
+    tags = parse_tags(args.tags, column_map) if args.tags else None
     d = AnalysisConfig()
     config = AnalysisConfig(
         dimensions=tuple(args.dimension) if args.dimension else None,
@@ -244,10 +213,8 @@ def cmd_duelstats(args) -> None:
     duels = parse_duels(args.duels, catalog=None, column_map=_column_map(args))
     if not duels:
         raise ValidationError(f"{args.duels}: no duel records")
-    dimensions = sorted({d.dimension for d in duels})
     payload = {}
-    for dimension in dimensions:
-        dim_duels = [d for d in duels if d.dimension == dimension]
+    for dimension, dim_duels in duels_by_dimension(duels).items():
         macro = bias_mod.rater_macro_average(dim_duels)
         payload[dimension] = duel_outcomes_json(
             bias_mod.duel_win_fraction(dim_duels), macro
@@ -257,29 +224,17 @@ def cmd_duelstats(args) -> None:
 
 
 def cmd_tags(args) -> None:
-    catalog = parse_items(args.items, _column_map(args))
-    records = parse_tags(args.tags, _column_map(args))
-    group_of = {r.item_id: r.group for r in catalog.records}
+    column_map = _column_map(args)
+    catalog = parse_items(args.items, column_map)
+    records = parse_tags(args.tags, column_map)
     stopwords = (
-        tags_mod.load_stopword_prefixes(args.stopwords)
-        if args.stopwords
-        else None
+        tags_mod.load_stopword_prefixes(args.stopwords) if args.stopwords else None
     )
     lexicon = tags_mod.load_dash_lexicon(args.lexicon) if args.lexicon else None
-    dists = tags_mod.aggregate_tags(records, group_of, stopwords, lexicon)
-    if GROUP_A not in dists or GROUP_B not in dists:
-        raise ValidationError("tags must cover items from both groups")
-    list_a, list_b = tags_mod.distinctive_tags(
-        dists[GROUP_A], dists[GROUP_B], top_k=args.top_k, min_count=args.min_count
+    ranked = distinctive_tag_rows(
+        catalog, records, stopwords, lexicon, args.top_k, args.min_count
     )
-    path = write_distinctive_tags(
-        _outpath(args, "distinctive_tags.csv"),
-        {
-            GROUP_A: [tag_json(t) for t in list_a],
-            GROUP_B: [tag_json(t) for t in list_b],
-        },
-    )
-    print(path)
+    print(write_distinctive_tags(_outpath(args, "distinctive_tags.csv"), ranked))
 
 
 def cmd_freq(args) -> None:
@@ -343,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit score tables")
     p.add_argument("--items", required=True)
     p.add_argument("--duels", required=True)
-    p.add_argument("--category", default=None)
-    p.add_argument("--dimension", default=None)
+    p.add_argument("--category", action="append", default=None)
+    p.add_argument("--dimension", action="append", default=None)
     fit_options(p)
     common(p, config=True)
     p.set_defaults(func=cmd_fit)
@@ -390,10 +345,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except _NUMERICAL_ERRORS as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -38,9 +38,17 @@ DUEL_COLUMNS = (
 TAG_COLUMNS = ("duel_id", "item_id", "rater_id", "raw_tag")
 
 
-def load_column_map(path) -> dict[str, str]:
+def load_json(path):
+    """The JSON value in the file ``path``; ValidationError if malformed."""
     with open(path, encoding="utf-8") as f:
-        mapping = json.load(f)
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_column_map(path) -> dict[str, str]:
+    mapping = load_json(path)
     if not isinstance(mapping, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
     ):

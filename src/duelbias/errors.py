@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: every package error is a
+ValidationError (the CLI exits 2) or a NumericalError (it exits 3)."""
 
 
 class DuelBiasError(Exception):
@@ -9,7 +10,11 @@ class ValidationError(DuelBiasError, ValueError):
     """Input violates a structural invariant (bad group label, self-duel, ...)."""
 
 
-class ParseError(DuelBiasError, ValueError):
+class NumericalError(DuelBiasError, RuntimeError):
+    """A numerical routine failed to produce a finite result."""
+
+
+class ParseError(ValidationError):
     """A file could not be parsed; carries the offending line number."""
 
     def __init__(self, message, line=None):
@@ -23,11 +28,19 @@ class ReferentialError(ValidationError):
     """A record references an unknown item or category."""
 
 
-class DegenerateFitError(DuelBiasError, ValueError):
+class SizeMismatchError(ValidationError):
+    """The two groups of a schedule must have equal sizes."""
+
+
+class InfeasibleScheduleError(ValidationError):
+    """The requested schedule cannot be realized."""
+
+
+class DegenerateFitError(NumericalError, ValueError):
     """No duels and no regularization: the likelihood has no maximizer."""
 
 
-class UnidentifiableItemsError(DuelBiasError, ValueError):
+class UnidentifiableItemsError(NumericalError, ValueError):
     """Items never appear in any duel and alpha is zero."""
 
     def __init__(self, item_ids):
@@ -38,17 +51,5 @@ class UnidentifiableItemsError(DuelBiasError, ValueError):
         )
 
 
-class SizeMismatchError(DuelBiasError, ValueError):
-    """The two groups of a schedule must have equal sizes."""
-
-
-class InfeasibleScheduleError(DuelBiasError, ValueError):
-    """The requested schedule cannot be realized."""
-
-
-class UnstableBootstrapError(DuelBiasError, RuntimeError):
+class UnstableBootstrapError(NumericalError):
     """More than 10% of bootstrap replicates failed."""
-
-
-class NumericalError(DuelBiasError, RuntimeError):
-    """A numerical routine failed to produce a finite result."""

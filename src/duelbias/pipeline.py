@@ -7,7 +7,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -129,6 +129,41 @@ def tournament_graph(
     return ComparisonGraph.from_pairs(pairs, items=catalog.ids(category=category))
 
 
+def select_tournaments(
+    duels: Sequence[DuelRecord],
+    dimensions: Sequence[str] | None = None,
+    categories: Sequence[str] | None = None,
+) -> dict[tuple[str, str], list[DuelRecord]]:
+    """The duels, in order, of each (category, dimension) tournament with a
+    dimension in ``dimensions`` and a category in ``categories`` (None: any),
+    keyed in sorted order. Raises ValidationError if no duel is left."""
+    by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
+    for d in duels:
+        if (dimensions is None or d.dimension in dimensions) and (
+            categories is None or d.category in categories
+        ):
+            by_pair.setdefault((d.category, d.dimension), []).append(d)
+    if not by_pair:
+        raise ValidationError("no duels left after applying the configured filters")
+    return dict(sorted(by_pair.items()))
+
+
+def duels_by_dimension(duels: Iterable[DuelRecord]) -> dict[str, list[DuelRecord]]:
+    """``duels`` grouped by dimension, in order; dimensions sorted."""
+    by_dimension: dict[str, list[DuelRecord]] = {}
+    for d in duels:
+        by_dimension.setdefault(d.dimension, []).append(d)
+    return dict(sorted(by_dimension.items()))
+
+
+def written_scores(table: ScoreTable, fit_config: FitConfig) -> dict[str, float]:
+    """A ``fit_tournament`` table's scores as written: items sorted, in the
+    gauge ``fit_config`` requests. Fits run in the geometric-mean-one gauge,
+    so that no statistic depends on the requested one."""
+    scale = sum(table.scores.values()) if fit_config.normalization == SUM_ONE else 1
+    return {k: table.scores[k] / scale for k in sorted(table.scores)}
+
+
 def fit_tournament(
     catalog: ItemCatalog,
     duels: Sequence[DuelRecord],
@@ -136,14 +171,16 @@ def fit_tournament(
     dimension: str,
     fit_config: FitConfig,
 ) -> ScoreTable:
-    """Fit one (category, dimension) tournament over the category's items.
+    """Fit one (category, dimension) tournament over the category's items,
+    in the geometric-mean-one gauge whatever ``fit_config`` asks for.
 
     An unconverged fit raises NumericalError, so that it never turns into
     a bias number. Any error names the tournament and keeps its type and
     attributes.
     """
     try:
-        table = fit(tournament_graph(catalog, duels, category, dimension), fit_config)
+        gauge = replace(fit_config, normalization=GEOMETRIC_MEAN_ONE)
+        table = fit(tournament_graph(catalog, duels, category, dimension), gauge)
         if not table.converged:
             hint = (
                 "; with alpha 0 the win graph must be strongly connected"
@@ -186,7 +223,7 @@ def refit_bias_replicates(
     which is the same as counting each duel by its multiplicity in the
     resample. The replicates are refitted together by ``fit_duel_arrays``
     over the tournament's one duel list, a block at a time, warm-started
-    from the point fit. A replicate whose
+    from the point fit and in its gauge. A replicate whose
     fit does not converge is discarded; with alpha 0 that includes every
     replicate whose win graph is not strongly connected. More than 10%
     discards raise UnstableBootstrapError.
@@ -201,6 +238,7 @@ def refit_bias_replicates(
         [index[i] for i in catalog.ids(group=g, category=category)]
         for g in (GROUP_A, GROUP_B)
     )
+    fit_config = replace(config.fit, normalization=point.normalization)
     rng = np.random.default_rng(seed)
     block = max(1, min(replicates, _REFIT_BLOCK_DUELS // m))
     weights = np.empty((block, m))
@@ -213,7 +251,7 @@ def refit_bias_replicates(
         draws += m * np.arange(rows)[:, None]
         weights[:rows] = np.bincount(draws.ravel(), minlength=rows * m).reshape(rows, m)
         fits = fit_duel_arrays(
-            graph.n_items, winners, losers, config.fit, weights[:rows], start
+            graph.n_items, winners, losers, fit_config, weights[:rows], start
         )
         scores = np.log(fits.scores[fits.converged])
         values.append(scores[:, group_b].mean(axis=1) - scores[:, group_a].mean(axis=1))
@@ -245,23 +283,8 @@ def run_pipeline(
             exc.args = (f"duel {d.duel_id!r}: {exc}",)
             raise
 
-    # the selected duels of each tournament and of each dimension, in file order
-    by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
-    by_dimension: dict[str, list[DuelRecord]] = {}
-    for d in duels:
-        if (config.dimensions is None or d.dimension in config.dimensions) and (
-            config.categories is None or d.category in config.categories
-        ):
-            by_pair.setdefault((d.category, d.dimension), []).append(d)
-            by_dimension.setdefault(d.dimension, []).append(d)
-    if not by_pair:
-        raise ValidationError("no duels left after applying the configured filters")
-
-    pairs = sorted(by_pair)
-    dimensions = sorted(by_dimension)
-    # every statistic comes from geometric-mean-one fits, so none depends on
-    # the requested gauge; only the written scores are rescaled to it
-    fitted = replace(config, fit=replace(config.fit, normalization=GEOMETRIC_MEAN_ONE))
+    tournaments = select_tournaments(duels, config.dimensions, config.categories)
+    by_dimension = duels_by_dimension(d for ds in tournaments.values() for d in ds)
 
     bundle: dict = {
         "config": _config_json(config),
@@ -269,19 +292,20 @@ def run_pipeline(
         "tournaments": {},
         "pooled": {},
     }
+    if tags is not None:
+        bundle["distinctive_tags"] = distinctive_tag_rows(catalog, tags)
 
     # per-dimension score maps over all items, for cross-dimension correlations
-    dim_scores: dict[str, dict[str, float]] = {dim: {} for dim in dimensions}
+    dim_scores: dict[str, dict[str, float]] = {dim: {} for dim in by_dimension}
     per_dim_group_logs: dict[str, dict[str, list[np.ndarray]]] = {
-        dim: {GROUP_A: [], GROUP_B: []} for dim in dimensions
+        dim: {GROUP_A: [], GROUP_B: []} for dim in by_dimension
     }
     per_dim_stats: dict[str, dict[str, list[float]]] = {
-        dim: {"bias": [], "median_percentile": []} for dim in dimensions
+        dim: {"bias": [], "median_percentile": []} for dim in by_dimension
     }
 
-    for category, dimension in pairs:
-        cat_duels = by_pair[category, dimension]
-        table = fit_tournament(catalog, cat_duels, category, dimension, fitted.fit)
+    for (category, dimension), cat_duels in tournaments.items():
+        table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
         gs = _group_log_scores(catalog, category, table)
         point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
         seed = _derived_seed(config.seed, category, dimension)
@@ -298,7 +322,7 @@ def run_pipeline(
         med_low, med_high = curve_lows[_MEDIAN_COLUMN], curve_highs[_MEDIAN_COLUMN]
         if config.bootstrap_unit == "duel":
             refits = refit_bias_replicates(
-                catalog, cat_duels, category, dimension, table, fitted, seed
+                catalog, cat_duels, category, dimension, table, config, seed
             )
             low, high = bias_mod.percentile_ci(refits).tolist()
         else:
@@ -306,13 +330,11 @@ def run_pipeline(
         median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])
         curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B])
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
-        sum_one = config.fit.normalization == SUM_ONE
-        scale = sum(table.scores.values()) if sum_one else 1.0
         bundle["tournaments"][f"{category}/{dimension}"] = {
             "category": category,
             "dimension": dimension,
             "n_duels": len(cat_duels),
-            "scores": {k: table.scores[k] / scale for k in sorted(table.scores)},
+            "scores": written_scores(table, config.fit),
             "fit": {
                 "converged": table.converged,
                 "iterations": table.iterations,
@@ -340,8 +362,7 @@ def run_pipeline(
         for item, score in table.scores.items():
             dim_scores[dimension][item] = score
 
-    for dimension in dimensions:
-        dim_duels = by_dimension[dimension]
+    for dimension, dim_duels in by_dimension.items():
         outcomes = duel_outcomes_json(
             bias_mod.duel_win_fraction(dim_duels),
             bias_mod.rater_macro_average(dim_duels),
@@ -364,11 +385,11 @@ def run_pipeline(
             **outcomes,
         }
 
-    if len(dimensions) >= 2:
-        common = set.intersection(*(set(dim_scores[d]) for d in dimensions))
+    if len(by_dimension) >= 2:
+        common = set.intersection(*(set(dim_scores[d]) for d in by_dimension))
         if len(common) >= 3:
             tables = {
-                d: {i: dim_scores[d][i] for i in common} for d in dimensions
+                d: {i: dim_scores[d][i] for i in common} for d in by_dimension
             }
             dims, r, p = bias_mod.score_correlations(tables)
             bundle["score_correlations"] = {
@@ -382,17 +403,27 @@ def run_pipeline(
             bias_mod.frequency_divergence(catalog)
         )
 
-    if tags:
-        group_of = {r.item_id: r.group for r in catalog.records}
-        dists = tags_mod.aggregate_tags(tags, group_of)
-        if GROUP_A in dists and GROUP_B in dists:
-            list_a, list_b = tags_mod.distinctive_tags(dists[GROUP_A], dists[GROUP_B])
-            bundle["distinctive_tags"] = {
-                GROUP_A: [tag_json(t) for t in list_a],
-                GROUP_B: [tag_json(t) for t in list_b],
-            }
-
     return bundle
+
+
+def distinctive_tag_rows(
+    catalog: ItemCatalog,
+    tags: Sequence[TagRecord],
+    stopwords: frozenset[str] | None = None,
+    lexicon: Mapping[str, str] | None = None,
+    top_k: int = tags_mod.DEFAULT_TOP_K,
+    min_count: int = tags_mod.DEFAULT_MIN_COUNT,
+) -> dict[str, list[dict]]:
+    """The ``tag_json`` rows of each group's most distinctive tags. Raises
+    ValidationError unless the tags cover items from both groups."""
+    group_of = {r.item_id: r.group for r in catalog.records}
+    dists = tags_mod.aggregate_tags(tags, group_of, stopwords, lexicon)
+    if GROUP_A not in dists or GROUP_B not in dists:
+        raise ValidationError("tags must cover items from both groups")
+    ranked = tags_mod.distinctive_tags(
+        dists[GROUP_A], dists[GROUP_B], top_k=top_k, min_count=min_count
+    )
+    return dict(zip((GROUP_A, GROUP_B), ([tag_json(t) for t in r] for r in ranked)))
 
 
 def tag_json(t) -> dict:
@@ -425,10 +456,11 @@ def dump_report(bundle: dict) -> str:
 
 
 def write_json(path: str, payload: dict) -> str:
-    """Write ``dump_report(payload)`` and a final newline; returns the path."""
+    """Write ``dump_report(payload)`` and a final newline, or no file if it
+    fails; returns the path."""
+    text = dump_report(payload) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dump_report(payload))
-        f.write("\n")
+        f.write(text)
     return path
 
 

@@ -23,23 +23,17 @@ DEFAULT_TOP_K = 20
 DEFAULT_MIN_COUNT = 5
 
 _STAR_THRESHOLDS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
-
-
-def _load_lines(name: str) -> list[str]:
-    text = resources.files("duelbias").joinpath("data", name).read_text("utf-8")
-    return [line.strip() for line in text.splitlines() if line.strip()]
+_DATA = resources.files("duelbias").joinpath("data")  # the packaged tag files
 
 
 def default_stopword_prefixes() -> frozenset[str]:
-    return frozenset(_load_lines("stopword_prefixes.txt"))
+    with resources.as_file(_DATA.joinpath("stopword_prefixes.txt")) as path:
+        return load_stopword_prefixes(path)
 
 
 def default_dash_lexicon() -> dict[str, str]:
-    lexicon = {}
-    for line in _load_lines("dash_lexicon.tsv"):
-        variant, canonical = line.split("\t")
-        lexicon[variant.strip()] = canonical.strip()
-    return lexicon
+    with resources.as_file(_DATA.joinpath("dash_lexicon.tsv")) as path:
+        return load_dash_lexicon(path)
 
 
 def load_stopword_prefixes(path) -> frozenset[str]:

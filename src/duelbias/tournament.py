@@ -118,6 +118,8 @@ def sample_balanced_duels(
         raise SizeMismatchError("groups must be non-empty")
     if duels_per_item < 1:
         raise ValidationError("duels_per_item must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if distinct_opponents and duels_per_item > n:
         raise InfeasibleScheduleError(
             f"cannot give each item {duels_per_item} distinct opponents out of {n}"
@@ -235,10 +237,14 @@ def simulate_rank_recovery(
     """
     if outcome_noise not in (OUTCOME_RATER_NORMAL, OUTCOME_BRADLEY_TERRY):
         raise ValidationError(f"unknown outcome model {outcome_noise!r}")
-    if rater_noise_scale < 0:
-        raise ValidationError("rater_noise_scale must be nonnegative")
+    if not 0 <= rater_noise_scale < np.inf:
+        raise ValidationError("rater_noise_scale must be finite and nonnegative")
     if replicates < 1:
         raise ValidationError("replicates must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    if len(budgets) == 0:
+        raise ValidationError("at least one budget is required")
     n = n_items_per_group
     if n < 1:
         raise ValidationError("n_items_per_group must be >= 1")

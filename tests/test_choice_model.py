@@ -414,6 +414,11 @@ class TestFitReplicates:
             fit_duel_arrays(
                 3, [[0, 1, 2]], [[1, 2, 0]], initial_scores=np.array(initial_scores)
             )
+        # fit checks its start the same way, before any Newton step
+        g = graph_of([("a", "b"), ("b", "c"), ("c", "a")])
+        if len(initial_scores) == g.n_items:
+            with pytest.raises(ValidationError, match="finite and positive"):
+                fit(g, initial_scores=dict(zip(g.items, initial_scores)))
 
     def test_weights_need_one_column_per_duel(self):
         g = graph_of([("a", "b"), ("b", "a")])
@@ -448,5 +453,10 @@ class TestFitConfig:
             FitConfig(tolerance=0.0)
         with pytest.raises(ValidationError):
             FitConfig(regularization_alpha=-0.1)
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                FitConfig(tolerance=value)
+            with pytest.raises(ValidationError):
+                FitConfig(regularization_alpha=value)
         with pytest.raises(ValidationError):
             FitConfig(normalization="bogus")

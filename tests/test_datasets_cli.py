@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duelbias import tournament
+from duelbias import cli, datasets, errors, tournament
 from duelbias.bias import DEFAULT_RANK_GRID, percentile_ci
 from duelbias.choice_model import FitConfig
 from duelbias.cli import main
@@ -668,11 +668,52 @@ class TestPipeline:
         assert set(table.scores) == set(catalog.ids(category="pizza"))
 
 
+FIT_ARGS = ["--items", "{items}", "--duels", "{duels}"]
+BIAS_ARGS = [*FIT_ARGS, "--unit", "item", "--bootstrap", "100"]
+SIMULATE_ARGS = ["--items", "8", "--replicates", "1"]
+
+# every package error and the builtin base it had before the hierarchy was
+# split by exit code
+ERROR_BUILTIN_BASES = {
+    "ValidationError": ValueError,
+    "ParseError": ValueError,
+    "ReferentialError": ValueError,
+    "SizeMismatchError": ValueError,
+    "InfeasibleScheduleError": ValueError,
+    "DegenerateFitError": ValueError,
+    "UnidentifiableItemsError": ValueError,
+    "UnstableBootstrapError": RuntimeError,
+    "NumericalError": RuntimeError,
+}
+
+
 class TestCLI:
     @pytest.fixture()
     def paths(self, fixture_data, tmp_path):
         catalog, duels, tags = fixture_data
         return write_fixture(tmp_path, catalog, duels, tags), tmp_path
+
+    def test_every_error_class_is_listed(self):
+        classes = {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, Exception)
+        }
+        assert classes == set(ERROR_BUILTIN_BASES) | {"DuelBiasError"}
+
+    @pytest.mark.parametrize("name", sorted(ERROR_BUILTIN_BASES))
+    def test_error_class_has_one_exit_code(self, paths, capsys, monkeypatch, name):
+        cls = getattr(errors, name)
+        assert issubclass(cls, ERROR_BUILTIN_BASES[name])
+        bases = [issubclass(cls, base) for base in (ValidationError, NumericalError)]
+        assert bases.count(True) == 1
+
+        def fail(args):
+            raise cls(["x"]) if cls is UnidentifiableItemsError else cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_freq", fail)
+        (items, _, _), _ = paths
+        assert main(["freq", "--items", items]) == (2 if bases[0] else 3)
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_simulate(self, tmp_path, capsys):
         rc = main(
@@ -751,6 +792,58 @@ class TestCLI:
         assert len(rows) == 4 * 8  # four tournaments, eight items each
         diag = json.load(open(tmp_path / "fit" / "fit_diagnostics.json"))
         assert all(v["converged"] for v in diag.values())
+
+    def test_fit_and_bias_write_the_same_sum_one_scores(self, paths):
+        (items, duels, _), tmp_path = paths
+        common = ["--items", items, "--duels", duels, "--normalization", "sum-one"]
+        assert main(["fit", *common, "--output-dir", str(tmp_path / "fit")]) == 0
+        assert main(
+            ["bias", *common, "--bootstrap", "100", "--unit", "item",
+             "--output-dir", str(tmp_path / "bias")]
+        ) == 0
+        fit_scores, bias_scores = (
+            (tmp_path / out / "scores.csv").read_bytes() for out in ("fit", "bias")
+        )
+        assert fit_scores == bias_scores
+        report = json.load(open(tmp_path / "bias" / "report.json"))
+        diagnostics = json.load(open(tmp_path / "fit" / "fit_diagnostics.json"))
+        for key, tournament in report["tournaments"].items():
+            fitted = tournament["fit"]["log_likelihood"]
+            assert diagnostics[key]["log_likelihood"] == fitted
+
+    def test_fit_category_and_dimension_repeat(self, paths):
+        (items, duels, _), tmp_path = paths
+        out = tmp_path / "fit"
+        assert main(
+            ["fit", "--items", items, "--duels", duels, "--category", "pizza",
+             "--category", "salad", "--dimension", "tasty", "--output-dir", str(out)]
+        ) == 0
+        assert set(json.load(open(out / "fit_diagnostics.json"))) == {
+            "pizza/tasty", "salad/tasty"
+        }
+
+    @pytest.mark.parametrize(
+        "command",
+        [["bias", *BIAS_ARGS, "--tags", "{tags}"], ["fit", *FIT_ARGS],
+         ["tags", "--items", "{items}", "--tags", "{tags}"]],
+        ids=["bias-tags", "fit", "tags"],
+    )
+    def test_column_map_read_once(self, paths, monkeypatch, command):
+        (items, duels, tags), tmp_path = paths
+        column_map = tmp_path / "columns.json"
+        column_map.write_text(json.dumps({"item_id": "item_id"}))
+        calls = []
+
+        def counted(path):
+            calls.append(path)
+            return datasets.load_column_map(path)
+
+        monkeypatch.setattr(cli, "load_column_map", counted)
+        args = [a.format(items=items, duels=duels, tags=tags) for a in command]
+        rc = main([*args, "--column-map", str(column_map),
+                   "--output-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == [str(column_map)]
 
     def test_bias_full_report(self, paths):
         (items, duels, tags), tmp_path = paths
@@ -908,6 +1001,51 @@ class TestCLI:
         out = tmp_path / "out"
         assert main([*args, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["fit", *FIT_ARGS, "--tolerance", "inf"],
+             "tolerance must be finite and positive"),
+            (["bias", *BIAS_ARGS, "--tolerance", "inf", "--dimension", "tasty"],
+             "tolerance must be finite and positive"),
+            (["bias", *BIAS_ARGS, "--alpha", "nan"],
+             "regularization_alpha must be finite and nonnegative"),
+            (["bias", *BIAS_ARGS, "--alpha", "inf"],
+             "regularization_alpha must be finite and nonnegative"),
+            (["simulate", *SIMULATE_ARGS, "--budgets", "8", "--rater-noise", "nan"],
+             "rater_noise_scale must be finite and nonnegative"),
+            (["simulate", *SIMULATE_ARGS, "--config", "{tmp}/budgets.json"],
+             "at least one budget is required"),
+            (["simulate", *SIMULATE_ARGS, "--budgets", "8", "--seed", "-1"],
+             "seed must be >= 0"),
+            (["design", "--items", "{items}", "--duels-per-item", "2", "--seed", "-1"],
+             "seed must be >= 0"),
+            (["bias", *BIAS_ARGS, "--config", "{tmp}/malformed.json"],
+             "malformed.json: not valid JSON"),
+            (["fit", *FIT_ARGS, "--column-map", "{tmp}/malformed.json"],
+             "malformed.json: not valid JSON"),
+            (["freq", "--items", "{tmp}"], "Is a directory"),
+        ],
+        ids=["fit-tolerance-inf", "bias-tolerance-inf", "bias-alpha-nan",
+             "bias-alpha-inf", "simulate-rater-noise-nan", "simulate-no-budgets",
+             "simulate-negative-seed", "design-negative-seed", "malformed-config",
+             "malformed-column-map", "items-directory"],
+    )
+    def test_bad_setting_or_unreadable_input_exits_2(
+        self, paths, capsys, command, message
+    ):
+        (items, duels, _), tmp_path = paths
+        (tmp_path / "budgets.json").write_text(json.dumps({"budgets": []}))
+        (tmp_path / "malformed.json").write_text('{"alpha": 0.5,')
+        args = [
+            a.format(items=items, duels=duels, tmp=tmp_path) for a in command
+        ]
+        out = tmp_path / "out"
+        assert main([*args, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["bias", "fit"])
@@ -1104,13 +1242,16 @@ class TestCLI:
         ]
         assert tables[0] == tables[1]
 
-    @pytest.mark.parametrize("fault", ["unknown-item", "one-tag"])
+    @pytest.mark.parametrize("fault", ["unknown-item", "one-tag", "one-group"])
     @pytest.mark.parametrize("command", ["tags", "bias"])
     def test_bad_tag_log_exits_2(self, fixture_data, tmp_path, capsys, command, fault):
         catalog, duels, tags = fixture_data
         if fault == "unknown-item":
             tags = tags + [TagRecord("t1", "ghost", "r1", "fresh")]
             message = "duel 't1' references unknown item 'ghost'"
+        elif fault == "one-group":
+            tags = [t for t in tags if t.item_id.startswith("a-")]
+            message = "tags must cover items from both groups"
         else:
             # every tag of both groups is one tag: it has no chi-square test
             tags = [
@@ -1126,6 +1267,7 @@ class TestCLI:
         rc = main([command, *args, "--output-dir", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, flag",

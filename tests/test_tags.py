@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from duelbias.tags import (
     default_dash_lexicon,
     default_stopword_prefixes,
     distinctive_tags,
+    load_dash_lexicon,
+    load_stopword_prefixes,
     normalize_tag,
     pointwise_kl,
     significance_stars,
@@ -67,6 +70,39 @@ class TestNormalizeTag:
     def test_default_resources_load(self):
         assert "looks" in default_stopword_prefixes()
         assert default_dash_lexicon()["mouthwatering"] == "mouth-watering"
+
+    def test_default_resources_are_the_packaged_files_as_written(self):
+        # the packaged files are lowercase with two fields per lexicon line,
+        # so the user-file loaders read them verbatim
+        data = resources.files("duelbias").joinpath("data")
+        lines = {
+            name: [
+                line.strip()
+                for line in data.joinpath(name).read_text("utf-8").splitlines()
+                if line.strip()
+            ]
+            for name in ("stopword_prefixes.txt", "dash_lexicon.tsv")
+        }
+        assert default_stopword_prefixes() == frozenset(lines["stopword_prefixes.txt"])
+        assert default_dash_lexicon() == dict(
+            line.split("\t") for line in lines["dash_lexicon.tsv"]
+        )
+
+    def test_user_files_lowercased_and_blank_lines_skipped(self, tmp_path):
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("Looks\n\n  VERY \n", encoding="utf-8")
+        assert load_stopword_prefixes(stopwords) == frozenset({"looks", "very"})
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("\nMouth Watering\t Mouth-Watering\n\n", encoding="utf-8")
+        assert load_dash_lexicon(lexicon) == {"mouth watering": "mouth-watering"}
+
+    @pytest.mark.parametrize("bad_line", ["no tab", "a\tb\tc"])
+    def test_lexicon_line_needs_one_tab(self, tmp_path, bad_line):
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text(f"a\tb\n\n{bad_line}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            load_dash_lexicon(lexicon)
+        assert str(info.value).startswith(f"{lexicon}:3: ")
 
 
 class TestTagDistribution:

@@ -71,6 +71,10 @@ class TestSampleBalancedDuels:
             opponents.setdefault(a, set()).add(b)
         assert all(len(opp) == 4 for opp in opponents.values())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            sample_balanced_duels(["a"], ["b"], duels_per_item=1, seed=-1)
+
     def test_distinct_opponents_infeasible(self):
         with pytest.raises(InfeasibleScheduleError):
             sample_balanced_duels(
@@ -179,6 +183,22 @@ class TestSimulateRankRecovery:
     def test_unknown_outcome_model(self):
         with pytest.raises(ValidationError):
             simulate_rank_recovery(5, budgets=[10], replicates=1, outcome_noise="x")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(rater_noise_scale=float("nan")), "rater_noise_scale"),
+            (dict(rater_noise_scale=float("inf")), "rater_noise_scale"),
+            (dict(rater_noise_scale=-0.1), "rater_noise_scale"),
+            (dict(budgets=[]), "at least one budget"),
+            (dict(seed=-1), "seed must be >= 0"),
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            simulate_rank_recovery(
+                **{"n_items_per_group": 5, "budgets": [10], "replicates": 1, **kwargs}
+            )
 
     def test_tau_bounds(self):
         curve = simulate_rank_recovery(5, budgets=[5, 10], replicates=3, seed=11)
