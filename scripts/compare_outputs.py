@@ -10,9 +10,11 @@ large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
 runs the same ``duelbias`` commands with each tree (every subcommand at
 least once, so every output writer; ``bias`` and ``simulate`` also with
 their settings in a ``--config`` file, ``fit`` and ``bias`` also with
-``--normalization sum-one``), and prints for every output file
-whether the two trees' files are identical. It exits 1 if any file
-differs, is missing from one side, or a command fails.
+``--normalization sum-one``; one ``bias`` run that must fail), and prints
+for every output file whether the two trees' files are identical, and
+for every run whether the two trees' exit codes and stderr are. It exits
+1 if any file, exit code or stderr differs, a file is missing from one
+side, or a run exits otherwise than expected.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ LARGE_SET_ARGS = ("--items-per-side", "200",
 SIMULATE_ARGS = ("simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",
                  "--replicates", "5", "--seed", "1")
 REFIT_DEMO_SEEDS = (1, 2, 3)
+# runs that must fail, and their exit code; every other run must exit 0
+EXPECTED_EXIT = {"demo-bias-alpha0-duel": 3}
 
 # runs duelbias.cli from the tree given as the first argument, and fails if
 # another copy of the package (say, an installed one) is imported instead
@@ -72,6 +76,9 @@ def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
     out["demo-tags"] = ["tags", "--items", f"{demo}/items.csv", *tags]
     out["demo-freq"] = ["freq", "--items", f"{demo}/items.csv"]
     out["simulate"] = list(SIMULATE_ARGS)
+    # more than 10% of its refits fail: an unstable bootstrap
+    out["demo-bias-alpha0-duel"] = ["bias", *d_in, "--alpha", "0", "--unit", "duel",
+                                    "--bootstrap", "200"]
     for seed in REFIT_DEMO_SEEDS:
         out[f"refit-demo-seed{seed}"] = [
             "bias", *d_in, "--unit", "duel", "--bootstrap", "100",
@@ -92,11 +99,13 @@ def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
     return out
 
 
-def run(tree: str, args: list[str], cwd: str) -> int:
+def run(tree: str, args: list[str], cwd: str) -> tuple[int, str]:
+    """The run's exit code and stderr."""
     env = dict(os.environ, PYTHONPATH=tree)
     done = subprocess.run([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
-                          env=env, stdout=subprocess.DEVNULL)
-    return done.returncode
+                          env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    return done.returncode, done.stderr
 
 
 def generate(tree: str, out: str, seed: int, extra=()) -> None:
@@ -125,13 +134,19 @@ def main() -> int:
         generate(trees["old"], demo, 0)
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
         for name, cli_args in commands(demo, large, tmp).items():
-            outs = {}
+            outs, ends = {}, {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)
-                code = run(tree, [*cli_args, "--output-dir", outs[side]], tmp)
-                if code != 0:
+                ends[side] = run(tree, [*cli_args, "--output-dir", outs[side]], tmp)
+                code = ends[side][0]
+                if code != EXPECTED_EXIT.get(name, 0):
                     print(f"{name}: FAILED with the {side} tree (exit {code})")
                     ok = False
+            same = ends["old"] == ends["new"]
+            ok = ok and same
+            print(f"{name}: exit code and stderr {'identical' if same else 'DIFFER'}")
+            for side, (code, err) in ends.items() if not same else ():
+                print(f"  {side}: exit {code}, stderr {err!r}")
             # a missing output directory walks as empty
             old, new = files_under(outs["old"]), files_under(outs["new"])
             for rel in sorted(old | new):

@@ -163,26 +163,23 @@ def cmd_fit(args) -> None:
     catalog = parse_items(args.items, column_map)
     duels = parse_duels(args.duels, catalog, column_map)
     fit_config = _fit_config(args, cfg)
-    tournaments = select_tournaments(duels, args.dimension, args.category)
+    tournaments = select_tournaments(catalog, duels, args.dimension, args.category)
     # fit every tournament before writing, so an unconverged one leaves no
     # scores behind
-    tables = {
-        key: fit_tournament(catalog, tournament, *key, fit_config)
-        for key, tournament in tournaments.items()
-    }
+    fits = [(t, fit_tournament(t, fit_config)) for t in tournaments]
     print(
         write_scores(
             _outpath(args, "scores.csv"),
-            [(c, d, written_scores(t, fit_config)) for (c, d), t in tables.items()],
+            [(t.category, t.dimension, written_scores(s, fit_config)) for t, s in fits],
         )
     )
     diagnostics = {
-        f"{c}/{d}": {
-            "converged": t.converged,
-            "iterations": t.iterations,
-            "log_likelihood": t.log_likelihood,
+        f"{t.category}/{t.dimension}": {
+            "converged": s.converged,
+            "iterations": s.iterations,
+            "log_likelihood": s.log_likelihood,
         }
-        for (c, d), t in tables.items()
+        for t, s in fits
     }
     print(write_json(_outpath(args, "fit_diagnostics.json"), diagnostics))
 

@@ -10,16 +10,18 @@ Other layouts can be adapted with a column map (JSON object mapping the
 expected column name to the actual one in the file). Columns are found by
 header name, so their order and any extra columns do not matter; a name
 given twice means its last column. Values are stripped of surrounding
-whitespace and blank lines are skipped. An error names the file line on
-which the offending row starts, counting blank lines and the newlines
-inside quoted fields; with several errors in a file, a row with too few
-fields is reported first, then the first other row error in file order.
+whitespace and blank lines are skipped. A row error reads
+``{path}: line N: message``, N the file line on which the row starts,
+counting blank lines and the newlines inside quoted fields; with several
+errors in a file, a row with too few fields is reported first, then the
+first other row error in file order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -38,9 +40,20 @@ DUEL_COLUMNS = (
 TAG_COLUMNS = ("duel_id", "item_id", "rater_id", "raw_tag")
 
 
+@contextmanager
+def open_utf8(path, newline=None):
+    """The file ``path`` opened as UTF-8 text. Bytes that are not UTF-8,
+    met while the block reads, raise ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def load_json(path):
     """The JSON value in the file ``path``; ValidationError if malformed."""
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as exc:
@@ -68,7 +81,7 @@ def _read_columns(path, required, column_map, optional=()):
     maps to its last column.
     """
     column_map = column_map or {}
-    with open(path, encoding="utf-8", newline="") as f:
+    with open_utf8(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -90,7 +103,7 @@ def _read_columns(path, required, column_map, optional=()):
     width = max(indices) + 1
     if rows and min(map(len, rows)) < width:
         k = next(k for k, row in enumerate(rows) if len(row) < width)
-        raise ParseError("row has too few fields", line=lines[k])
+        raise ParseError("row has too few fields", line=lines[k], path=path)
     columns = [[row[j].strip() for row in rows] for j in indices]
     for col in optional:
         j = position.get(column_map.get(col, col))
@@ -102,15 +115,27 @@ def _read_columns(path, required, column_map, optional=()):
     return lines, columns
 
 
-def _build_records(record_type, columns, lines, error):
-    """One ``record_type(*values)`` per row, in file order. The first
-    ValidationError is re-raised as ``error(exc, line)``."""
-    records = []
+def _build_records(path, record_type, columns, lines, check=None):
+    """One ``record_type(*values)`` per row, in file order, each passed to
+    ``check`` if given. The first row that fails raises with its message
+    prefixed ``{path}: line N: ``: a ParseError if the record fails, the
+    check's own error if the check does."""
+    records, failed = [], None
     try:
         for values in zip(*columns):
             records.append(record_type(*values))
     except ValidationError as exc:
-        raise error(exc, lines[len(records)]) from exc
+        failed = exc
+    # the rows before a failed record are checked first, so an earlier error wins
+    if check is not None:
+        for line, record in zip(lines, records):
+            try:
+                check(record)
+            except ValidationError as exc:
+                exc.args = (f"{path}: line {line}: {exc}",)
+                raise
+    if failed is not None:
+        raise ParseError(failed, line=lines[len(records)], path=path) from failed
     return records
 
 
@@ -120,12 +145,7 @@ def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalo
         path, ITEM_COLUMNS[:3], column_map, optional=("external_ref",)
     )
     columns[3] = [ref or None for ref in columns[3]]
-    records = _build_records(
-        ItemRecord,
-        columns,
-        lines,
-        lambda exc, line: ValidationError(f"{path}: line {line}: {exc}"),
-    )
+    records = _build_records(path, ItemRecord, columns, lines)
     try:
         return ItemCatalog(records)
     except ValidationError as exc:
@@ -140,31 +160,13 @@ def parse_duels(
     """Read duel records. With a catalog, each duel must pass
     ``catalog.check_duel``; without one, only structural checks apply."""
     lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    duels = []
-    for line, values in zip(lines, zip(*columns)):
-        try:
-            duel = DuelRecord(*values)
-        except ValidationError as exc:
-            raise ParseError(f"{path}: {exc}", line=line) from exc
-        if catalog is not None:
-            try:
-                catalog.check_duel(duel)
-            except ValidationError as exc:
-                exc.args = (f"{path}: line {line}: {exc}",)
-                raise
-        duels.append(duel)
-    return duels
+    check = catalog.check_duel if catalog is not None else None
+    return _build_records(path, DuelRecord, columns, lines, check)
 
 
 def parse_tags(path, column_map: Mapping[str, str] | None = None) -> list[TagRecord]:
     lines, columns = _read_columns(path, TAG_COLUMNS, column_map)
-    tags = _build_records(
-        TagRecord,
-        columns,
-        lines,
-        lambda exc, line: ParseError(f"{path}: {exc}", line=line),
-    )
-    return tags
+    return _build_records(path, TagRecord, columns, lines)
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -15,11 +15,14 @@ class NumericalError(DuelBiasError, RuntimeError):
 
 
 class ParseError(ValidationError):
-    """A file could not be parsed; carries the offending line number."""
+    """A file could not be parsed; carries the offending line number. The
+    message reads ``{path}: line {line}: {message}``, each prefix where given."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

@@ -7,7 +7,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class AnalysisConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        if self.bootstrap_replicates < 100:
+            raise ValidationError("bootstrap needs at least 100 replicates")
         if self.bootstrap_unit not in BOOTSTRAP_UNITS:
             raise ValidationError(
                 f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
@@ -113,30 +115,29 @@ def input_digests(
     return out
 
 
-def tournament_graph(
-    catalog: ItemCatalog,
-    duels: Sequence[DuelRecord],
-    category: str,
-    dimension: str,
-) -> ComparisonGraph:
-    """The (category, dimension) tournament over the category's items, its
-    duels in the order of ``duels``."""
-    pairs = [
-        (d.winner_item, d.loser_item)
-        for d in duels
-        if d.category == category and d.dimension == dimension
-    ]
-    return ComparisonGraph.from_pairs(pairs, items=catalog.ids(category=category))
+@dataclass(frozen=True, eq=False)
+class Tournament:
+    """One (category, dimension) tournament: its duels in file order, its
+    graph over the category's items in catalog order, and the graph indices
+    of group A's items and of group B's."""
+
+    category: str
+    dimension: str
+    duels: tuple[DuelRecord, ...]
+    graph: ComparisonGraph
+    groups: tuple[np.ndarray, np.ndarray]
 
 
 def select_tournaments(
+    catalog: ItemCatalog,
     duels: Sequence[DuelRecord],
     dimensions: Sequence[str] | None = None,
     categories: Sequence[str] | None = None,
-) -> dict[tuple[str, str], list[DuelRecord]]:
-    """The duels, in order, of each (category, dimension) tournament with a
-    dimension in ``dimensions`` and a category in ``categories`` (None: any),
-    keyed in sorted order. Raises ValidationError if no duel is left."""
+) -> list[Tournament]:
+    """Each (category, dimension) tournament with a dimension in
+    ``dimensions`` and a category in ``categories`` (None: any), built once
+    and in sorted order, from duels that pass ``catalog.check_duel``.
+    Raises ValidationError if no duel is left."""
     by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
     for d in duels:
         if (dimensions is None or d.dimension in dimensions) and (
@@ -145,7 +146,17 @@ def select_tournaments(
             by_pair.setdefault((d.category, d.dimension), []).append(d)
     if not by_pair:
         raise ValidationError("no duels left after applying the configured filters")
-    return dict(sorted(by_pair.items()))
+    tournaments = []
+    for (category, dimension), pair_duels in sorted(by_pair.items()):
+        items = catalog.ids(category=category)
+        group = np.array([catalog.group_of(i) for i in items])
+        pairs = [(d.winner_item, d.loser_item) for d in pair_duels]
+        tournaments.append(Tournament(
+            category, dimension, tuple(pair_duels),
+            ComparisonGraph.from_pairs(pairs, items=items),
+            (np.flatnonzero(group == GROUP_A), np.flatnonzero(group == GROUP_B)),
+        ))
+    return tournaments
 
 
 def duels_by_dimension(duels: Iterable[DuelRecord]) -> dict[str, list[DuelRecord]]:
@@ -156,6 +167,15 @@ def duels_by_dimension(duels: Iterable[DuelRecord]) -> dict[str, list[DuelRecord
     return dict(sorted(by_dimension.items()))
 
 
+def _named(exc: Exception, tournament: Tournament) -> Exception:
+    """``exc`` with its message prefixed by the tournament. The message is
+    rewritten in place: a new instance would lose the type's own
+    constructor arguments (e.g. item_ids)."""
+    where = f"category {tournament.category!r}, dimension {tournament.dimension!r}"
+    exc.args = (f"{where}: {exc}",)
+    return exc
+
+
 def written_scores(table: ScoreTable, fit_config: FitConfig) -> dict[str, float]:
     """A ``fit_tournament`` table's scores as written: items sorted, in the
     gauge ``fit_config`` requests. Fits run in the geometric-mean-one gauge,
@@ -164,15 +184,9 @@ def written_scores(table: ScoreTable, fit_config: FitConfig) -> dict[str, float]
     return {k: table.scores[k] / scale for k in sorted(table.scores)}
 
 
-def fit_tournament(
-    catalog: ItemCatalog,
-    duels: Sequence[DuelRecord],
-    category: str,
-    dimension: str,
-    fit_config: FitConfig,
-) -> ScoreTable:
-    """Fit one (category, dimension) tournament over the category's items,
-    in the geometric-mean-one gauge whatever ``fit_config`` asks for.
+def fit_tournament(tournament: Tournament, fit_config: FitConfig) -> ScoreTable:
+    """Fit one tournament in the geometric-mean-one gauge whatever
+    ``fit_config`` asks for.
 
     An unconverged fit raises NumericalError, so that it never turns into
     a bias number. Any error names the tournament and keeps its type and
@@ -180,7 +194,7 @@ def fit_tournament(
     """
     try:
         gauge = replace(fit_config, normalization=GEOMETRIC_MEAN_ONE)
-        table = fit(tournament_graph(catalog, duels, category, dimension), gauge)
+        table = fit(tournament.graph, gauge)
         if not table.converged:
             hint = (
                 "; with alpha 0 the win graph must be strongly connected"
@@ -193,27 +207,11 @@ def fit_tournament(
             )
         return table
     except Exception as exc:
-        # rewrite the message in place: a new instance would lose the
-        # type's own constructor arguments (e.g. item_ids)
-        exc.args = (f"category {category!r}, dimension {dimension!r}: {exc}",)
-        raise
-
-
-def _group_log_scores(catalog, category, table):
-    return {
-        g: np.log([table.scores[i] for i in catalog.ids(group=g, category=category)])
-        for g in (GROUP_A, GROUP_B)
-    }
+        raise _named(exc, tournament)
 
 
 def refit_bias_replicates(
-    catalog: ItemCatalog,
-    duels: Sequence[DuelRecord],
-    category: str,
-    dimension: str,
-    point: ScoreTable,
-    config: AnalysisConfig,
-    seed: int,
+    tournament: Tournament, point: ScoreTable, config: AnalysisConfig, seed: int
 ) -> np.ndarray:
     """Duel-unit bootstrap of one tournament's score bias: the bias of every
     replicate that converged, in replicate order.
@@ -226,18 +224,14 @@ def refit_bias_replicates(
     from the point fit and in its gauge. A replicate whose
     fit does not converge is discarded; with alpha 0 that includes every
     replicate whose win graph is not strongly connected. More than 10%
-    discards raise UnstableBootstrapError.
+    discards raise UnstableBootstrapError, which names the tournament.
     """
     replicates = config.bootstrap_replicates
-    graph = tournament_graph(catalog, duels, category, dimension)
+    graph = tournament.graph
     m = len(graph.duels)
     winners, losers = np.array(graph.duels, dtype=np.intp).T[:, None]
     start = point.score_array(graph.items)
-    index = {item: i for i, item in enumerate(graph.items)}
-    group_a, group_b = (
-        [index[i] for i in catalog.ids(group=g, category=category)]
-        for g in (GROUP_A, GROUP_B)
-    )
+    group_a, group_b = tournament.groups
     fit_config = replace(config.fit, normalization=point.normalization)
     rng = np.random.default_rng(seed)
     block = max(1, min(replicates, _REFIT_BLOCK_DUELS // m))
@@ -258,10 +252,20 @@ def refit_bias_replicates(
     values = np.concatenate(values)
     failures = replicates - len(values)
     if failures > 0.1 * replicates:
-        raise UnstableBootstrapError(
+        raise _named(UnstableBootstrapError(
             f"{failures} of {replicates} bootstrap replicates failed"
-        )
+        ), tournament)
     return values
+
+
+class _Fitted(NamedTuple):
+    """What the pooled and correlation stages read of one tournament."""
+
+    tournament: Tournament
+    table: ScoreTable
+    log_scores: tuple[np.ndarray, np.ndarray]  # group A's items, group B's
+    point: float  # score bias
+    median_pct: float
 
 
 def run_pipeline(
@@ -283,9 +287,9 @@ def run_pipeline(
             exc.args = (f"duel {d.duel_id!r}: {exc}",)
             raise
 
-    tournaments = select_tournaments(duels, config.dimensions, config.categories)
-    by_dimension = duels_by_dimension(d for ds in tournaments.values() for d in ds)
-
+    tournaments = select_tournaments(
+        catalog, duels, config.dimensions, config.categories
+    )
     bundle: dict = {
         "config": _config_json(config),
         "input_digests": input_digests(catalog, duels, tags),
@@ -295,45 +299,31 @@ def run_pipeline(
     if tags is not None:
         bundle["distinctive_tags"] = distinctive_tag_rows(catalog, tags)
 
-    # per-dimension score maps over all items, for cross-dimension correlations
-    dim_scores: dict[str, dict[str, float]] = {dim: {} for dim in by_dimension}
-    per_dim_group_logs: dict[str, dict[str, list[np.ndarray]]] = {
-        dim: {GROUP_A: [], GROUP_B: []} for dim in by_dimension
-    }
-    per_dim_stats: dict[str, dict[str, list[float]]] = {
-        dim: {"bias": [], "median_percentile": []} for dim in by_dimension
-    }
-
-    for (category, dimension), cat_duels in tournaments.items():
-        table = fit_tournament(catalog, cat_duels, category, dimension, config.fit)
-        gs = _group_log_scores(catalog, category, table)
-        point = float(gs[GROUP_B].mean() - gs[GROUP_A].mean())
-        seed = _derived_seed(config.seed, category, dimension)
+    fitted = []
+    for t in tournaments:
+        table = fit_tournament(t, config.fit)
+        log_scores = np.log(table.score_array(t.graph.items))
+        log_a, log_b = (log_scores[g] for g in t.groups)
+        point = float(log_b.mean() - log_a.mean())
+        seed = _derived_seed(config.seed, t.category, t.dimension)
         # one resample gives the item-unit score CI and the rank-curve CIs,
         # the median-percentile CI among them at x = 50
         diffs, boot = bias_mod.resample_two_groups(
-            gs[GROUP_A],
-            gs[GROUP_B],
-            config.bootstrap_replicates,
-            seed,
+            log_a, log_b, config.bootstrap_replicates, seed,
             grid=bias_mod.DEFAULT_RANK_GRID,
         )
         curve_lows, curve_highs = bias_mod.percentile_ci(boot).tolist()
         med_low, med_high = curve_lows[_MEDIAN_COLUMN], curve_highs[_MEDIAN_COLUMN]
-        if config.bootstrap_unit == "duel":
-            refits = refit_bias_replicates(
-                catalog, cat_duels, category, dimension, table, config, seed
-            )
-            low, high = bias_mod.percentile_ci(refits).tolist()
-        else:
-            low, high = bias_mod.percentile_ci(diffs).tolist()
-        median_pct = bias_mod.median_percentile_rank(gs[GROUP_A], gs[GROUP_B])
-        curve = bias_mod.rank_curve(gs[GROUP_A], gs[GROUP_B])
+        if config.bootstrap_unit == "duel":  # the score-bias CI refits duels instead
+            diffs = refit_bias_replicates(t, table, config, seed)
+        low, high = bias_mod.percentile_ci(diffs).tolist()
+        median_pct = bias_mod.median_percentile_rank(log_a, log_b)
+        curve = bias_mod.rank_curve(log_a, log_b)
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
-        bundle["tournaments"][f"{category}/{dimension}"] = {
-            "category": category,
-            "dimension": dimension,
-            "n_duels": len(cat_duels),
+        bundle["tournaments"][f"{t.category}/{t.dimension}"] = {
+            "category": t.category,
+            "dimension": t.dimension,
+            "n_duels": len(t.duels),
             "scores": written_scores(table, config.fit),
             "fit": {
                 "converged": table.converged,
@@ -349,26 +339,23 @@ def run_pipeline(
                 "ci": [med_low, med_high],
                 "significant": med_low > 50.0 or med_high < 50.0,
             },
-            "win_fraction": win_fraction_json(bias_mod.duel_win_fraction(cat_duels)),
+            "win_fraction": win_fraction_json(bias_mod.duel_win_fraction(t.duels)),
             "rank_curve": [
                 {"x": p.x, "y": p.y, "ci": [lo, hi]}
                 for p, lo, hi in zip(curve, curve_lows, curve_highs)
             ],
         }
-        per_dim_stats[dimension]["bias"].append(point)
-        per_dim_stats[dimension]["median_percentile"].append(median_pct)
-        per_dim_group_logs[dimension][GROUP_A].append(gs[GROUP_A])
-        per_dim_group_logs[dimension][GROUP_B].append(gs[GROUP_B])
-        for item, score in table.scores.items():
-            dim_scores[dimension][item] = score
+        fitted.append(_Fitted(t, table, (log_a, log_b), point, median_pct))
 
-    for dimension, dim_duels in by_dimension.items():
+    dimensions = sorted({t.dimension for t in tournaments})
+    for dimension in dimensions:
+        mine = [f for f in fitted if f.tournament.dimension == dimension]
+        dim_duels = [d for f in mine for d in f.tournament.duels]
         outcomes = duel_outcomes_json(
             bias_mod.duel_win_fraction(dim_duels),
             bias_mod.rater_macro_average(dim_duels),
         )
-        pooled_a = np.concatenate(per_dim_group_logs[dimension][GROUP_A])
-        pooled_b = np.concatenate(per_dim_group_logs[dimension][GROUP_B])
+        pooled_a, pooled_b = map(np.concatenate, zip(*(f.log_scores for f in mine)))
         pooled_bias = float(pooled_b.mean() - pooled_a.mean())
         seed = _derived_seed(config.seed, "__pooled__", dimension)
         diffs, _ = bias_mod.resample_two_groups(
@@ -376,21 +363,24 @@ def run_pipeline(
         )
         low, high = bias_mod.percentile_ci(diffs).tolist()
         bound, bound_ci = bias_mod.triangle_lower_bound(pooled_bias, (low, high))
-        stats = per_dim_stats[dimension]
         bundle["pooled"][dimension] = {
-            "mean_category_bias": float(np.mean(stats["bias"])),
-            "mean_median_percentile": float(np.mean(stats["median_percentile"])),
+            "mean_category_bias": float(np.mean([f.point for f in mine])),
+            "mean_median_percentile": float(np.mean([f.median_pct for f in mine])),
             "pooled_score_bias": {"point": pooled_bias, "ci": [low, high]},
             "triangle_lower_bound": {"point": bound, "ci": list(bound_ci)},
             **outcomes,
         }
 
-    if len(by_dimension) >= 2:
-        common = set.intersection(*(set(dim_scores[d]) for d in by_dimension))
+    if len(dimensions) >= 2:
+        # each dimension's scores over all its items, for cross-dimension correlations
+        scores = {
+            d: {i: s for f in fitted if f.tournament.dimension == d
+                for i, s in f.table.scores.items()}
+            for d in dimensions
+        }
+        common = set.intersection(*(set(s) for s in scores.values()))
         if len(common) >= 3:
-            tables = {
-                d: {i: dim_scores[d][i] for i in common} for d in by_dimension
-            }
+            tables = {d: {i: s[i] for i in common} for d, s in scores.items()}
             dims, r, p = bias_mod.score_correlations(tables)
             bundle["score_correlations"] = {
                 "dimensions": list(dims),

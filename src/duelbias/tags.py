@@ -14,6 +14,7 @@ from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
+from .datasets import open_utf8
 from .errors import ReferentialError, ValidationError
 from .records import TagRecord
 from .stats import PValue, chi_square_2x2
@@ -38,14 +39,14 @@ def default_dash_lexicon() -> dict[str, str]:
 
 def load_stopword_prefixes(path) -> frozenset[str]:
     """One prefix word per line, UTF-8."""
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         return frozenset(line.strip().lower() for line in f if line.strip())
 
 
 def load_dash_lexicon(path) -> dict[str, str]:
     """Lines of "variant<TAB>canonical", UTF-8."""
     lexicon = {}
-    with open(path, encoding="utf-8") as f:
+    with open_utf8(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
@@ -224,10 +225,13 @@ def distinctive_tags(
     """Tags most distinctive of group A and of group B, ranked by pointwise
     KL divergence on smoothed probabilities over the union vocabulary.
 
-    Tags with fewer than min_count total mentions are dropped. Each entry
-    carries the 2x2 chi-square statistic (tag vs. rest, group vs. group),
-    its p-value, and star annotations (* <0.05 up to **** <0.0001).
+    Tags with fewer than min_count total mentions are dropped, and at most
+    top_k (at least 1) are kept per group. Each entry carries the 2x2
+    chi-square statistic (tag vs. rest, group vs. group), its p-value, and
+    star annotations (* <0.05 up to **** <0.0001).
     """
+    if top_k < 1:
+        raise ValidationError(f"top_k must be >= 1, got {top_k}")
     if tags_a.total == 0 or tags_b.total == 0:
         raise ValidationError("both tag distributions must be non-empty")
     vocabulary = sorted(set(tags_a.counts) | set(tags_b.counts))

@@ -305,7 +305,9 @@ def dictreader_rows(path, required, column_map, lines, optional=()):
             for col in (*required, *optional):
                 value = raw.get(column_map.get(col, col))
                 if value is None and col in required:
-                    raise ParseError("row has too few fields", line=lineno)
+                    raise ParseError(
+                        "row has too few fields", line=lineno, path=path
+                    )
                 row[col] = value.strip() if value is not None else None
             rows.append((lineno, row))
     return rows
@@ -326,7 +328,7 @@ def dictreader_parse_items(path, column_map, lines):
                 )
             )
         except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+            raise ParseError(exc, line=lineno, path=path) from exc
     try:
         return ItemCatalog(records)
     except ValidationError as exc:
@@ -340,7 +342,7 @@ def dictreader_parse_duels(path, catalog, column_map, lines):
         try:
             duel = DuelRecord(**row)
         except (ValidationError, TypeError) as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+            raise ParseError(exc, line=lineno, path=path) from exc
         if catalog is not None:
             for item in (duel.item_a, duel.item_b):
                 if item not in catalog:
@@ -378,7 +380,7 @@ def dictreader_parse_tags(path, column_map, lines):
                 )
             )
         except ValidationError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from exc
+            raise ParseError(exc, line=lineno, path=path) from exc
     return tags
 
 

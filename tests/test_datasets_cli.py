@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from duelbias import cli, datasets, errors, tournament
 from duelbias.bias import DEFAULT_RANK_GRID, percentile_ci
-from duelbias.choice_model import FitConfig
+from duelbias.choice_model import ComparisonGraph, FitConfig
 from duelbias.cli import main
 from duelbias.datasets import (
     DUEL_COLUMNS,
@@ -37,6 +37,7 @@ from duelbias.pipeline import (
     fit_tournament,
     input_digests,
     run_pipeline,
+    select_tournaments,
     write_report_bundle,
 )
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
@@ -214,6 +215,26 @@ class TestParseErrors:
         with pytest.raises(error, match=f"line {line}: ") as exc:
             parser(path)
         assert getattr(exc.value, "line", line) == line
+
+    @pytest.mark.parametrize("fault", ["record", "short-row"])
+    @pytest.mark.parametrize("kind", sorted(ROW_ERRORS))
+    def test_row_error_names_the_file_then_the_line(self, tmp_path, kind, fault):
+        parser, header, _, bad, _ = self.ROW_ERRORS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(f"{header}\n\n{bad if fault == 'record' else 'x'}\n")
+        with pytest.raises(ParseError) as exc:
+            parser(path)
+        assert exc.value.line == 3
+        assert str(exc.value).startswith(f"{path}: line 3: ")
+        assert str(exc.value).count(str(path)) == 1
+
+    def test_duel_check_error_names_the_file_then_the_line(self, tmp_path):
+        path = tmp_path / "duels.csv"
+        path.write_text(",".join(DUEL_COLUMNS) + "\nd0,pizza,tasty,a1,b1,A,r1\n")
+        catalog = ItemCatalog([ItemRecord("a1", "A", "pizza")])
+        with pytest.raises(ReferentialError) as exc:
+            parse_duels(path, catalog)
+        assert str(exc.value) == f"{path}: line 2: unknown item 'b1'"
 
     def test_valid_rows_around_blank_lines_and_quoted_newlines(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -513,6 +534,27 @@ class TestPipeline:
         # the refitted point estimate should sit inside a sane interval
         assert high - low < 10.0
 
+    def test_duel_unit_run_builds_one_graph_per_tournament(
+        self, fixture_data, monkeypatch
+    ):
+        catalog, duels, _ = fixture_data
+        built = []
+        post_init = ComparisonGraph.__post_init__
+
+        def counting(graph):
+            built.append(graph)
+            post_init(graph)
+
+        monkeypatch.setattr(ComparisonGraph, "__post_init__", counting)
+        config = AnalysisConfig(bootstrap_replicates=100, bootstrap_unit="duel")
+        bundle = run_pipeline(config, catalog, duels)
+        assert len(bundle["tournaments"]) == 4
+        assert len(built) == 4
+
+    def test_config_rejects_too_few_bootstrap_replicates(self):
+        with pytest.raises(ValidationError, match="at least 100 replicates"):
+            AnalysisConfig(bootstrap_replicates=99)
+
     def test_median_percentile_ci_is_rank_curve_ci_at_50(self, fixture_data):
         catalog, duels, tags = fixture_data
         config = self.config()
@@ -662,15 +704,15 @@ class TestPipeline:
 
     def test_fit_tournament_restricts_to_category(self, fixture_data):
         catalog, duels, _ = fixture_data
-        table = fit_tournament(
-            catalog, duels, "pizza", "tasty", AnalysisConfig().fit
-        )
+        [pizza_tasty] = select_tournaments(catalog, duels, ["tasty"], ["pizza"])
+        table = fit_tournament(pizza_tasty, AnalysisConfig().fit)
         assert set(table.scores) == set(catalog.ids(category="pizza"))
 
 
 FIT_ARGS = ["--items", "{items}", "--duels", "{duels}"]
 BIAS_ARGS = [*FIT_ARGS, "--unit", "item", "--bootstrap", "100"]
 SIMULATE_ARGS = ["--items", "8", "--replicates", "1"]
+TAGS_ARGS = ["--items", "{items}", "--tags", "{tags}"]
 
 # every package error and the builtin base it had before the hierarchy was
 # split by exit code
@@ -1027,20 +1069,43 @@ class TestCLI:
             (["fit", *FIT_ARGS, "--column-map", "{tmp}/malformed.json"],
              "malformed.json: not valid JSON"),
             (["freq", "--items", "{tmp}"], "Is a directory"),
+            (["tags", "--items", "{items}", "--tags", "{tmp}/latin1.csv"],
+             "latin1.csv: not UTF-8 text"),
+            (["freq", "--items", "{tmp}/latin1.csv"], "latin1.csv: not UTF-8 text"),
+            (["simulate", *SIMULATE_ARGS, "--config", "{tmp}/latin1.json"],
+             "latin1.json: not UTF-8 text"),
+            (["fit", *FIT_ARGS, "--column-map", "{tmp}/latin1.json"],
+             "latin1.json: not UTF-8 text"),
+            (["tags", *TAGS_ARGS, "--stopwords", "{tmp}/latin1.txt"],
+             "latin1.txt: not UTF-8 text"),
+            (["tags", *TAGS_ARGS, "--lexicon", "{tmp}/latin1.txt"],
+             "latin1.txt: not UTF-8 text"),
+            (["tags", *TAGS_ARGS, "--top-k", "0"], "top_k must be >= 1, got 0"),
+            (["tags", *TAGS_ARGS, "--top-k", "-1"], "top_k must be >= 1, got -1"),
+            (["bias", *FIT_ARGS, "--unit", "duel", "--bootstrap", "50"],
+             "bootstrap needs at least 100 replicates"),
         ],
         ids=["fit-tolerance-inf", "bias-tolerance-inf", "bias-alpha-nan",
              "bias-alpha-inf", "simulate-rater-noise-nan", "simulate-no-budgets",
              "simulate-negative-seed", "design-negative-seed", "malformed-config",
-             "malformed-column-map", "items-directory"],
+             "malformed-column-map", "items-directory", "non-utf8-tags",
+             "non-utf8-items", "non-utf8-config", "non-utf8-column-map",
+             "non-utf8-stopwords", "non-utf8-lexicon", "tags-top-k-0",
+             "tags-top-k-negative", "bias-duel-bootstrap-50"],
     )
     def test_bad_setting_or_unreadable_input_exits_2(
         self, paths, capsys, command, message
     ):
-        (items, duels, _), tmp_path = paths
+        (items, duels, tags), tmp_path = paths
         (tmp_path / "budgets.json").write_text(json.dumps({"budgets": []}))
         (tmp_path / "malformed.json").write_text('{"alpha": 0.5,')
+        # byte 0xff never occurs in UTF-8
+        (tmp_path / "latin1.csv").write_bytes(b"item_id,group,category\nx\xff,A,p\n")
+        (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xff"}')
+        (tmp_path / "latin1.txt").write_bytes(b"\xff\tthe\n")
         args = [
-            a.format(items=items, duels=duels, tmp=tmp_path) for a in command
+            a.format(items=items, duels=duels, tags=tags, tmp=tmp_path)
+            for a in command
         ]
         out = tmp_path / "out"
         assert main([*args, "--output-dir", str(out)]) == 2

@@ -2,6 +2,7 @@
 replaced (``oracles.loop_refit_bias_replicates``)."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 
 from duelbias.bias import percentile_ci
 from duelbias.choice_model import SUM_ONE, FitConfig
+from duelbias.cli import main
+from duelbias.datasets import write_duels, write_items
 from duelbias.errors import UnstableBootstrapError
 from duelbias import pipeline
 from duelbias.pipeline import (
@@ -17,6 +20,7 @@ from duelbias.pipeline import (
     fit_tournament,
     refit_bias_replicates,
     run_pipeline,
+    select_tournaments,
 )
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord
 from oracles import loop_refit_bias_replicates
@@ -52,16 +56,16 @@ def tournament(seed, n_side=4, n_duels=200, sparse_outcomes=""):
 
 
 def batched(catalog, duels, config, seed):
-    point = fit_tournament(catalog, duels, "pizza", "tasty", config.fit)
-    return refit_bias_replicates(
-        catalog, duels, "pizza", "tasty", point, config, seed
-    )
+    [pizza_tasty] = select_tournaments(catalog, duels)
+    point = fit_tournament(pizza_tasty, config.fit)
+    return refit_bias_replicates(pizza_tasty, point, config, seed)
 
 
 def per_replicate(catalog, duels, config, seed):
     """The refits as the pipeline ran them before: warm-started from the
     point fit's scores."""
-    point = fit_tournament(catalog, duels, "pizza", "tasty", config.fit)
+    [pizza_tasty] = select_tournaments(catalog, duels)
+    point = fit_tournament(pizza_tasty, config.fit)
     return loop_refit_bias_replicates(
         catalog, duels, "pizza", "tasty", config.fit, config.bootstrap_replicates,
         seed, point.scores,
@@ -83,9 +87,9 @@ class TestRefitBiasReplicates:
 
     @pytest.mark.parametrize("block_duels", [1, 450, 2**16])
     def test_weights_are_the_per_replicate_draws(self, monkeypatch, block_duels):
-        # 200 duels: blocks of 1, of 2 (the last one short) and of all 23
+        # 200 duels: blocks of 1, of 2 (the last one short) and of all 101
         catalog, duels = tournament(3)
-        config = AnalysisConfig(bootstrap_replicates=23)
+        config = AnalysisConfig(bootstrap_replicates=101)
         seen = []
         fit_duel_arrays = pipeline.fit_duel_arrays
 
@@ -100,7 +104,7 @@ class TestRefitBiasReplicates:
         rng = np.random.default_rng(9)
         expected = [
             np.bincount(rng.integers(0, 200, size=200), minlength=200)
-            for _ in range(23)
+            for _ in range(101)
         ]
         assert np.array_equal(np.concatenate(seen), np.stack(expected))
 
@@ -140,9 +144,37 @@ class TestRefitBiasReplicates:
         assert failures > 20 and discards["UnidentifiableItemsError"] > 0
         with pytest.raises(
             UnstableBootstrapError,
-            match=f"^{failures} of 200 bootstrap replicates failed$",
+            match=(
+                f"^category 'pizza', dimension 'tasty': {failures} of 200 "
+                "bootstrap replicates failed$"
+            ),
         ):
             batched(catalog, duels, config, 0)
+
+    def test_unstable_refit_names_its_tournament_once(self, tmp_path, capsys):
+        catalog, duels = tournament(0, sparse_outcomes="AB")
+        config = AnalysisConfig(
+            bootstrap_replicates=200, fit=FitConfig(regularization_alpha=0.0)
+        )
+        message = (
+            r"category 'pizza', dimension 'tasty': \d+ of 200 bootstrap "
+            "replicates failed"
+        )
+        with pytest.raises(UnstableBootstrapError, match=f"^{message}$"):
+            run_pipeline(config, catalog, duels)
+
+        items_path, duels_path = tmp_path / "items.csv", tmp_path / "duels.csv"
+        write_items(items_path, catalog)
+        write_duels(duels_path, duels)
+        out = tmp_path / "out"
+        rc = main(
+            ["bias", "--items", str(items_path), "--duels", str(duels_path),
+             "--alpha", "0", "--unit", "duel", "--bootstrap", "200",
+             "--output-dir", str(out)]
+        )
+        assert rc == 3
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_pipeline_ci_is_percentile_ci_of_per_replicate_refits(self):
         catalog, duels = tournament(7, n_side=10, n_duels=100)

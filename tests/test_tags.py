@@ -215,7 +215,14 @@ class TestDistinctiveTags:
         dist = TagDistribution.from_tags(["fresh"] * 6)
         with pytest.raises(ValidationError, match="'fresh'"):
             distinctive_tags(dist, dist)
-        assert distinctive_tags(dist, dist, top_k=0) == ([], [])
+        # a tag that is not kept is not tested
+        assert distinctive_tags(dist, dist, min_count=13) == ([], [])
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_1_rejected(self, top_k):
+        dist = TagDistribution.from_tags(["fresh"] * 6 + ["crisp"] * 6)
+        with pytest.raises(ValidationError, match=f"top_k must be >= 1, got {top_k}"):
+            distinctive_tags(dist, dist, top_k=top_k)
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValidationError):
@@ -312,7 +319,7 @@ class TestTagOracle:
         boundary = totals[len(totals) // 2]
         vocabulary = len(vocabulary)
         for min_count in (boundary, boundary + 1):
-            for top_k in (0, 1, 20, vocabulary + 5):
+            for top_k in (1, 20, vocabulary + 5):
                 got = distinctive_tags(a, b, top_k=top_k, min_count=min_count)
                 want = all_rows_distinctive_tags(a, b, top_k, min_count)
                 assert [self.details(rows) for rows in got] == [
