@@ -12,7 +12,9 @@ least once, so every output writer; ``bias`` and ``simulate`` also with
 their settings in a ``--config`` file, ``fit`` and ``bias`` also with
 ``--normalization sum-one``; one ``bias`` run that must fail), and prints
 for every output file whether the two trees' files are identical, and
-for every run whether the two trees' exit codes and stderr are. It exits
+for every run whether the two trees' exit codes and stderr are, and each
+tree's peak RSS (the child's ``ru_maxrss``, read with ``os.wait4``;
+reported only, never a failure). It exits
 1 if any file, exit code or stderr differs, a file is missing from one
 side, or a run exits otherwise than expected.
 """
@@ -99,13 +101,17 @@ def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
     return out
 
 
-def run(tree: str, args: list[str], cwd: str) -> tuple[int, str]:
-    """The run's exit code and stderr."""
+def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float]:
+    """The run's exit code, stderr and peak RSS in MiB."""
     env = dict(os.environ, PYTHONPATH=tree)
-    done = subprocess.run([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
+    with subprocess.Popen([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
                           env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
-    return done.returncode, done.stderr
+                          stderr=subprocess.PIPE, text=True) as child:
+        err = child.stderr.read()
+        # the child's own resource usage; ru_maxrss is in KiB on Linux
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, err, usage.ru_maxrss / 1024
 
 
 def generate(tree: str, out: str, seed: int, extra=()) -> None:
@@ -134,17 +140,21 @@ def main() -> int:
         generate(trees["old"], demo, 0)
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
         for name, cli_args in commands(demo, large, tmp).items():
-            outs, ends = {}, {}
+            outs, ends, rss = {}, {}, {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)
-                ends[side] = run(tree, [*cli_args, "--output-dir", outs[side]], tmp)
-                code = ends[side][0]
+                code, err, rss[side] = run(
+                    tree, [*cli_args, "--output-dir", outs[side]], tmp
+                )
+                ends[side] = code, err
                 if code != EXPECTED_EXIT.get(name, 0):
                     print(f"{name}: FAILED with the {side} tree (exit {code})")
                     ok = False
             same = ends["old"] == ends["new"]
             ok = ok and same
             print(f"{name}: exit code and stderr {'identical' if same else 'DIFFER'}")
+            print(f"{name}: peak RSS old {rss['old']:.1f} MiB, "
+                  f"new {rss['new']:.1f} MiB")
             for side, (code, err) in ends.items() if not same else ():
                 print(f"  {side}: exit {code}, stderr {err!r}")
             # a missing output directory walks as empty

@@ -160,8 +160,14 @@ def bootstrap_ci(
 
 def percentile_ci(values) -> np.ndarray:
     """Percentile 95% interval of bootstrap values along the first axis:
-    row 0 holds the lows, row 1 the highs."""
-    return np.percentile(values, [2.5, 97.5], axis=0)
+    row 0 holds the lows, row 1 the highs. The bits of
+    ``np.percentile(values, [2.5, 97.5], axis=0)``, read from the sorted
+    values (see ``_sorted_percentiles``), except that a column mixing -0.0
+    and 0.0 may give a zero of the other sign: the sort and numpy's
+    partition may order the two differently."""
+    values = np.sort(np.asarray(values, dtype=float), axis=0)
+    rows = values.reshape(len(values), -1).T
+    return _sorted_percentiles(rows, (2.5, 97.5)).T.reshape(2, *values.shape[1:])
 
 
 def resample_two_groups(
@@ -285,7 +291,9 @@ def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     n - 1, the weight as the virtual index minus the lower neighbour's
     index, and the interpolation of numpy's ``_lerp``, which switches to
     b - (b - a) * (1 - g) where g >= 0.5. The same operations in the same
-    order give the same bits, signed zeros included.
+    order give the same bits, signed zeros included; a row that holds NaN
+    gives its last value, NaN, as numpy does. numpy's own call would also
+    load ``numpy.ma``, which nothing else here needs.
     """
     n = rows.shape[1]
     virtual = (n - 1) * (np.asarray(grid, dtype=float) / 100)
@@ -299,6 +307,7 @@ def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     diff = b - a
     out = a + diff * gamma
     np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    np.copyto(out, rows[:, -1:], where=np.isnan(rows[:, -1:]))
     return out
 
 
@@ -312,8 +321,12 @@ def median_percentile_rank(
     """
     if len(scores_a) == 0 or len(scores_b) == 0:
         raise ValidationError("both groups must be non-empty")
-    median_b = float(np.median(np.asarray(scores_b, dtype=float)))
-    return percentile_rank(median_b, scores_a)
+    b = np.sort(np.asarray(scores_b, dtype=float))
+    # np.median's bits without its load of numpy.ma: the mean of the middle
+    # value or the two middle values, or the last value if it is NaN
+    n = len(b)
+    median_b = b[-1] if np.isnan(b[-1]) else b[(n - 1) // 2 : n // 2 + 1].mean()
+    return percentile_rank(float(median_b), scores_a)
 
 
 def rank_curve(
@@ -328,7 +341,8 @@ def rank_curve(
         raise ValidationError("both groups must be non-empty")
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
-    ys = midpoint_ranks(np.percentile(b, grid), np.sort(a))
+    percentiles = _sorted_percentiles(np.sort(b)[None], grid)[0]
+    ys = midpoint_ranks(percentiles, np.sort(a))
     return tuple(RankCurvePoint(float(x), float(y)) for x, y in zip(grid, ys))
 
 

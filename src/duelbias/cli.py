@@ -10,7 +10,8 @@ Subcommands:
     freq       category frequency comparison
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
-For simulate, fit and bias, flags override values from --config (JSON);
+For simulate, fit and bias, flags override values from --config (JSON),
+and fit and bias check every setting before they read any input file;
 DUELBIAS_OUTPUT_DIR sets the default output directory.
 """
 
@@ -159,10 +160,10 @@ def _column_map(args):
 
 def cmd_fit(args) -> None:
     cfg = _load_config_defaults(args.config)
+    fit_config = _fit_config(args, cfg)
     column_map = _column_map(args)
     catalog = parse_items(args.items, column_map)
     duels = parse_duels(args.duels, catalog, column_map)
-    fit_config = _fit_config(args, cfg)
     tournaments = select_tournaments(catalog, duels, args.dimension, args.category)
     # fit every tournament before writing, so an unconverged one leaves no
     # scores behind
@@ -186,10 +187,6 @@ def cmd_fit(args) -> None:
 
 def cmd_bias(args) -> None:
     cfg = _load_config_defaults(args.config)
-    column_map = _column_map(args)
-    catalog = parse_items(args.items, column_map)
-    duels = parse_duels(args.duels, catalog, column_map)
-    tags = parse_tags(args.tags, column_map) if args.tags else None
     d = AnalysisConfig()
     config = AnalysisConfig(
         dimensions=tuple(args.dimension) if args.dimension else None,
@@ -201,6 +198,10 @@ def cmd_bias(args) -> None:
         seed=_merged(args, cfg, "seed", d.seed, int),
         fit=_fit_config(args, cfg),
     )
+    column_map = _column_map(args)
+    catalog = parse_items(args.items, column_map)
+    duels = parse_duels(args.duels, catalog, column_map)
+    tags = parse_tags(args.tags, column_map) if args.tags else None
     bundle = run_pipeline(config, catalog, duels, tags)
     for path in write_report_bundle(bundle, _output_dir(args)):
         print(path)

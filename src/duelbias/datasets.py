@@ -22,10 +22,11 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
+from .records import CheckedDuels, DuelRecord, ItemCatalog, ItemRecord, TagRecord
 
 ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
 DUEL_COLUMNS = (
@@ -38,6 +39,8 @@ DUEL_COLUMNS = (
     "rater_id",
 )
 TAG_COLUMNS = ("duel_id", "item_id", "rater_id", "raw_tag")
+# rows of a CSV file read before their values go to the columns
+_CHUNK_ROWS = 1024
 
 
 @contextmanager
@@ -77,8 +80,12 @@ def _read_columns(path, required, column_map, optional=()):
     stripped values per column, in the order ``required`` then
     ``optional``. Blank rows are skipped. An optional value is None where
     the file has no such column or the row ends before it; a row that ends
-    before a required column raises ParseError. A header name given twice
-    maps to its last column.
+    before a required column raises ParseError, once the whole file has
+    been read. A header name given twice maps to its last column.
+
+    Rows are read ``_CHUNK_ROWS`` at a time, and each column holds one
+    string object per distinct value: crowd logs repeat most of their
+    fields, so a file's columns take little more memory than its records.
     """
     column_map = column_map or {}
     with open_utf8(path, newline="") as f:
@@ -92,27 +99,49 @@ def _read_columns(path, required, column_map, optional=()):
                 raise ParseError(
                     f"{path}: missing required column {column_map.get(col, col)!r}"
                 )
-        rows, lines = [], []
-        start = reader.line_num + 1
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(start)
-            start = reader.line_num + 1
-    indices = [position[column_map.get(col, col)] for col in required]
-    width = max(indices) + 1
-    if rows and min(map(len, rows)) < width:
-        k = next(k for k, row in enumerate(rows) if len(row) < width)
-        raise ParseError("row has too few fields", line=lines[k], path=path)
-    columns = [[row[j].strip() for row in rows] for j in indices]
-    for col in optional:
-        j = position.get(column_map.get(col, col))
-        columns.append(
-            [None] * len(rows)
-            if j is None
-            else [row[j].strip() if j < len(row) else None for row in rows]
-        )
+        indices = [position[column_map.get(col, col)] for col in required]
+        width = max(indices) + 1
+        indices += [position.get(column_map.get(col, col)) for col in optional]
+        columns = [[] for _ in indices]
+        distinct = [{} for _ in indices]  # per column, each value's one string
+        lines, short = [], None
+        for rows in _row_chunks(reader, lines):
+            if short is not None:
+                continue  # read on: a byte that is not UTF-8 still comes first
+            if min(map(len, rows)) < width:
+                k = next(k for k, row in enumerate(rows) if len(row) < width)
+                line = lines[len(lines) - len(rows) + k]
+                short = ParseError("row has too few fields", line=line, path=path)
+                continue
+            for values, j, seen in zip(columns, indices, distinct):
+                if j is None:
+                    values.extend([None] * len(rows))
+                    continue
+                if j < width:
+                    fields = list(map(str.strip, map(itemgetter(j), rows)))
+                else:
+                    fields = [row[j].strip() if j < len(row) else None for row in rows]
+                values.extend(map(seen.setdefault, fields, fields))
+    if short is not None:
+        raise short
     return lines, columns
+
+
+def _row_chunks(reader, lines):
+    """The non-blank rows of ``reader`` in lists of up to ``_CHUNK_ROWS``,
+    appending to ``lines`` the file line on which each row starts."""
+    rows = []
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(start)
+            if len(rows) == _CHUNK_ROWS:
+                yield rows
+                rows = []
+        start = reader.line_num + 1
+    if rows:
+        yield rows
 
 
 def _build_records(path, record_type, columns, lines, check=None):
@@ -158,10 +187,13 @@ def parse_duels(
     column_map: Mapping[str, str] | None = None,
 ) -> list[DuelRecord]:
     """Read duel records. With a catalog, each duel must pass
-    ``catalog.check_duel``; without one, only structural checks apply."""
+    ``catalog.check_duel``, and the list is a ``CheckedDuels`` marked with
+    the catalog; without one, only structural checks apply."""
     lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    check = catalog.check_duel if catalog is not None else None
-    return _build_records(path, DuelRecord, columns, lines, check)
+    if catalog is None:
+        return _build_records(path, DuelRecord, columns, lines)
+    duels = _build_records(path, DuelRecord, columns, lines, catalog.check_duel)
+    return CheckedDuels(duels, catalog)
 
 
 def parse_tags(path, column_map: Mapping[str, str] | None = None) -> list[TagRecord]:

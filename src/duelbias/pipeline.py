@@ -17,7 +17,8 @@ from .choice_model import GEOMETRIC_MEAN_ONE, SUM_ONE, ComparisonGraph, FitConfi
 from .choice_model import ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
-from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog, TagRecord
+from .records import GROUP_A, GROUP_B, CheckedDuels, DuelRecord, ItemCatalog
+from .records import TagRecord
 from .stats import PValue
 
 # duel multiplicities held per block of refitted bootstrap replicates;
@@ -277,15 +278,17 @@ def run_pipeline(
     """Run every analysis and return a JSON-serializable report bundle.
 
     Every duel must pass ``catalog.check_duel``; an error names the duel.
-    The bundle is a pure function of (inputs, config): identical inputs
-    and seed give a byte-identical serialization.
+    Duels that ``parse_duels`` checked against this catalog are not
+    checked again. The bundle is a pure function of (inputs, config):
+    identical inputs and seed give a byte-identical serialization.
     """
-    for d in duels:
-        try:
-            catalog.check_duel(d)
-        except ValidationError as exc:
-            exc.args = (f"duel {d.duel_id!r}: {exc}",)
-            raise
+    if not (isinstance(duels, CheckedDuels) and duels.catalog is catalog):
+        for d in duels:
+            try:
+                catalog.check_duel(d)
+            except ValidationError as exc:
+                exc.args = (f"duel {d.duel_id!r}: {exc}",)
+                raise
 
     tournaments = select_tournaments(
         catalog, duels, config.dimensions, config.categories

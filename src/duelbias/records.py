@@ -12,7 +12,7 @@ GROUP_B = "B"
 GROUPS = (GROUP_A, GROUP_B)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemRecord:
     item_id: str
     group: str
@@ -91,7 +91,7 @@ class ItemCatalog:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DuelRecord:
     """One pairwise comparison; item_a is from group A, item_b from group B."""
 
@@ -121,7 +121,37 @@ class DuelRecord:
         return self.item_b if self.winner == GROUP_A else self.item_a
 
 
-@dataclass(frozen=True)
+class CheckedDuels(list):
+    """Duel records, each of which passed ``catalog.check_duel``, so that a
+    later stage given the same catalog need not check them again. A change
+    that could put an unchecked duel in the list sets ``catalog`` to None."""
+
+    def __init__(self, duels: Iterable[DuelRecord], catalog: ItemCatalog):
+        super().__init__(duels)
+        self.catalog: ItemCatalog | None = catalog
+
+    def __setitem__(self, index, value):
+        self.catalog = None
+        super().__setitem__(index, value)
+
+    def __iadd__(self, other):
+        self.catalog = None
+        return super().__iadd__(other)
+
+    def append(self, duel):
+        self.catalog = None
+        super().append(duel)
+
+    def extend(self, duels):
+        self.catalog = None
+        super().extend(duels)
+
+    def insert(self, index, duel):
+        self.catalog = None
+        super().insert(index, duel)
+
+
+@dataclass(frozen=True, slots=True)
 class TagRecord:
     duel_id: str
     item_id: str

@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .datasets import open_utf8
-from .errors import ReferentialError, ValidationError
+from .errors import ParseError, ReferentialError, ValidationError
 from .records import TagRecord
 from .stats import PValue, chi_square_2x2
 
@@ -53,8 +53,8 @@ def load_dash_lexicon(path) -> dict[str, str]:
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected 'variant<TAB>canonical'"
+                raise ParseError(
+                    "expected 'variant<TAB>canonical'", line=lineno, path=path
                 )
             lexicon[parts[0].strip().lower()] = parts[1].strip().lower()
     return lexicon

@@ -14,6 +14,7 @@ from duelbias.bias import (
     duel_win_fraction,
     frequency_divergence,
     median_percentile_rank,
+    percentile_ci,
     rank_curve,
     rater_macro_average,
     resample_two_groups,
@@ -23,6 +24,7 @@ from duelbias.bias import (
 )
 from duelbias.errors import UnstableBootstrapError, ValidationError
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord
+from duelbias.stats import midpoint_ranks, percentile_rank
 from oracles import loop_resample_two_groups
 
 
@@ -115,6 +117,28 @@ class TestScoreBias:
             score_bias([], [1.0])
 
 
+def _numpy_cases(seed, count=200):
+    """Value arrays of 1 to 40 rows and 1 to 3 columns, rounded so that they
+    hold ties, some with NaN, inf, -inf or huge values, and none mixing
+    -0.0 with 0.0 (the sort and numpy's partition may order those apart)."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n, k = int(rng.integers(1, 41)), int(rng.integers(1, 4))
+        values = np.round(rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 3), 2)
+        if t % 3 == 0:
+            special = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+            values[rng.integers(n), rng.integers(k)] = rng.choice(special)
+        values[values == 0] = -0.0 if t % 2 else 0.0
+        yield values
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return np.array_equal(x, y, equal_nan=True) and np.array_equal(
+        np.signbit(x), np.signbit(y)
+    )
+
+
 class TestBootstrapCI:
     def test_deterministic_for_seed(self):
         data = list(np.random.default_rng(0).normal(size=40))
@@ -162,6 +186,15 @@ class TestBootstrapCI:
             bootstrap_ci([1, 2, 3], np.mean, replicates=50)
 
 
+class TestPercentileCI:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_equal_to_numpy_percentile(self):
+        for values in _numpy_cases(0):
+            for v in (values, values[:, 0], list(values[:, 0])):
+                want = np.percentile(v, [2.5, 97.5], axis=0)
+                assert _same_bits(percentile_ci(v), want), v
+
+
 class TestMedianPercentileRank:
     def test_identical_distributions_near_50(self):
         xs = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -176,6 +209,16 @@ class TestMedianPercentileRank:
     def test_hand_example(self):
         # median of B is 3.5; two of four A-scores lie below it
         assert median_percentile_rank([1, 2, 4, 5], [3, 4]) == 50.0
+
+    def test_median_has_numpy_bits(self):
+        a = [-1.0, 0.1, 0.2, 0.30000000000000004, 2.0]
+        for b in _numpy_cases(1):
+            b = b[:, 0]
+            want = percentile_rank(float(np.median(b)), a)
+            assert _same_bits(median_percentile_rank(a, b), want), b
+        # the two middle values' mean rounds: 0.1 + 0.2 is not 0.3
+        assert median_percentile_rank(a, [0.1, 0.2]) == percentile_rank(0.15, a)
+        assert median_percentile_rank(a, [5.0, 0.2, 0.1, -3.0]) == 40.0
 
 
 class TestRankCurve:
@@ -209,6 +252,15 @@ class TestRankCurve:
             b = rng.normal(size=17)
             (point,) = rank_curve(a, b, grid=(50,))
             assert point.y == pytest.approx(median_percentile_rank(a, b))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_percentiles_have_numpy_bits(self):
+        a = np.linspace(-3, 3, 11)
+        grid = (0, 2.5, 10, 33.3, 50, 90, 100)
+        for b in _numpy_cases(2):
+            want = midpoint_ranks(np.percentile(b[:, 0], grid), a)
+            got = [p.y for p in rank_curve(a, b[:, 0], grid)]
+            assert _same_bits(got, want), b
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

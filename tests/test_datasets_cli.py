@@ -1,7 +1,14 @@
+import copy
 import csv
+import dataclasses
+import gc
 import io
 import json
 import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +47,8 @@ from duelbias.pipeline import (
     select_tournaments,
     write_report_bundle,
 )
-from duelbias.records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
+from duelbias.records import CheckedDuels, DuelRecord, ItemCatalog, ItemRecord
+from duelbias.records import TagRecord
 from oracles import (
     dictreader_parse_duels,
     dictreader_parse_items,
@@ -122,6 +130,40 @@ class TestRoundTrips:
         path = tmp_path / "tags.csv"
         write_tags(path, tags)
         assert parse_tags(path) == tags
+
+
+class TestRecords:
+    RECORDS = [
+        ItemRecord("a1", "A", "pizza"),
+        ItemRecord("b1", "B", "pizza", "ref/1"),
+        DuelRecord("d0", "pizza", "tasty", "a1", "b1", "A", "r1"),
+        TagRecord("d0", "a1", "r1", "fresh"),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_frozen_slotted_values(self, record):
+        field = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, "x")
+        assert not hasattr(record, "__dict__")
+        twin = type(record)(*dataclasses.astuple(record))
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        assert record != dataclasses.replace(record, **{field: "other"})
+        for again in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                      copy.deepcopy(record)):
+            assert again == record and type(again) is type(record)
+
+    def test_constructor_and_rules_unchanged(self):
+        item = ItemRecord(item_id="a1", group="A", category="pizza")
+        assert item.external_ref is None
+        with pytest.raises(ValidationError, match="group must be one of"):
+            ItemRecord("a1", "C", "pizza")
+        with pytest.raises(ValidationError, match="item dueled itself"):
+            DuelRecord("d0", "pizza", "tasty", "a1", "a1", "A", "r1")
+        with pytest.raises(ValidationError, match="is empty"):
+            TagRecord("d0", "a1", "r1", "  ")
 
 
 class TestParseErrors:
@@ -227,6 +269,80 @@ class TestParseErrors:
         assert exc.value.line == 3
         assert str(exc.value).startswith(f"{path}: line 3: ")
         assert str(exc.value).count(str(path)) == 1
+
+    def test_columns_hold_one_string_per_distinct_value(self, tmp_path):
+        duels = self.write(tmp_path, "duels.csv", [
+            DUEL_COLUMNS,
+            ["d0", "pizza", "tasty", "a1", "b1", "A", "rater-1"],
+            ["d1", "pizza", "tasty", "a2", "b1", "B", "rater-1"],
+        ])
+        first, second = parse_duels(duels)
+        for name in ("category", "dimension", "item_b", "rater_id"):
+            assert getattr(first, name) is getattr(second, name), name
+        items = self.write(tmp_path, "items.csv", [
+            ITEM_COLUMNS, ["a1", "A", "pizza", "ref/x"], ["b1", "B", " pizza", "ref/x"],
+        ])
+        first, second = parse_items(items).records
+        assert first.category is second.category
+        assert first.external_ref is second.external_ref
+        tags = self.write(tmp_path, "tags.csv", [
+            TAG_COLUMNS, ["d0", "a1", "rater-1", "fresh"], ["d0", "b1", "rater-1", "x"],
+        ])
+        first, second = parse_tags(tags)
+        assert first.duel_id is second.duel_id
+        assert first.rater_id is second.rater_id
+
+    # a valid duel row, and one that fails each way
+    GOOD_DUEL = "d{k},pizza,tasty,a-pizza-0,b-pizza-1,B,r1"
+    BAD_WINNER = "d{k},pizza,tasty,a-pizza-0,b-pizza-1,X,r1"
+    GHOST_ITEM = "d{k},pizza,tasty,ghost,b-pizza-1,B,r1"
+    SHORT = "d{k},pizza"
+
+    def write_duel_rows(self, tmp_path, rows, tail=b""):
+        path = tmp_path / "duels.csv"
+        lines = [",".join(DUEL_COLUMNS), *(r.format(k=k) for k, r in enumerate(rows))]
+        path.write_bytes("\n".join(lines).encode() + b"\n" + tail)
+        return path
+
+    @pytest.fixture()
+    def chunks_of_3(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_CHUNK_ROWS", 3)
+
+    def test_short_row_after_first_chunk_wins(self, tmp_path, chunks_of_3):
+        # a record error in chunk 1 (line 3), a short row in chunk 2 (line 7)
+        rows = [self.GOOD_DUEL, self.BAD_WINNER, *[self.GOOD_DUEL] * 3, self.SHORT]
+        path = self.write_duel_rows(tmp_path, rows)
+        with pytest.raises(ParseError) as exc:
+            parse_duels(path)
+        assert str(exc.value) == f"{path}: line 7: row has too few fields"
+        assert exc.value.line == 7
+
+    def test_non_utf8_byte_after_short_row_wins(self, tmp_path, chunks_of_3):
+        # the byte lies past the first read of the decoder, many chunks on
+        rows = [self.GOOD_DUEL, self.SHORT, *[self.GOOD_DUEL] * 1000]
+        path = self.write_duel_rows(tmp_path, rows, tail=b"d\xff,pizza\n")
+        assert path.stat().st_size > 4 * io.DEFAULT_BUFFER_SIZE
+        with pytest.raises(ValidationError) as exc:
+            parse_duels(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte"
+
+    def test_record_error_in_later_chunk(self, tmp_path, fixture_data, chunks_of_3):
+        catalog, _, _ = fixture_data
+        rows = [*[self.GOOD_DUEL] * 7, self.BAD_WINNER, self.GHOST_ITEM]
+        path = self.write_duel_rows(tmp_path, rows)
+        with pytest.raises(ParseError) as exc:
+            parse_duels(path, catalog)
+        assert str(exc.value) == (
+            f"{path}: line 9: duel 'd7': winner must be one of ('A', 'B'), got 'X'"
+        )
+        assert exc.value.line == 9
+        # the check error of an earlier chunk wins over a later record error
+        rows = [*[self.GOOD_DUEL] * 4, self.GHOST_ITEM, *[self.GOOD_DUEL] * 2,
+                self.BAD_WINNER]
+        path = self.write_duel_rows(tmp_path, rows)
+        with pytest.raises(ReferentialError) as exc:
+            parse_duels(path, catalog)
+        assert str(exc.value) == f"{path}: line 6: unknown item 'ghost'"
 
     def test_duel_check_error_names_the_file_then_the_line(self, tmp_path):
         path = tmp_path / "duels.csv"
@@ -413,19 +529,22 @@ class TestParserOracle:
         return tmp_path_factory.mktemp("oracle")
 
     @settings(max_examples=300, deadline=None)
-    @given(csv_files())
-    def test_same_records_and_errors(self, workdir, case):
+    @given(csv_files(), st.sampled_from([1, 2, 3, datasets._CHUNK_ROWS]))
+    def test_same_records_and_errors(self, workdir, case, chunk_rows):
         kind, text, column_map, with_catalog, lines = case
         path = workdir / f"{kind}.csv"
         path.write_bytes(text.encode())
         _, parse, oracle = _ORACLE_LAYOUTS[kind]
-        if kind == "duels":
-            catalog = _ORACLE_CATALOG if with_catalog else None
-            got = _outcome(parse, path, catalog, column_map)
-            expected = _outcome(oracle, path, catalog, column_map, lines)
-        else:
-            got = _outcome(parse, path, column_map)
-            expected = _outcome(oracle, path, column_map, lines)
+        with pytest.MonkeyPatch.context() as patch:
+            # rows read per chunk: the oracle reads the file whole
+            patch.setattr(datasets, "_CHUNK_ROWS", chunk_rows)
+            if kind == "duels":
+                catalog = _ORACLE_CATALOG if with_catalog else None
+                got = _outcome(parse, path, catalog, column_map)
+                expected = _outcome(oracle, path, catalog, column_map, lines)
+            else:
+                got = _outcome(parse, path, column_map)
+                expected = _outcome(oracle, path, column_map, lines)
         assert got == expected
 
 
@@ -661,6 +780,37 @@ class TestPipeline:
         assert str(parsed.value).removeprefix(prefix) in str(piped.value)
         assert "'dx'" in str(piped.value)
 
+    @pytest.mark.parametrize(
+        "change", ["append", "extend", "insert", "setitem", "iadd", "other-catalog"]
+    )
+    def test_parsed_duels_checked_again_after_a_change(
+        self, fixture_data, tmp_path, change
+    ):
+        catalog, duels, _ = fixture_data
+        path = tmp_path / "duels.csv"
+        write_duels(path, duels)
+        parsed = parse_duels(path, catalog)
+        assert isinstance(parsed, CheckedDuels) and parsed.catalog is catalog
+        swapped = DuelRecord("dx", "pizza", "tasty", "b-pizza-0", "a-pizza-0", "A", "r")
+        message = "^duel 'dx': item_a must be group A"
+        if change == "append":
+            parsed.append(swapped)
+        elif change == "extend":
+            parsed.extend([swapped])
+        elif change == "insert":
+            parsed.insert(0, swapped)
+        elif change == "setitem":
+            parsed[1:2] = [swapped]
+        elif change == "iadd":
+            parsed += [swapped]
+        else:
+            missing = duels[0].item_a
+            catalog = ItemCatalog(r for r in catalog.records if r.item_id != missing)
+            message = f"^duel 'd0': unknown item '{missing}'"
+        assert parsed.catalog is None or parsed.catalog is not catalog
+        with pytest.raises(ValidationError, match=message):
+            run_pipeline(self.config(), catalog, parsed)
+
     def test_statistics_do_not_depend_on_the_gauge(self, fixture_data):
         # half of group A's pizza items dropped: the groups' category mixes
         # differ, so a per-tournament gauge would shift the pooled numbers
@@ -727,6 +877,66 @@ ERROR_BUILTIN_BASES = {
     "UnstableBootstrapError": RuntimeError,
     "NumericalError": RuntimeError,
 }
+
+
+@pytest.fixture(scope="module")
+def large_set(tmp_path_factory):
+    """Paths of an items and a duels file shaped like the benchmark's large
+    set: 2,000 items, 5 categories, 2 dimensions, 10 duels per item in each
+    (category, dimension) tournament, 7 raters; 20,000 duels."""
+    rng = np.random.default_rng(1)
+    categories, per_side = ("pizza", "salad", "burger", "pasta", "soup"), 200
+    items = [
+        ItemRecord(f"{g.lower()}-{c}-{i}", g, c)
+        for c in categories for g in ("A", "B") for i in range(per_side)
+    ]
+    duels = []
+    for c in categories:
+        for dim in ("tasty", "healthy"):
+            for _ in range(10):
+                for i, j in enumerate(rng.permutation(per_side)):
+                    k = len(duels)
+                    duels.append(DuelRecord(
+                        f"d{k}", c, dim, f"a-{c}-{i}", f"b-{c}-{j}",
+                        "AB"[int(rng.integers(2))], f"r{k % 7}",
+                    ))
+    root = tmp_path_factory.mktemp("large")
+    write_items(root / "items.csv", ItemCatalog(items))
+    write_duels(root / "duels.csv", duels)
+    return str(root / "items.csv"), str(root / "duels.csv")
+
+
+class TestLargeInput:
+    def test_parsed_duels_retain_little_heap(self, large_set):
+        items, duels = large_set
+        catalog = parse_items(items)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            parsed = parse_duels(duels, catalog)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed) == 20_000
+        # about 160 B: a slotted record, and the strings no earlier row held
+        assert retained / len(parsed) <= 250
+
+    def test_cli_checks_each_duel_once(self, large_set, tmp_path, monkeypatch):
+        items, duels = large_set
+        calls = 0
+        check = ItemCatalog.check_duel
+
+        def counted(self, duel):
+            nonlocal calls
+            calls += 1
+            return check(self, duel)
+
+        monkeypatch.setattr(ItemCatalog, "check_duel", counted)
+        args = ["bias", "--items", items, "--duels", duels, "--unit", "item",
+                "--bootstrap", "100", "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert calls == 20_000
 
 
 class TestCLI:
@@ -1112,6 +1322,49 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["bias", "--bootstrap", "50"], "bootstrap needs at least 100 replicates"),
+            (["bias", "--unit", "item", "--alpha", "-1"],
+             "regularization_alpha must be finite and nonnegative"),
+            (["fit", "--tolerance", "0"], "tolerance must be finite and positive"),
+        ],
+        ids=["bias-bootstrap-50", "bias-alpha-negative", "fit-tolerance-0"],
+    )
+    def test_bad_setting_wins_over_unreadable_input(
+        self, tmp_path, capsys, monkeypatch, command, message
+    ):
+        # no input is opened: neither the missing files nor the parser
+        def unread(*args, **kwargs):
+            raise AssertionError("input parsed before the settings were checked")
+
+        for name in ("parse_items", "parse_duels", "parse_tags", "load_column_map"):
+            monkeypatch.setattr(cli, name, unread)
+        missing = str(tmp_path / "missing.csv")
+        args = [*command, "--items", missing, "--duels", missing,
+                "--column-map", missing, "--output-dir", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bias_run_leaves_numpy_ma_unloaded(self, paths):
+        # np.percentile and np.median import numpy.ma: 1 MiB and 10 ms a run
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import sys; from duelbias.cli import main; "
+            "rc = main(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for unit in ("duel", "item"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, "bias", "--items", items, "--duels",
+                 duels, "--tags", tags, "--unit", unit, "--bootstrap", "100",
+                 "--output-dir", str(tmp_path / unit)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.stdout.splitlines()[-1] == "0 False", done.stderr
 
     @pytest.mark.parametrize("command", ["bias", "fit"])
     def test_duel_item_of_another_category_exits_2(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duelbias.errors import ReferentialError, ValidationError
+from duelbias.errors import ParseError, ReferentialError, ValidationError
 from duelbias.records import TagRecord
 from duelbias.tags import (
     TagDistribution,
@@ -100,9 +100,11 @@ class TestNormalizeTag:
     def test_lexicon_line_needs_one_tab(self, tmp_path, bad_line):
         lexicon = tmp_path / "lexicon.tsv"
         lexicon.write_text(f"a\tb\n\n{bad_line}\n", encoding="utf-8")
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(ParseError) as info:
             load_dash_lexicon(lexicon)
-        assert str(info.value).startswith(f"{lexicon}:3: ")
+        # the layout of every CSV row error
+        assert str(info.value) == f"{lexicon}: line 3: expected 'variant<TAB>canonical'"
+        assert info.value.line == 3
 
 
 class TestTagDistribution:
