@@ -1,74 +1,67 @@
-"""duelbias: measure bias between two item populations from pairwise duels."""
+"""duelbias: measure bias between two item populations from pairwise duels.
 
-from .bias import (
-    FrequencyComparison,
-    RankCurvePoint,
-    bootstrap_ci,
-    duel_win_fraction,
-    frequency_divergence,
-    median_percentile_rank,
-    rank_curve,
-    rater_macro_average,
-    score_bias,
-    score_correlations,
-    triangle_lower_bound,
-)
-from .choice_model import (
-    ComparisonGraph,
-    FitConfig,
-    ScoreTable,
-    fit,
-    log_likelihood,
-    win_probability,
-)
-from .pipeline import AnalysisConfig, run_pipeline
-from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
-from .stats import PValue, binomial_two_sided, chi_square_2x2, pearson, spearman
-from .tags import TagDistribution, distinctive_tags, normalize_tag, pointwise_kl
-from .tournament import (
-    RecoveryCurve,
-    SchedulePlan,
-    sample_balanced_duels,
-    simulate_rank_recovery,
-)
+The public names below are loaded on first use (PEP 562), so that
+``import duelbias.cli`` and the ``duelbias tags`` command do not import the
+numeric modules, and numpy with them.
+"""
+
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisConfig",
-    "ComparisonGraph",
-    "DuelRecord",
-    "FitConfig",
-    "FrequencyComparison",
-    "ItemCatalog",
-    "ItemRecord",
-    "PValue",
-    "RankCurvePoint",
-    "RecoveryCurve",
-    "SchedulePlan",
-    "ScoreTable",
-    "TagDistribution",
-    "TagRecord",
-    "binomial_two_sided",
-    "bootstrap_ci",
-    "chi_square_2x2",
-    "distinctive_tags",
-    "duel_win_fraction",
-    "fit",
-    "frequency_divergence",
-    "log_likelihood",
-    "median_percentile_rank",
-    "normalize_tag",
-    "pearson",
-    "pointwise_kl",
-    "rank_curve",
-    "rater_macro_average",
-    "run_pipeline",
-    "sample_balanced_duels",
-    "score_bias",
-    "score_correlations",
-    "simulate_rank_recovery",
-    "spearman",
-    "triangle_lower_bound",
-    "win_probability",
-]
+# public name -> the module that defines it, names sorted
+_EXPORTS = {
+    "AnalysisConfig": "pipeline",
+    "ComparisonGraph": "choice_model",
+    "DuelRecord": "records",
+    "FitConfig": "settings",
+    "FrequencyComparison": "bias",
+    "ItemCatalog": "records",
+    "ItemRecord": "records",
+    "PValue": "stats",
+    "RankCurvePoint": "bias",
+    "RecoveryCurve": "tournament",
+    "SchedulePlan": "tournament",
+    "ScoreTable": "choice_model",
+    "TagDistribution": "tags",
+    "TagRecord": "records",
+    "binomial_two_sided": "stats",
+    "bootstrap_ci": "bias",
+    "chi_square_2x2": "stats",
+    "distinctive_tags": "tags",
+    "duel_win_fraction": "bias",
+    "fit": "choice_model",
+    "frequency_divergence": "bias",
+    "log_likelihood": "choice_model",
+    "median_percentile_rank": "bias",
+    "normalize_tag": "tags",
+    "pearson": "stats",
+    "pointwise_kl": "tags",
+    "rank_curve": "bias",
+    "rater_macro_average": "bias",
+    "run_pipeline": "pipeline",
+    "sample_balanced_duels": "tournament",
+    "score_bias": "bias",
+    "score_correlations": "bias",
+    "simulate_rank_recovery": "tournament",
+    "spearman": "stats",
+    "triangle_lower_bound": "bias",
+    "win_probability": "choice_model",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,9 +20,8 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, UnidentifiableItemsError, ValidationError
-
-GEOMETRIC_MEAN_ONE = "geometric-mean-one"
-SUM_ONE = "sum-one"
+# SUM_ONE is imported for callers that read it as choice_model.SUM_ONE
+from .settings import GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig  # noqa: F401
 
 _LOG_FLOOR = math.log(1e-150)
 _LOG_CEIL = math.log(1e150)
@@ -70,29 +69,6 @@ class ComparisonGraph:
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """``tolerance`` bounds max |d/d log s| of the (regularized)
-    log-likelihood at a converged fit; ``max_iterations`` caps the number
-    of Newton steps. In a batch (``fit_duel_arrays``) both apply to each
-    row on its own."""
-
-    max_iterations: int = 10_000
-    tolerance: float = 1e-8
-    regularization_alpha: float = 0.1
-    normalization: str = GEOMETRIC_MEAN_ONE
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
-        if not 0 < self.tolerance < math.inf:
-            raise ValidationError("tolerance must be finite and positive")
-        if not 0 <= self.regularization_alpha < math.inf:
-            raise ValidationError("regularization_alpha must be finite and nonnegative")
-        if self.normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
 
 
 @dataclass(frozen=True)

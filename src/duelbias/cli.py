@@ -10,48 +10,78 @@ Subcommands:
     freq       category frequency comparison
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
-For simulate, fit and bias, flags override values from --config (JSON),
-and fit and bias check every setting before they read any input file;
-DUELBIAS_OUTPUT_DIR sets the default output directory.
+For simulate, fit and bias, flags override values from --config (JSON);
+fit, bias, design and tags check every setting before they read any input
+file. DUELBIAS_OUTPUT_DIR sets the default output directory.
+
+The numeric layers, and numpy with them, are imported by ``main()`` only
+for the commands that need them: ``tags``, ``--help`` and argument errors
+run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from . import bias as bias_mod
 from . import tags as tags_mod
-from .choice_model import FitConfig
 from .datasets import load_column_map, load_json, parse_duels, parse_items
 from .datasets import parse_tags, write_csv
 from .errors import NumericalError, ValidationError
-from .pipeline import (
-    BOOTSTRAP_UNITS,
-    AnalysisConfig,
-    distinctive_tag_rows,
-    duel_outcomes_json,
-    duels_by_dimension,
-    fit_tournament,
-    frequency_json,
-    run_pipeline,
-    select_tournaments,
-    write_distinctive_tags,
-    write_json,
-    write_report_bundle,
-    write_scores,
-    written_scores,
-)
 from .records import GROUP_A, GROUP_B
-from .tournament import (
+from .settings import (
+    BOOTSTRAP_UNITS,
     DEFAULT_BUDGETS,
     DEFAULT_RATER_NOISE,
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
-    sample_balanced_duels,
-    simulate_rank_recovery,
+    FitConfig,
 )
+
+# the names the commands use from the numeric layers, by module; they become
+# globals of this module only when _bind_numeric runs
+_NUMERIC = {
+    "bias": ("duel_win_fraction", "frequency_divergence", "rater_macro_average"),
+    "pipeline": (
+        "AnalysisConfig",
+        "duel_outcomes_json",
+        "duels_by_dimension",
+        "fit_tournament",
+        "frequency_json",
+        "run_pipeline",
+        "select_tournaments",
+        "write_json",
+        "write_report_bundle",
+        "write_scores",
+        "written_scores",
+    ),
+    "tournament": (
+        "check_schedule_settings",
+        "sample_balanced_duels",
+        "simulate_rank_recovery",
+    ),
+}
+
+
+def _bind_numeric() -> None:
+    """Import the numeric layers and bind the ``_NUMERIC`` names here. A
+    name already bound is kept, such as a wrapper set on this module from
+    outside before ``main()`` runs."""
+    for module, names in _NUMERIC.items():
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    # a numeric name read from outside before main() bound it
+    if any(name in names for names in _NUMERIC.values()):
+        _bind_numeric()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 OUTPUT_DIR_ENV = "DUELBIAS_OUTPUT_DIR"
 
@@ -126,6 +156,7 @@ def cmd_simulate(args) -> None:
 
 
 def cmd_design(args) -> None:
+    check_schedule_settings(args.duels_per_item, args.seed)
     catalog = parse_items(args.items, _column_map(args))
     group_a = catalog.ids(group=GROUP_A)
     group_b = catalog.ids(group=GROUP_B)
@@ -213,15 +244,14 @@ def cmd_duelstats(args) -> None:
         raise ValidationError(f"{args.duels}: no duel records")
     payload = {}
     for dimension, dim_duels in duels_by_dimension(duels).items():
-        macro = bias_mod.rater_macro_average(dim_duels)
-        payload[dimension] = duel_outcomes_json(
-            bias_mod.duel_win_fraction(dim_duels), macro
-        )
+        macro = rater_macro_average(dim_duels)
+        payload[dimension] = duel_outcomes_json(duel_win_fraction(dim_duels), macro)
         payload[dimension]["n_raters"] = len(macro.per_rater)
     print(write_json(_outpath(args, "duelstats.json"), payload))
 
 
 def cmd_tags(args) -> None:
+    tags_mod.check_top_k(args.top_k)
     column_map = _column_map(args)
     catalog = parse_items(args.items, column_map)
     records = parse_tags(args.tags, column_map)
@@ -229,15 +259,16 @@ def cmd_tags(args) -> None:
         tags_mod.load_stopword_prefixes(args.stopwords) if args.stopwords else None
     )
     lexicon = tags_mod.load_dash_lexicon(args.lexicon) if args.lexicon else None
-    ranked = distinctive_tag_rows(
+    ranked = tags_mod.distinctive_tag_rows(
         catalog, records, stopwords, lexicon, args.top_k, args.min_count
     )
-    print(write_distinctive_tags(_outpath(args, "distinctive_tags.csv"), ranked))
+    path = _outpath(args, "distinctive_tags.csv")
+    print(tags_mod.write_distinctive_tags(path, ranked))
 
 
 def cmd_freq(args) -> None:
     catalog = parse_items(args.items, _column_map(args))
-    payload = frequency_json(bias_mod.frequency_divergence(catalog))
+    payload = frequency_json(frequency_divergence(catalog))
     print(write_json(_outpath(args, "frequency.json"), payload))
 
 
@@ -341,6 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "tags":
+        _bind_numeric()
     try:
         args.func(args)
     except (NumericalError, FloatingPointError) as exc:

@@ -7,25 +7,23 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bias as bias_mod
-from . import tags as tags_mod
-from .choice_model import GEOMETRIC_MEAN_ONE, SUM_ONE, ComparisonGraph, FitConfig
-from .choice_model import ScoreTable, fit, fit_duel_arrays
+from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, CheckedDuels, DuelRecord, ItemCatalog
 from .records import TagRecord
-from .stats import PValue
+from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
+from .stats import pvalue_json
+from .tags import distinctive_tag_rows, write_distinctive_tags
 
 # duel multiplicities held per block of refitted bootstrap replicates;
 # bounds a block's working set at a few MiB for any tournament size
 _REFIT_BLOCK_DUELS = 2**16
-# resampled units of the per-tournament score-bias CI: duels (with refits) or items
-BOOTSTRAP_UNITS = ("duel", "item")
 # the rank-curve column whose CI is the median-percentile CI
 _MEDIAN_COLUMN = bias_mod.DEFAULT_RANK_GRID.index(50)
 
@@ -47,12 +45,6 @@ class AnalysisConfig:
                 f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
                 f"got {self.bootstrap_unit!r}"
             )
-
-
-def pvalue_json(p: PValue) -> dict:
-    if p.value is not None:
-        return {"value": p.value}
-    return {"log10": p.log10_value}
 
 
 def win_fraction_json(wf: bias_mod.WinFraction) -> dict:
@@ -399,38 +391,6 @@ def run_pipeline(
     return bundle
 
 
-def distinctive_tag_rows(
-    catalog: ItemCatalog,
-    tags: Sequence[TagRecord],
-    stopwords: frozenset[str] | None = None,
-    lexicon: Mapping[str, str] | None = None,
-    top_k: int = tags_mod.DEFAULT_TOP_K,
-    min_count: int = tags_mod.DEFAULT_MIN_COUNT,
-) -> dict[str, list[dict]]:
-    """The ``tag_json`` rows of each group's most distinctive tags. Raises
-    ValidationError unless the tags cover items from both groups."""
-    group_of = {r.item_id: r.group for r in catalog.records}
-    dists = tags_mod.aggregate_tags(tags, group_of, stopwords, lexicon)
-    if GROUP_A not in dists or GROUP_B not in dists:
-        raise ValidationError("tags must cover items from both groups")
-    ranked = tags_mod.distinctive_tags(
-        dists[GROUP_A], dists[GROUP_B], top_k=top_k, min_count=min_count
-    )
-    return dict(zip((GROUP_A, GROUP_B), ([tag_json(t) for t in r] for r in ranked)))
-
-
-def tag_json(t) -> dict:
-    return {
-        "tag": t.tag,
-        "kl": t.kl,
-        "count_target": t.count_target,
-        "count_reference": t.count_reference,
-        "chi2": t.chi2,
-        "p": pvalue_json(t.p_value),
-        "stars": t.stars,
-    }
-
-
 def _config_json(config: AnalysisConfig) -> dict:
     out = asdict(config)
     out["dimensions"] = list(config.dimensions) if config.dimensions else None
@@ -455,21 +415,6 @@ def write_json(path: str, payload: dict) -> str:
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
     return path
-
-
-def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> str:
-    """Write ``tag_json`` rows per group, ranked from 1; returns the path."""
-    header = ["group", "rank", "tag", "kl", "count_target", "count_reference",
-              "chi2", "p", "stars"]
-    rows = []
-    for group in sorted(ranked):
-        for rank, t in enumerate(ranked[group], 1):
-            p = PValue(value=t["p"].get("value"), log10_value=t["p"].get("log10"))
-            rows.append(
-                [group, rank, t["tag"], repr(t["kl"]), t["count_target"],
-                 t["count_reference"], repr(t["chi2"]), repr(float(p)), t["stars"]]
-            )
-    return write_csv(path, header, rows)
 
 
 def write_scores(path: str, tables) -> str:

@@ -1,0 +1,55 @@
+"""Settings the command-line parser reads: fit settings, bootstrap units and
+simulation defaults.
+
+This module imports no numpy, so that ``import duelbias.cli`` does not load
+it; the modules that use these settings re-export them under their old
+names (``choice_model.FitConfig``, ``pipeline.BOOTSTRAP_UNITS``,
+``tournament.DEFAULT_BUDGETS`` and so on).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .errors import ValidationError
+
+GEOMETRIC_MEAN_ONE = "geometric-mean-one"
+SUM_ONE = "sum-one"
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """``tolerance`` bounds max |d/d log s| of the (regularized)
+    log-likelihood at a converged fit; ``max_iterations`` caps the number
+    of Newton steps. In a batch (``fit_duel_arrays``) both apply to each
+    row on its own."""
+
+    max_iterations: int = 10_000
+    tolerance: float = 1e-8
+    regularization_alpha: float = 0.1
+    normalization: str = GEOMETRIC_MEAN_ONE
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValidationError("max_iterations must be >= 1")
+        if not 0 < self.tolerance < math.inf:
+            raise ValidationError("tolerance must be finite and positive")
+        if not 0 <= self.regularization_alpha < math.inf:
+            raise ValidationError("regularization_alpha must be finite and nonnegative")
+        if self.normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
+            raise ValidationError(f"unknown normalization {self.normalization!r}")
+
+
+# resampled units of the per-tournament score-bias CI: duels (with refits) or items
+BOOTSTRAP_UNITS = ("duel", "item")
+
+DEFAULT_BUDGETS = (100, 200, 500, 1000, 2000)
+
+OUTCOME_RATER_NORMAL = "rater-normal"
+OUTCOME_BRADLEY_TERRY = "bradley-terry"
+
+# Perception-noise scale calibrated so the recovery curve hits the published
+# anchor (tau near 0.80 at 10 duels per item with 100 items). Zero gives the
+# noiseless limit where the higher-quality item always wins.
+DEFAULT_RATER_NOISE = 0.25

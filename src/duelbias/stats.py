@@ -2,6 +2,8 @@
 
 Everything here is a pure function. P-values that would underflow a double
 are carried in log10 space by :class:`PValue` instead of collapsing to zero.
+numpy is imported only inside the functions that use it, so the tag stage,
+which needs only the chi-square test, runs without it.
 """
 
 from __future__ import annotations
@@ -9,9 +11,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG10_SWITCH = -300.0  # below this, a PValue is stored as log10(p)
 
@@ -62,6 +65,10 @@ class PValue:
         return f"PValue(log10={self.log10_value!r})"
 
 
+def pvalue_json(p: PValue) -> dict:
+    return {"value": p.value} if p.value is not None else {"log10": p.log10_value}
+
+
 # math.exp(x) is exactly 0.0 for x below about -745.13
 _EXP_ZERO_BELOW = -746.0
 
@@ -69,6 +76,8 @@ _EXP_ZERO_BELOW = -746.0
 @functools.lru_cache(maxsize=16)
 def _log_factorials(n: int) -> np.ndarray:
     """Read-only table of log(j!) for j = 0..n, one lgamma per entry."""
+    import numpy as np
+
     table = np.array([math.lgamma(j + 1) for j in range(n + 1)])
     table.flags.writeable = False
     return table
@@ -93,6 +102,8 @@ def binomial_two_sided(k: int, n: int, p0: float = 0.5) -> PValue:
         raise ValueError(f"invalid binomial arguments k={k}, n={n}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"null probability must be in (0, 1), got {p0}")
+    import numpy as np
+
     log_p = math.log(p0)
     log_q = math.log1p(-p0)
     lg = _log_factorials(n)
@@ -279,6 +290,8 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, PValue]:
 def midpoint_ranks(values, sorted_sample: np.ndarray) -> np.ndarray:
     """Midpoint-convention percentile ranks of ``values`` within an ascending
     sample: 100 * (below + equal / 2) / n, in [0, 100]."""
+    import numpy as np
+
     below = np.searchsorted(sorted_sample, values, side="left")
     not_above = np.searchsorted(sorted_sample, values, side="right")
     return 50.0 * (below + not_above) / len(sorted_sample)
@@ -288,4 +301,6 @@ def percentile_rank(value: float, sample: Sequence[float]) -> float:
     """Midpoint-convention percentile rank of value within sample, in [0, 100]."""
     if len(sample) == 0:
         raise ValueError("sample must be non-empty")
+    import numpy as np
+
     return float(midpoint_ranks(value, np.sort(np.asarray(sample, dtype=float))))

@@ -3,7 +3,9 @@
 Raters attach short free-form tags to items. After normalization, tags
 most distinctive of each group are ranked by pointwise KL divergence
 between the two groups' smoothed tag distributions, with a chi-square
-test for significance on each tag that is kept.
+test for significance on each tag that is kept. The tag stage of a run
+(``distinctive_tag_rows``, ``write_distinctive_tags``) lives here too, so
+that ``duelbias tags`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from functools import cached_property
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
-from .datasets import open_utf8
+from .datasets import open_utf8, write_csv
 from .errors import ParseError, ReferentialError, ValidationError
-from .records import TagRecord
-from .stats import PValue, chi_square_2x2
+from .records import GROUP_A, GROUP_B, ItemCatalog, TagRecord
+from .stats import PValue, chi_square_2x2, pvalue_json
 
 DEFAULT_SMOOTHING = 0.5
 DEFAULT_TOP_K = 20
@@ -216,6 +218,13 @@ def _rank_direction(
     return rows
 
 
+def check_top_k(top_k: int) -> None:
+    """Raise ValidationError unless ``distinctive_tags`` accepts ``top_k``;
+    a caller can check it before it reads any input."""
+    if top_k < 1:
+        raise ValidationError(f"top_k must be >= 1, got {top_k}")
+
+
 def distinctive_tags(
     tags_a: TagDistribution,
     tags_b: TagDistribution,
@@ -230,11 +239,57 @@ def distinctive_tags(
     chi-square statistic (tag vs. rest, group vs. group), its p-value, and
     star annotations (* <0.05 up to **** <0.0001).
     """
-    if top_k < 1:
-        raise ValidationError(f"top_k must be >= 1, got {top_k}")
+    check_top_k(top_k)
     if tags_a.total == 0 or tags_b.total == 0:
         raise ValidationError("both tag distributions must be non-empty")
     vocabulary = sorted(set(tags_a.counts) | set(tags_b.counts))
     list_a = _rank_direction(tags_a, tags_b, vocabulary, top_k, min_count)
     list_b = _rank_direction(tags_b, tags_a, vocabulary, top_k, min_count)
     return list_a, list_b
+
+
+def distinctive_tag_rows(
+    catalog: ItemCatalog,
+    tags: Sequence[TagRecord],
+    stopwords: frozenset[str] | None = None,
+    lexicon: Mapping[str, str] | None = None,
+    top_k: int = DEFAULT_TOP_K,
+    min_count: int = DEFAULT_MIN_COUNT,
+) -> dict[str, list[dict]]:
+    """The ``tag_json`` rows of each group's most distinctive tags. Raises
+    ValidationError unless the tags cover items from both groups."""
+    group_of = {r.item_id: r.group for r in catalog.records}
+    dists = aggregate_tags(tags, group_of, stopwords, lexicon)
+    if GROUP_A not in dists or GROUP_B not in dists:
+        raise ValidationError("tags must cover items from both groups")
+    ranked = distinctive_tags(
+        dists[GROUP_A], dists[GROUP_B], top_k=top_k, min_count=min_count
+    )
+    return dict(zip((GROUP_A, GROUP_B), ([tag_json(t) for t in r] for r in ranked)))
+
+
+def tag_json(t: DistinctiveTag) -> dict:
+    return {
+        "tag": t.tag,
+        "kl": t.kl,
+        "count_target": t.count_target,
+        "count_reference": t.count_reference,
+        "chi2": t.chi2,
+        "p": pvalue_json(t.p_value),
+        "stars": t.stars,
+    }
+
+
+def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> str:
+    """Write ``tag_json`` rows per group, ranked from 1; returns the path."""
+    header = ["group", "rank", "tag", "kl", "count_target", "count_reference",
+              "chi2", "p", "stars"]
+    rows = []
+    for group in sorted(ranked):
+        for rank, t in enumerate(ranked[group], 1):
+            p = PValue(value=t["p"].get("value"), log10_value=t["p"].get("log10"))
+            rows.append(
+                [group, rank, t["tag"], repr(t["kl"]), t["count_target"],
+                 t["count_reference"], repr(t["chi2"]), repr(float(p)), t["stars"]]
+            )
+    return write_csv(path, header, rows)

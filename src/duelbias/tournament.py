@@ -23,6 +23,12 @@ from .errors import (
     SizeMismatchError,
     ValidationError,
 )
+from .settings import (
+    DEFAULT_BUDGETS,
+    DEFAULT_RATER_NOISE,
+    OUTCOME_BRADLEY_TERRY,
+    OUTCOME_RATER_NORMAL,
+)
 
 # Simulations fit every replicate of a budget in one batch and only use the
 # ranking each fit gives; a looser gradient tolerance than FitConfig's
@@ -42,16 +48,6 @@ _TAU_DECIMALS = 9
 # kendall_tau_values (1 MiB of int8), so memory stays flat in replicates.
 _BLOCK_DUELS = 2**16
 _BLOCK_PAIRS = 2**20
-
-DEFAULT_BUDGETS = (100, 200, 500, 1000, 2000)
-
-OUTCOME_RATER_NORMAL = "rater-normal"
-OUTCOME_BRADLEY_TERRY = "bradley-terry"
-
-# Perception-noise scale calibrated so the recovery curve hits the published
-# anchor (tau near 0.80 at 10 duels per item with 100 items). Zero gives the
-# noiseless limit where the higher-quality item always wins.
-DEFAULT_RATER_NOISE = 0.25
 
 
 @dataclass(frozen=True)
@@ -95,6 +91,16 @@ def _schedule(
     return np.array([rng.permutation(n) for _ in range(duels_per_item)])
 
 
+def check_schedule_settings(duels_per_item: int, seed: int) -> None:
+    """Raise ValidationError unless ``sample_balanced_duels`` accepts these
+    settings whatever the groups; a caller can check them before it reads
+    any input."""
+    if duels_per_item < 1:
+        raise ValidationError("duels_per_item must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+
+
 def sample_balanced_duels(
     group_a: Sequence[Hashable],
     group_b: Sequence[Hashable],
@@ -116,10 +122,7 @@ def sample_balanced_duels(
         )
     if n < 1:
         raise SizeMismatchError("groups must be non-empty")
-    if duels_per_item < 1:
-        raise ValidationError("duels_per_item must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    check_schedule_settings(duels_per_item, seed)
     if distinct_opponents and duels_per_item > n:
         raise InfeasibleScheduleError(
             f"cannot give each item {duels_per_item} distinct opponents out of {n}"

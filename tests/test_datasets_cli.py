@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import gc
+import importlib
 import io
 import json
 import os
@@ -1365,6 +1366,106 @@ class TestCLI:
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["tags", "--tags", "{missing}", "--top-k", "0"],
+             "top_k must be >= 1, got 0"),
+            (["design", "--duels-per-item", "-3"], "duels_per_item must be >= 1"),
+            (["design", "--duels-per-item", "2", "--seed", "-1"],
+             "seed must be >= 0"),
+        ],
+        ids=["tags-top-k-0", "design-duels-per-item-negative", "design-seed-negative"],
+    )
+    def test_tags_and_design_setting_wins_over_missing_input(
+        self, tmp_path, capsys, command, message
+    ):
+        missing = str(tmp_path / "missing.csv")
+        args = [a.format(missing=missing) for a in command]
+        out = tmp_path / "out"
+        rc = main([*args, "--items", missing, "--column-map", missing,
+                   "--output-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, rc, numpy_loaded",
+        [
+            (["tags", "--items", "{items}", "--tags", "{tags}", "--min-count", "1",
+              "--output-dir", "{out}"], 0, False),
+            (["--help"], 0, False),
+            (["tags", "--items", "{items}", "--tags", "{tags}", "--top-k", "0"],
+             2, False),
+            (["tags", "--items", "{items}"], 2, False),  # --tags missing
+            (["bias", "--items", "{items}", "--duels", "{duels}", "--tags", "{tags}",
+              "--unit", "item", "--bootstrap", "100", "--output-dir", "{out}"],
+             0, True),
+        ],
+        ids=["tags", "help", "tags-bad-setting", "argument-error", "bias"],
+    )
+    def test_numpy_loaded_only_by_numeric_commands(
+        self, paths, command, rc, numpy_loaded
+    ):
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import sys\n"
+            "try:\n"
+            "    from duelbias.cli import main\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "print(rc, 'numpy' in sys.modules)\n"
+        )
+        args = [a.format(items=items, duels=duels, tags=tags, out=tmp_path / "out")
+                for a in command]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == f"{rc} {numpy_loaded}", done.stderr
+
+    @pytest.mark.parametrize("read_first", [True, False], ids=["setattr", "setitem"])
+    @pytest.mark.parametrize(
+        "module, names, command",
+        [
+            ("pipeline", ("run_pipeline", "write_report_bundle"),
+             ["bias", "--items", "{items}", "--duels", "{duels}", "--unit", "item",
+              "--bootstrap", "100"]),
+            ("tournament", ("simulate_rank_recovery",),
+             ["simulate", "--items", "8", "--budgets", "8,16", "--replicates", "1"]),
+        ],
+        ids=["bias", "simulate"],
+    )
+    def test_wrapper_set_on_cli_before_main_is_called(
+        self, paths, monkeypatch, module, names, command, read_first
+    ):
+        # as bench/traced.py does: a wrapper is set on duelbias.cli from
+        # outside, either after reading the name there (which binds the
+        # numeric names) or straight into a module that has bound none yet
+        (items, duels, _), tmp_path = paths
+        for module_names in cli._NUMERIC.values():
+            for name in module_names:
+                monkeypatch.delitem(vars(cli), name, raising=False)
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(importlib.import_module(f"duelbias.{module}"), name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            if read_first:
+                monkeypatch.setattr(cli, name, counted)
+            else:
+                monkeypatch.setitem(vars(cli), name, counted)
+        args = [a.format(items=items, duels=duels) for a in command]
+        for run in (1, 2):
+            assert main([*args, "--output-dir", str(tmp_path / f"out{run}")]) == 0
+            assert calls == dict.fromkeys(names, run)
 
     @pytest.mark.parametrize("command", ["bias", "fit"])
     def test_duel_item_of_another_category_exits_2(
