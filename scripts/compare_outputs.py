@@ -5,12 +5,14 @@
 
 OLD_SRC and NEW_SRC are ``src`` directories, for example of a clean
 checkout of the parent commit and of the working tree. The script
-generates the README demo set (generator seed 0) and the benchmark's
-large set (seed 1, 2,000 items) into a temporary directory with OLD_SRC,
-runs the same ``duelbias`` commands with each tree (every subcommand at
-least once, so every output writer; ``bias`` and ``simulate`` also with
-their settings in a ``--config`` file, ``fit`` and ``bias`` also with
-``--normalization sum-one``; one ``bias`` run that must fail), and prints
+generates the README demo set (generator seed 0), the benchmark's large
+set (seed 1, 2,000 items) and its large-vocabulary tag log (seed 1, 36,000
+rows, made by ``bench/inputs.py``) into a temporary directory with
+OLD_SRC, runs the same ``duelbias`` commands with each tree (every
+subcommand at least once, so every output writer; ``bias`` and
+``simulate`` also with their settings in a ``--config`` file, ``fit`` and
+``bias`` also with ``--normalization sum-one``; ``tags`` and ``bias
+--tags`` on the large inputs too; one ``bias`` run that must fail), and prints
 for every output file whether the two trees' files are identical, and
 for every run whether the two trees' exit codes and stderr are, and each
 tree's peak RSS (the child's ``ru_maxrss``, read with ``os.wait4``;
@@ -23,14 +25,18 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tempfile
 
-GENERATOR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "generate_synthetic_dataset.py")
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+GENERATOR = os.path.join(SCRIPTS, "generate_synthetic_dataset.py")
+# the benchmark's input generators, read and never changed
+BENCH_INPUTS = os.path.join(os.path.dirname(SCRIPTS), "bench", "inputs.py")
+TAG_VOCAB_SEED = 1
 # the benchmark's large set and command arguments (bench/inputs.py, bench/run.py)
 LARGE_SET_ARGS = ("--items-per-side", "200",
                   "--categories", "pizza,salad,burger,pasta,soup")
@@ -51,7 +57,7 @@ CHILD = (
 )
 
 
-def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
+def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]]:
     """Output directory name -> duelbias arguments; the config files of the
     runs that read their settings from ``--config`` are written into ``tmp``."""
     d_in = ["--items", f"{demo}/items.csv", "--duels", f"{demo}/duels.csv"]
@@ -63,6 +69,10 @@ def commands(demo: str, large: str, tmp: str) -> dict[str, list[str]]:
         for unit in ("duel", "item")
     }
     out["large-bias-item"] = ["bias", *l_in, "--unit", "item", "--bootstrap", "1000"]
+    out["large-bias-item-tags"] = ["bias", *l_in, "--tags", f"{large}/tags.csv",
+                                   "--unit", "item", "--bootstrap", "100"]
+    out["vocab-tags"] = ["tags", "--items", f"{vocab}/items.csv",
+                         "--tags", f"{vocab}/tags.csv"]
     out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
     out["demo-fit"] = ["fit", *d_in]
     out["demo-fit-pizza-tasty"] = ["fit", *d_in, "--category", "pizza",
@@ -120,6 +130,13 @@ def generate(tree: str, out: str, seed: int, extra=()) -> None:
                     *extra], check=True, env=env, stdout=subprocess.DEVNULL)
 
 
+def generate_tag_vocab(out: str) -> None:
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    inputs.tag_vocab_set(out, TAG_VOCAB_SEED)
+
+
 def files_under(root: str) -> set[str]:
     return {
         os.path.relpath(os.path.join(d, f), root)
@@ -136,10 +153,11 @@ def main() -> int:
              "new": os.path.realpath(args.new_src)}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        demo, large = os.path.join(tmp, "demo"), os.path.join(tmp, "large")
+        demo, large, vocab = (os.path.join(tmp, d) for d in ("demo", "large", "vocab"))
         generate(trees["old"], demo, 0)
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
-        for name, cli_args in commands(demo, large, tmp).items():
+        generate_tag_vocab(vocab)
+        for name, cli_args in commands(demo, large, vocab, tmp).items():
             outs, ends, rss = {}, {}, {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)

@@ -14,19 +14,29 @@ whitespace and blank lines are skipped. A row error reads
 ``{path}: line N: message``, N the file line on which the row starts,
 counting blank lines and the newlines inside quoted fields; with several
 errors in a file, a row with too few fields is reported first, then the
-first other row error in file order.
+first other row error in file order. The reader keeps no line numbers:
+N is worked out, by reading the file again, when an error is raised.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import deque
 from contextlib import contextmanager
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .records import CheckedDuels, DuelRecord, ItemCatalog, ItemRecord, TagRecord
+from .records import (
+    CheckedDuels,
+    DuelRecord,
+    ItemCatalog,
+    ItemRecord,
+    TagRecord,
+    TagTable,
+)
 
 ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
 DUEL_COLUMNS = (
@@ -75,13 +85,12 @@ def load_column_map(path) -> dict[str, str]:
 def _read_columns(path, required, column_map, optional=()):
     """Read the named columns of a CSV file with a header row.
 
-    Returns ``(lines, columns)``: the file line on which each row starts
-    (a quoted newline makes a row span several lines), and one list of
-    stripped values per column, in the order ``required`` then
-    ``optional``. Blank rows are skipped. An optional value is None where
-    the file has no such column or the row ends before it; a row that ends
-    before a required column raises ParseError, once the whole file has
-    been read. A header name given twice maps to its last column.
+    Returns one list of stripped values per column, in the order
+    ``required`` then ``optional``. Blank rows are skipped. An optional
+    value is None where the file has no such column or the row ends before
+    it; a row that ends before a required column raises ParseError, once
+    the whole file has been read. A header name given twice maps to its
+    last column.
 
     Rows are read ``_CHUNK_ROWS`` at a time, and each column holds one
     string object per distinct value: crowd logs repeat most of their
@@ -104,15 +113,14 @@ def _read_columns(path, required, column_map, optional=()):
         indices += [position.get(column_map.get(col, col)) for col in optional]
         columns = [[] for _ in indices]
         distinct = [{} for _ in indices]  # per column, each value's one string
-        lines, short = [], None
-        for rows in _row_chunks(reader, lines):
-            if short is not None:
-                continue  # read on: a byte that is not UTF-8 still comes first
+        nonblank, short = filter(None, reader), None
+        while rows := list(islice(nonblank, _CHUNK_ROWS)):
             if min(map(len, rows)) < width:
                 k = next(k for k, row in enumerate(rows) if len(row) < width)
-                line = lines[len(lines) - len(rows) + k]
-                short = ParseError("row has too few fields", line=line, path=path)
-                continue
+                short = len(columns[0]) + k  # the row's index
+                # read on: a byte that is not UTF-8 still comes first
+                deque(nonblank, maxlen=0)
+                break
             for values, j, seen in zip(columns, indices, distinct):
                 if j is None:
                     values.extend([None] * len(rows))
@@ -123,28 +131,28 @@ def _read_columns(path, required, column_map, optional=()):
                     fields = [row[j].strip() if j < len(row) else None for row in rows]
                 values.extend(map(seen.setdefault, fields, fields))
     if short is not None:
-        raise short
-    return lines, columns
+        raise ParseError("row has too few fields", line=_row_line(path, short),
+                         path=path)
+    return columns
 
 
-def _row_chunks(reader, lines):
-    """The non-blank rows of ``reader`` in lists of up to ``_CHUNK_ROWS``,
-    appending to ``lines`` the file line on which each row starts."""
-    rows = []
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(start)
-            if len(rows) == _CHUNK_ROWS:
-                yield rows
-                rows = []
+def _row_line(path, row):
+    """The file line on which non-blank row ``row`` (0 the first after the
+    header) starts; read anew for an error message."""
+    with open_utf8(path, newline="") as f:
+        reader = csv.reader(f)
+        next(reader)
         start = reader.line_num + 1
-    if rows:
-        yield rows
+        for fields in reader:
+            if fields:
+                if row == 0:
+                    return start
+                row -= 1
+            start = reader.line_num + 1
+    raise ValueError(f"{path}: no row {row}")
 
 
-def _build_records(path, record_type, columns, lines, check=None):
+def _build_records(path, record_type, columns, check=None):
     """One ``record_type(*values)`` per row, in file order, each passed to
     ``check`` if given. The first row that fails raises with its message
     prefixed ``{path}: line N: ``: a ParseError if the record fails, the
@@ -157,24 +165,25 @@ def _build_records(path, record_type, columns, lines, check=None):
         failed = exc
     # the rows before a failed record are checked first, so an earlier error wins
     if check is not None:
-        for line, record in zip(lines, records):
+        for row, record in enumerate(records):
             try:
                 check(record)
             except ValidationError as exc:
-                exc.args = (f"{path}: line {line}: {exc}",)
+                exc.args = (f"{path}: line {_row_line(path, row)}: {exc}",)
                 raise
     if failed is not None:
-        raise ParseError(failed, line=lines[len(records)], path=path) from failed
+        line = _row_line(path, len(records))
+        raise ParseError(failed, line=line, path=path) from failed
     return records
 
 
 def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalog:
     """Read an item catalog; duplicate ids and unknown groups are rejected."""
-    lines, columns = _read_columns(
+    columns = _read_columns(
         path, ITEM_COLUMNS[:3], column_map, optional=("external_ref",)
     )
     columns[3] = [ref or None for ref in columns[3]]
-    records = _build_records(path, ItemRecord, columns, lines)
+    records = _build_records(path, ItemRecord, columns)
     try:
         return ItemCatalog(records)
     except ValidationError as exc:
@@ -189,16 +198,22 @@ def parse_duels(
     """Read duel records. With a catalog, each duel must pass
     ``catalog.check_duel``, and the list is a ``CheckedDuels`` marked with
     the catalog; without one, only structural checks apply."""
-    lines, columns = _read_columns(path, DUEL_COLUMNS, column_map)
+    columns = _read_columns(path, DUEL_COLUMNS, column_map)
     if catalog is None:
-        return _build_records(path, DuelRecord, columns, lines)
-    duels = _build_records(path, DuelRecord, columns, lines, catalog.check_duel)
+        return _build_records(path, DuelRecord, columns)
+    duels = _build_records(path, DuelRecord, columns, catalog.check_duel)
     return CheckedDuels(duels, catalog)
 
 
-def parse_tags(path, column_map: Mapping[str, str] | None = None) -> list[TagRecord]:
-    lines, columns = _read_columns(path, TAG_COLUMNS, column_map)
-    return _build_records(path, TagRecord, columns, lines)
+def parse_tags(path, column_map: Mapping[str, str] | None = None) -> TagTable:
+    """Read tag records into a ``TagTable``, which builds each record only
+    when it is read; the first empty tag raises ParseError."""
+    columns = _read_columns(path, TAG_COLUMNS, column_map)
+    try:
+        return TagTable(*columns)
+    except ValidationError as exc:
+        line = _row_line(path, TagTable.first_blank(columns[3]))
+        raise ParseError(exc, line=line, path=path) from exc
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -16,7 +16,7 @@ from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, CheckedDuels, DuelRecord, ItemCatalog
-from .records import TagRecord
+from .records import TagRecord, TagTable
 from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
 from .stats import pvalue_json
 from .tags import distinctive_tag_rows, write_distinctive_tags
@@ -81,7 +81,7 @@ def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
     }
 
 
-def _digest(lines: Sequence[str]) -> str:
+def _digest(lines: Iterable[str]) -> str:
     text = "".join(line + "\n" for line in lines)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -102,9 +102,9 @@ def input_digests(
     ]
     out = {"items": _digest(items_lines), "duels": _digest(duel_lines)}
     if tags is not None:
-        out["tags"] = _digest(
-            [f"{t.duel_id},{t.item_id},{t.rater_id},{t.raw_text}" for t in tags]
-        )
+        t = TagTable.of(tags)
+        rows = zip(t.duel_ids, t.item_ids, t.rater_ids, t.raw_texts)
+        out["tags"] = _digest(map(",".join, rows))
     return out
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import ReferentialError, ValidationError
@@ -159,7 +161,85 @@ class TagRecord:
     raw_text: str
 
     def __post_init__(self):
-        if not self.raw_text.strip():
+        if _blank(self.raw_text):
             raise ValidationError(
                 f"tag for item {self.item_id!r} in duel {self.duel_id!r} is empty"
             )
+
+
+def _blank(raw_text: str) -> bool:
+    """The tag rule: a raw text of only whitespace is no tag."""
+    return not raw_text.strip()
+
+
+_TAG_FIELDS = ("duel_id", "item_id", "rater_id", "raw_text")
+
+
+class TagTable(Sequence):
+    """Tag records held as four columns of strings, one per field; a record
+    is built only when it is read. Immutable, and equal to a list of the
+    same records. Columns are checked by ``TagRecord``'s rule when the
+    table is made: the first row it rejects raises its ValidationError."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, duel_ids, item_ids, rater_ids, raw_texts):
+        columns = tuple(map(tuple, (duel_ids, item_ids, rater_ids, raw_texts)))
+        if len(set(map(len, columns))) != 1:
+            raise ValueError("tag columns must have equal lengths")
+        self._columns = columns
+        row = self.first_blank(self.raw_texts)
+        if row is not None:
+            self[row]  # the record's own rule raises
+
+    @classmethod
+    def of(cls, records: Iterable[TagRecord]) -> TagTable:
+        """``records`` as a table: itself if it is one."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        return cls(*(list(map(attrgetter(f), records)) for f in _TAG_FIELDS))
+
+    @staticmethod
+    def first_blank(raw_texts: Sequence[str]) -> int | None:
+        """The first row whose raw text ``TagRecord`` rejects, or None;
+        each distinct text is tested once."""
+        blank = [text for text in set(raw_texts) if _blank(text)]
+        return min(map(raw_texts.index, blank)) if blank else None
+
+    @property
+    def duel_ids(self) -> tuple[str, ...]:
+        return self._columns[0]
+
+    @property
+    def item_ids(self) -> tuple[str, ...]:
+        return self._columns[1]
+
+    @property
+    def rater_ids(self) -> tuple[str, ...]:
+        return self._columns[2]
+
+    @property
+    def raw_texts(self) -> tuple[str, ...]:
+        return self._columns[3]
+
+    def __len__(self):
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TagTable(*(column[index] for column in self._columns))
+        return TagRecord(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(TagRecord, *self._columns)
+
+    def __eq__(self, other):
+        if isinstance(other, TagTable):
+            return self._columns == other._columns
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"TagTable({len(self)} records)"

@@ -11,14 +11,16 @@ that ``duelbias tags`` runs without numpy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .datasets import open_utf8, write_csv
 from .errors import ParseError, ReferentialError, ValidationError
-from .records import GROUP_A, GROUP_B, ItemCatalog, TagRecord
+from .records import GROUP_A, GROUP_B, ItemCatalog, TagRecord, TagTable
 from .stats import PValue, chi_square_2x2, pvalue_json
 
 DEFAULT_SMOOTHING = 0.5
@@ -29,14 +31,23 @@ _STAR_THRESHOLDS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
 _DATA = resources.files("duelbias").joinpath("data")  # the packaged tag files
 
 
+@cache
 def default_stopword_prefixes() -> frozenset[str]:
+    """The packaged stopword prefixes, read once per process."""
     with resources.as_file(_DATA.joinpath("stopword_prefixes.txt")) as path:
         return load_stopword_prefixes(path)
 
 
 def default_dash_lexicon() -> dict[str, str]:
+    """A copy of the packaged dash lexicon, which is read once per process,
+    so that a caller may change it."""
+    return dict(_packaged_dash_lexicon())
+
+
+@cache
+def _packaged_dash_lexicon() -> Mapping[str, str]:
     with resources.as_file(_DATA.joinpath("dash_lexicon.tsv")) as path:
-        return load_dash_lexicon(path)
+        return MappingProxyType(load_dash_lexicon(path))
 
 
 def load_stopword_prefixes(path) -> frozenset[str]:
@@ -69,21 +80,33 @@ def normalize_tag(
 ) -> list[str]:
     """Split on commas, trim, lowercase, strip leading stopwords, and map
     dash variants to their canonical form. Empty results are dropped."""
+    stopword_prefixes, dash_merge_lexicon = _with_defaults(
+        stopword_prefixes, dash_merge_lexicon
+    )
+    tags = (
+        _normalize_part(part, stopword_prefixes, dash_merge_lexicon)
+        for part in raw.split(",")
+    )
+    return [tag for tag in tags if tag]
+
+
+def _with_defaults(stopword_prefixes, dash_merge_lexicon):
+    """The given stopword prefixes and dash lexicon, the packaged one in
+    place of None."""
     if stopword_prefixes is None:
         stopword_prefixes = default_stopword_prefixes()
     if dash_merge_lexicon is None:
-        dash_merge_lexicon = default_dash_lexicon()
-    out = []
-    for part in raw.split(","):
-        tag = part.strip().lower()
-        words = tag.split()
-        while words and words[0] in stopword_prefixes:
-            words = words[1:]
-        tag = " ".join(words)
-        tag = dash_merge_lexicon.get(tag, tag)
-        if tag:
-            out.append(tag)
-    return out
+        dash_merge_lexicon = _packaged_dash_lexicon()
+    return stopword_prefixes, dash_merge_lexicon
+
+
+def _normalize_part(part, stopword_prefixes, dash_merge_lexicon) -> str:
+    """The tag of one comma part of a raw text; empty if none is left."""
+    words = part.lower().split()
+    while words and words[0] in stopword_prefixes:
+        words = words[1:]
+    tag = " ".join(words)
+    return dash_merge_lexicon.get(tag, tag)
 
 
 @dataclass(frozen=True)
@@ -124,26 +147,34 @@ def aggregate_tags(
     """Normalize raw tag records and aggregate per-mention counts by group.
 
     A record whose item has no group in ``group_of`` raises ReferentialError.
+    Rows are counted once per distinct (group, raw text), and each distinct
+    comma part is normalized once; a group's tags keep the order of their
+    first mention.
     """
-    if stopword_prefixes is None:
-        stopword_prefixes = default_stopword_prefixes()
-    if dash_merge_lexicon is None:
-        dash_merge_lexicon = default_dash_lexicon()
-    normalized: dict[str, list[str]] = {}  # raw text -> its tags
-    per_group: dict[str, list[str]] = {}
-    for rec in records:
-        group = group_of.get(rec.item_id)
-        if group is None:
-            raise ReferentialError(
-                f"tag in duel {rec.duel_id!r} references unknown item {rec.item_id!r}"
-            )
-        tags = normalized.get(rec.raw_text)
-        if tags is None:
-            tags = normalized[rec.raw_text] = normalize_tag(
-                rec.raw_text, stopword_prefixes, dash_merge_lexicon
-            )
-        per_group.setdefault(group, []).extend(tags)
-    return {g: TagDistribution.from_tags(tags) for g, tags in per_group.items()}
+    stopword_prefixes, dash_merge_lexicon = _with_defaults(
+        stopword_prefixes, dash_merge_lexicon
+    )
+    table = TagTable.of(records)
+    groups = list(map(group_of.get, table.item_ids))
+    if None in groups:
+        k = groups.index(None)
+        raise ReferentialError(
+            f"tag in duel {table.duel_ids[k]!r} references unknown item "
+            f"{table.item_ids[k]!r}"
+        )
+    tag_of: dict[str, str] = {}  # comma part -> its tag, empty if none
+    per_group: dict[str, dict[str, int]] = {}
+    for (group, raw), n in Counter(zip(groups, table.raw_texts)).items():
+        counts = per_group.setdefault(group, {})
+        for part in raw.split(","):
+            tag = tag_of.get(part)
+            if tag is None:
+                tag = tag_of[part] = _normalize_part(
+                    part, stopword_prefixes, dash_merge_lexicon
+                )
+            if tag:
+                counts[tag] = counts.get(tag, 0) + n
+    return {g: TagDistribution(counts) for g, counts in per_group.items()}
 
 
 def pointwise_kl(p_target: float, p_reference: float) -> float:

@@ -49,7 +49,8 @@ from duelbias.pipeline import (
     write_report_bundle,
 )
 from duelbias.records import CheckedDuels, DuelRecord, ItemCatalog, ItemRecord
-from duelbias.records import TagRecord
+from duelbias.records import TagRecord, TagTable
+from duelbias.tags import aggregate_tags
 from oracles import (
     dictreader_parse_duels,
     dictreader_parse_items,
@@ -131,6 +132,118 @@ class TestRoundTrips:
         path = tmp_path / "tags.csv"
         write_tags(path, tags)
         assert parse_tags(path) == tags
+
+
+class TestTagTable:
+    """parse_tags returns a TagTable: four columns read as a sequence of
+    TagRecords, each built when it is read."""
+
+    @pytest.fixture()
+    def table_and_list(self, fixture_data, tmp_path):
+        _, _, tags = fixture_data
+        path = tmp_path / "tags.csv"
+        write_tags(path, tags)
+        return parse_tags(path), list(tags)
+
+    def test_equal_to_a_list_both_ways(self, table_and_list):
+        table, records = table_and_list
+        assert isinstance(table, TagTable)
+        assert table == records and records == table
+        assert not table != records and not records != table
+        changed = [*records[:-1], dataclasses.replace(records[-1], rater_id="x")]
+        assert table != changed and changed != table
+        assert table != records[:-1] and records[:-1] != table
+        assert table == TagTable.of(records) and table != table[1:]
+        assert table != tuple(records)
+
+    def test_len_index_and_slice(self, table_and_list):
+        table, records = table_and_list
+        assert len(table) == len(records)
+        assert table[0] == records[0] and table[-1] == records[-1]
+        assert table[-len(records)] == records[0]
+        with pytest.raises(IndexError):
+            table[len(records)]
+        assert table[3:10:2] == records[3:10:2]
+        assert isinstance(table[::-1], TagTable) and table[::-1] == records[::-1]
+        assert table[5:5] == []
+        assert table.index(records[7]) == 7 and records[7] in table
+
+    def test_immutable(self, table_and_list):
+        table, records = table_and_list
+        with pytest.raises(TypeError):
+            table[0] = records[1]
+        assert not hasattr(table, "__dict__") and not hasattr(table, "append")
+        assert isinstance(table.raw_texts, tuple)
+
+    def test_iteration_gives_the_dictreader_records(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(
+            b'duel_id,item_id,rater_id,raw_tag\n\nd0,a1,r1,"fresh\ncrust"\n'
+            b'\r\nd1, a2 ,r1,"thin, crisp"\nd2,b1,r2, Looks tasty \n'
+        )
+        table = parse_tags(path)
+        expected = dictreader_parse_tags(path, None, [3, 6, 7])
+        assert list(table) == expected
+        assert all(type(record) is TagRecord for record in table)
+        first, second, third = parse_tags(path)
+        assert (first, second, third) == tuple(expected)
+
+    def test_blank_tag_raises_the_record_error_with_its_line(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_text(
+            "duel_id,item_id,rater_id,raw_tag\nd0,a1,r1,fresh\n\n"
+            "d1,a2,r1, \nd2,a3,r1,\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            parse_tags(path)
+        assert str(exc.value) == (
+            f"{path}: line 4: tag for item 'a2' in duel 'd1' is empty"
+        )
+        assert exc.value.line == 4
+        with pytest.raises(ValidationError, match="item 'b' in duel 'd' is empty"):
+            TagTable(["d0", "d"], ["a", "b"], ["r", "r"], ["x", "\t"])
+        with pytest.raises(ValueError, match="equal lengths"):
+            TagTable(["d0"], ["a"], ["r"], [])
+
+    def test_same_results_from_a_table_and_a_list(self, fixture_data, table_and_list):
+        catalog, duels, _ = fixture_data
+        table, records = table_and_list
+        group_of = {r.item_id: r.group for r in catalog.records}
+        from_table = aggregate_tags(table, group_of)
+        from_list = aggregate_tags(records, group_of)
+        assert from_table == from_list
+        for g in from_list:
+            assert list(from_table[g].counts.items()) == list(
+                from_list[g].counts.items()
+            )
+        assert input_digests(catalog, duels, table) == input_digests(
+            catalog, duels, records
+        )
+        config = AnalysisConfig(bootstrap_replicates=100, bootstrap_unit="item")
+        assert dump_report(run_pipeline(config, catalog, duels, table)) == dump_report(
+            run_pipeline(config, catalog, duels, records)
+        )
+        # any iterable of records will do
+        assert aggregate_tags(iter(records), group_of) == from_list
+
+    def test_aggregating_a_parsed_table_builds_no_record(
+        self, fixture_data, tmp_path, monkeypatch
+    ):
+        catalog, duels, tags = fixture_data
+        path = tmp_path / "tags.csv"
+        write_tags(path, tags)
+        built = []
+        check = TagRecord.__post_init__
+        monkeypatch.setattr(
+            TagRecord, "__post_init__", lambda rec: built.append(rec) or check(rec)
+        )
+        group_of = {r.item_id: r.group for r in catalog.records}
+        table = parse_tags(path)
+        aggregate_tags(table, group_of)
+        input_digests(catalog, duels, table)
+        assert built == []
+        table[-1]
+        assert built == [tags[-1]]
 
 
 class TestRecords:

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from duelbias import tags as tags_mod
 from duelbias.errors import ParseError, ReferentialError, ValidationError
-from duelbias.records import TagRecord
+from duelbias.records import ItemCatalog, ItemRecord, TagRecord
 from duelbias.tags import (
     TagDistribution,
     aggregate_tags,
     default_dash_lexicon,
     default_stopword_prefixes,
+    distinctive_tag_rows,
     distinctive_tags,
     load_dash_lexicon,
     load_stopword_prefixes,
@@ -87,6 +89,48 @@ class TestNormalizeTag:
         assert default_dash_lexicon() == dict(
             line.split("\t") for line in lines["dash_lexicon.tsv"]
         )
+
+    def test_default_resources_load_once(self, monkeypatch):
+        loads = []
+        for name in ("load_stopword_prefixes", "load_dash_lexicon"):
+            loader = getattr(tags_mod, name)
+            def counted(path, name=name, loader=loader):
+                loads.append(name)
+                return loader(path)
+
+            monkeypatch.setattr(tags_mod, name, counted)
+        tags_mod.default_stopword_prefixes.cache_clear()
+        tags_mod._packaged_dash_lexicon.cache_clear()
+        try:
+            catalog = ItemCatalog(
+                [ItemRecord("a1", "A", "x"), ItemRecord("b1", "B", "x")]
+            )
+            records = [
+                TagRecord(f"d{k}", item, "r", tag)
+                for k, (item, tag) in enumerate(
+                    [("a1", "looks fresh"), ("b1", "stale"), ("a1", "stale")] * 3
+                )
+            ]
+            for _ in range(3):
+                assert normalize_tag("looks mouthwatering") == ["mouth-watering"]
+                aggregate_tags(records, {"a1": "A", "b1": "B"})
+                distinctive_tag_rows(catalog, records, min_count=1)
+                default_stopword_prefixes()
+                default_dash_lexicon()
+            assert sorted(loads) == ["load_dash_lexicon", "load_stopword_prefixes"]
+        finally:
+            tags_mod.default_stopword_prefixes.cache_clear()
+            tags_mod._packaged_dash_lexicon.cache_clear()
+
+    def test_changing_the_returned_lexicon_changes_no_later_result(self):
+        lexicon = default_dash_lexicon()
+        lexicon["fresh"] = "stale"
+        del lexicon["mouthwatering"]
+        assert normalize_tag("fresh, mouthwatering") == ["fresh", "mouth-watering"]
+        dists = aggregate_tags([TagRecord("d", "a", "r", "fresh")], {"a": "A"})
+        assert dists["A"].counts == {"fresh": 1}
+        assert default_dash_lexicon()["mouthwatering"] == "mouth-watering"
+        assert "fresh" not in default_dash_lexicon()
 
     def test_user_files_lowercased_and_blank_lines_skipped(self, tmp_path):
         stopwords = tmp_path / "stopwords.txt"
@@ -255,8 +299,8 @@ class TestAggregateTags:
 
 def _tag_log(seed, mirrored):
     """Seeded tag records over a pool of raw texts, each used many times,
-    with stopword prefixes, mixed case, comma-joined tags and dash
-    variants; each text leans to one group by its own share. Mirrored,
+    with stopword prefixes, mixed case, comma-joined tags, dash variants
+    and empty parts; each text leans to one group by its own share. Mirrored,
     group B repeats group A's raw texts, so every tag has equal counts and
     a KL of exactly 0; otherwise "salty" and "sweet", which come only as a
     pair, tie on KL and count."""
@@ -272,6 +316,14 @@ def _tag_log(seed, mirrored):
         for prefix in ("", "looks ", "Very ", "SEEMS ")
     ]
     pool += ["mouth watering", "mouthwatering", "salty, sweet", "Fresh bun,, oily rice"]
+    # parts that normalize to nothing, parts shared by several raw texts,
+    # and case and lexicon variants of one tag
+    pool += [
+        "very , looks", " ,, x ,", "looks,", "crisp crust, soft bun",
+        "soft bun, crisp crust", " soft bun ,oily rice", "x, SOFT BUN",
+        "Mouth Watering", "looks MOUTH WATERING, x", "mouth-watering",
+        "Very mouthwatering,soft bun", "deep fried", "DeepFried , crisp crust",
+    ]
     share_a = rng.uniform(0.1, 0.9, size=len(pool))
     records = []
     for k in range(1500):
