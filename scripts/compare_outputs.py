@@ -11,14 +11,14 @@ rows, made by ``bench/inputs.py``) into a temporary directory with
 OLD_SRC, runs the same ``duelbias`` commands with each tree (every
 subcommand at least once, so every output writer; ``bias`` and
 ``simulate`` also with their settings in a ``--config`` file, ``fit`` and
-``bias`` also with ``--normalization sum-one``; ``tags`` and ``bias
---tags`` on the large inputs too; one ``bias`` run that must fail), and prints
-for every output file whether the two trees' files are identical, and
-for every run whether the two trees' exit codes and stderr are, and each
-tree's peak RSS (the child's ``ru_maxrss``, read with ``os.wait4``;
-reported only, never a failure). It exits
-1 if any file, exit code or stderr differs, a file is missing from one
-side, or a run exits otherwise than expected.
+``bias`` also with ``--normalization sum-one``; ``fit``, ``tags`` and
+``bias --tags`` on the large inputs too; one ``bias`` run that must fail),
+and prints for every output file whether the two trees' files are
+identical, and for every run whether the two trees' exit codes and stderr
+are, and each tree's peak RSS (the child's ``ru_maxrss``, read with
+``os.wait4``; reported only, never a failure). It exits 1 if any file,
+exit code or stderr differs, a file is missing from one side, or a run
+exits otherwise than expected.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
                          "--tags", f"{vocab}/tags.csv"]
     out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
     out["demo-fit"] = ["fit", *d_in]
+    out["large-fit"] = ["fit", *l_in]
     out["demo-fit-pizza-tasty"] = ["fit", *d_in, "--category", "pizza",
                                    "--dimension", "tasty"]
     out["demo-fit-sum-one"] = ["fit", *d_in, "--normalization", "sum-one"]

@@ -19,7 +19,12 @@ from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, UnidentifiableItemsError, ValidationError
+from .errors import (
+    DegenerateFitError,
+    ReferentialError,
+    UnidentifiableItemsError,
+    ValidationError,
+)
 # SUM_ONE is imported for callers that read it as choice_model.SUM_ONE
 from .settings import GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig  # noqa: F401
 
@@ -57,13 +62,16 @@ class ComparisonGraph:
         """Build a graph from (winner_id, loser_id) pairs.
 
         If ``items`` is omitted, the item set is the sorted union of ids
-        seen in the pairs.
+        seen in the pairs; an id not in ``items`` raises ReferentialError.
         """
         pairs = list(winner_loser_pairs)
         if items is None:
             items = sorted({x for pair in pairs for x in pair})
         index = {item: i for i, item in enumerate(items)}
-        duels = tuple((index[w], index[l]) for w, l in pairs)
+        try:
+            duels = tuple((index[w], index[l]) for w, l in pairs)
+        except KeyError as exc:
+            raise ReferentialError(f"unknown item {exc.args[0]!r}") from None
         return cls(items=tuple(items), duels=duels)
 
     @property
@@ -332,33 +340,6 @@ class ReplicateFits:
     converged: np.ndarray
 
 
-def _fit_rows(n, duels, weights, config, start) -> ReplicateFits:
-    """Fit each row of ``weights`` (rows, m) over the duels ``duels``,
-    (2, rows, m) or one shared list (2, 1, m), from the log-scores ``start``
-    (n,); see ``fit_duel_arrays``."""
-    log_s = np.empty((len(weights), n))
-    log_s[:] = start
-    iterations = np.zeros(len(weights), dtype=int)
-    converged = np.zeros(len(weights), dtype=bool)
-    alpha = config.regularization_alpha
-    rows = slice(None)
-    if alpha == 0.0:
-        winners, losers = (np.broadcast_to(side, weights.shape) for side in duels)
-        rows = np.flatnonzero(
-            [
-                _strongly_connected(n, w[k > 0], l[k > 0])
-                for w, l, k in zip(winners, losers, weights)
-            ]
-        )
-    if duels.shape[1] > 1:
-        duels = duels[:, rows]
-    log_s[rows], iterations[rows], converged[rows] = _newton(
-        log_s[rows], duels, weights[rows], alpha, config
-    )
-    scores, anchors = _gauge(log_s, config.normalization)
-    return ReplicateFits(scores, anchors, iterations, converged)
-
-
 def _start_log_scores(n_items: int, initial_scores) -> np.ndarray | float:
     """Log of ``initial_scores``, (n_items,) finite and positive; 0 if None."""
     if initial_scores is None:
@@ -431,8 +412,27 @@ def fit_duel_arrays(
         if (wi == li).any():
             raise ValidationError("an item dueled itself")
     duels = np.stack((wi, li)).astype(np.intp, copy=False)
-    start = _start_log_scores(n_items, initial_scores)
-    return _fit_rows(n_items, duels, weights, config, start)
+    log_s = np.empty((len(weights), n_items))
+    log_s[:] = _start_log_scores(n_items, initial_scores)
+    iterations = np.zeros(len(weights), dtype=int)
+    converged = np.zeros(len(weights), dtype=bool)
+    alpha = config.regularization_alpha
+    rows = slice(None)
+    if alpha == 0.0:
+        winners, losers = (np.broadcast_to(side, weights.shape) for side in duels)
+        rows = np.flatnonzero(
+            [
+                _strongly_connected(n_items, w[k > 0], l[k > 0])
+                for w, l, k in zip(winners, losers, weights)
+            ]
+        )
+    if duels.shape[1] > 1:
+        duels = duels[:, rows]
+    log_s[rows], iterations[rows], converged[rows] = _newton(
+        log_s[rows], duels, weights[rows], alpha, config
+    )
+    scores, anchors = _gauge(log_s, config.normalization)
+    return ReplicateFits(scores, anchors, iterations, converged)
 
 
 def fit(
@@ -476,14 +476,10 @@ def fit(
         silent = [graph.items[i] for i in range(n) if appearances[i] == 0]
         if silent:
             raise UnidentifiableItemsError(silent)
-    if n == 0:
-        raise DegenerateFitError("comparison graph has no items")
     if initial_scores is not None:
         initial_scores = [initial_scores[item] for item in graph.items]
-    start = _start_log_scores(n, initial_scores)
-    # the graph's duels are already valid: fit them without fit_duel_arrays'
-    # checks, so that a single fit pays for no second validation
-    fits = _fit_rows(n, d.T[:, None, :], np.ones((1, len(d))), config, start)
+    fits = fit_duel_arrays(n, d[None, :, 0], d[None, :, 1], config,
+                           initial_scores=initial_scores)
     scores = dict(zip(graph.items, fits.scores[0].tolist()))
     return ScoreTable(
         scores=scores,

@@ -29,14 +29,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
-from .records import (
-    CheckedDuels,
-    DuelRecord,
-    ItemCatalog,
-    ItemRecord,
-    TagRecord,
-    TagTable,
-)
+from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord, TagTable
 
 ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
 DUEL_COLUMNS = (
@@ -195,14 +188,13 @@ def parse_duels(
     catalog: ItemCatalog | None = None,
     column_map: Mapping[str, str] | None = None,
 ) -> list[DuelRecord]:
-    """Read duel records. With a catalog, each duel must pass
-    ``catalog.check_duel``, and the list is a ``CheckedDuels`` marked with
-    the catalog; without one, only structural checks apply."""
+    """Read duel records into a list. With a catalog, each duel must pass
+    ``catalog.check_duel``, and the first that fails raises its error
+    prefixed ``{path}: line N: ``; without one, only structural checks
+    apply."""
     columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    if catalog is None:
-        return _build_records(path, DuelRecord, columns)
-    duels = _build_records(path, DuelRecord, columns, catalog.check_duel)
-    return CheckedDuels(duels, catalog)
+    check = None if catalog is None else catalog.check_duel
+    return _build_records(path, DuelRecord, columns, check)
 
 
 def parse_tags(path, column_map: Mapping[str, str] | None = None) -> TagTable:

@@ -15,7 +15,7 @@ from . import bias as bias_mod
 from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
-from .records import GROUP_A, GROUP_B, CheckedDuels, DuelRecord, ItemCatalog
+from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
 from .records import TagRecord, TagTable
 from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
 from .stats import pvalue_json
@@ -129,25 +129,48 @@ def select_tournaments(
 ) -> list[Tournament]:
     """Each (category, dimension) tournament with a dimension in
     ``dimensions`` and a category in ``categories`` (None: any), built once
-    and in sorted order, from duels that pass ``catalog.check_duel``.
-    Raises ValidationError if no duel is left."""
-    by_pair: dict[tuple[str, str], list[DuelRecord]] = {}
+    and in sorted order.
+
+    Every duel, whether the filters keep it or not, must pass
+    ``catalog.check_duel``: the first that fails, in input order, raises
+    its error prefixed ``duel 'id': ``. The rule is applied by looking
+    each side up among its group's items of the duel's category, which
+    fails exactly when the rule does; ``check_duel`` runs only to raise.
+    Then ValidationError is raised if the filters leave no duel.
+    """
+    # per category: its items in catalog order, and the graph index of each
+    # of group A's items and of each of group B's
+    layout: dict[str, tuple[list[str], dict[str, int], dict[str, int]]] = {}
+    for r in catalog.records:
+        items, *indices = layout.setdefault(r.category, ([], {}, {}))
+        indices[r.group == GROUP_B][r.item_id] = len(items)
+        items.append(r.item_id)
+    no_items = ((), {}, {})
+    by_pair: dict[tuple[str, str], tuple[list[DuelRecord], list[tuple[int, int]]]] = {}
     for d in duels:
+        _, index_a, index_b = layout.get(d.category, no_items)
+        a, b = index_a.get(d.item_a), index_b.get(d.item_b)
+        if a is None or b is None:
+            try:
+                catalog.check_duel(d)
+            except ValidationError as exc:
+                exc.args = (f"duel {d.duel_id!r}: {exc}",)
+                raise
         if (dimensions is None or d.dimension in dimensions) and (
             categories is None or d.category in categories
         ):
-            by_pair.setdefault((d.category, d.dimension), []).append(d)
+            kept, pairs = by_pair.setdefault((d.category, d.dimension), ([], []))
+            kept.append(d)
+            pairs.append((a, b) if d.winner == GROUP_A else (b, a))
     if not by_pair:
         raise ValidationError("no duels left after applying the configured filters")
     tournaments = []
-    for (category, dimension), pair_duels in sorted(by_pair.items()):
-        items = catalog.ids(category=category)
-        group = np.array([catalog.group_of(i) for i in items])
-        pairs = [(d.winner_item, d.loser_item) for d in pair_duels]
+    for (category, dimension), (kept, pairs) in sorted(by_pair.items()):
+        items, index_a, index_b = layout[category]
         tournaments.append(Tournament(
-            category, dimension, tuple(pair_duels),
-            ComparisonGraph.from_pairs(pairs, items=items),
-            (np.flatnonzero(group == GROUP_A), np.flatnonzero(group == GROUP_B)),
+            category, dimension, tuple(kept),
+            ComparisonGraph(items=tuple(items), duels=tuple(pairs)),
+            tuple(np.fromiter(i.values(), np.intp) for i in (index_a, index_b)),
         ))
     return tournaments
 
@@ -269,19 +292,11 @@ def run_pipeline(
 ) -> dict:
     """Run every analysis and return a JSON-serializable report bundle.
 
-    Every duel must pass ``catalog.check_duel``; an error names the duel.
-    Duels that ``parse_duels`` checked against this catalog are not
-    checked again. The bundle is a pure function of (inputs, config):
-    identical inputs and seed give a byte-identical serialization.
+    Every duel must pass ``catalog.check_duel``, which
+    ``select_tournaments`` applies while it builds the tournaments; an
+    error names the duel. The bundle is a pure function of (inputs,
+    config): identical inputs and seed give a byte-identical serialization.
     """
-    if not (isinstance(duels, CheckedDuels) and duels.catalog is catalog):
-        for d in duels:
-            try:
-                catalog.check_duel(d)
-            except ValidationError as exc:
-                exc.args = (f"duel {d.duel_id!r}: {exc}",)
-                raise
-
     tournaments = select_tournaments(
         catalog, duels, config.dimensions, config.categories
     )

@@ -6,7 +6,9 @@ bootstrap and the rank-recovery simulation are checked against the paths
 they replaced: one graph and one single fit per replicate. So are the
 two-sample resampler and the binomial test, for bit equality. The CSV
 parsers are checked against the ``csv.DictReader`` parsers they replaced,
-and the tag ranking against the version that tested every tag.
+the tournament selection against its ``ComparisonGraph.from_pairs`` route
+after a separate check pass, and the tag ranking against the version that
+tested every tag.
 """
 
 import csv
@@ -365,6 +367,40 @@ def dictreader_parse_duels(path, catalog, column_map, lines):
                     )
         duels.append(duel)
     return duels
+
+
+def pairs_select_tournaments(catalog, duels, dimensions, categories):
+    """pipeline.select_tournaments as a check pass and then a build: every
+    duel is passed to ``catalog.check_duel`` (the first failure raises with
+    its message prefixed ``duel 'id': ``), then the kept duels of each
+    (category, dimension) become a graph by ``ComparisonGraph.from_pairs``
+    over their winner and loser ids. Returns (category, dimension, duels,
+    graph, group A's indices, group B's) per tournament, in sorted order."""
+    for d in duels:
+        try:
+            catalog.check_duel(d)
+        except ValidationError as exc:
+            exc.args = (f"duel {d.duel_id!r}: {exc}",)
+            raise
+    kept = {}
+    for d in duels:
+        if (dimensions is None or d.dimension in dimensions) and (
+            categories is None or d.category in categories
+        ):
+            kept.setdefault((d.category, d.dimension), []).append(d)
+    if not kept:
+        raise ValidationError("no duels left after applying the configured filters")
+    out = []
+    for (category, dimension), pair_duels in sorted(kept.items()):
+        items = catalog.ids(category=category)
+        pairs = [(d.winner_item, d.loser_item) for d in pair_duels]
+        group = np.array([catalog.group_of(i) for i in items])
+        out.append((
+            category, dimension, tuple(pair_duels),
+            ComparisonGraph.from_pairs(pairs, items=items),
+            np.flatnonzero(group == GROUP_A), np.flatnonzero(group == GROUP_B),
+        ))
+    return out
 
 
 def dictreader_parse_tags(path, column_map, lines):

@@ -16,6 +16,7 @@ from duelbias.choice_model import (
 )
 from duelbias.errors import (
     DegenerateFitError,
+    ReferentialError,
     UnidentifiableItemsError,
     ValidationError,
 )
@@ -66,6 +67,10 @@ class TestComparisonGraph:
         g = graph_of([("b", "a"), ("c", "a")])
         assert g.items == ("a", "b", "c")
         assert g.duels == ((1, 0), (2, 0))
+
+    def test_from_pairs_names_an_unknown_item(self):
+        with pytest.raises(ReferentialError, match=r"^unknown item 'z'$"):
+            ComparisonGraph.from_pairs([("a", "z")], items=["a", "b"])
 
 
 class TestLogLikelihood:

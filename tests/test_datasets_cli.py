@@ -48,7 +48,7 @@ from duelbias.pipeline import (
     select_tournaments,
     write_report_bundle,
 )
-from duelbias.records import CheckedDuels, DuelRecord, ItemCatalog, ItemRecord
+from duelbias.records import GROUPS, DuelRecord, ItemCatalog, ItemRecord
 from duelbias.records import TagRecord, TagTable
 from duelbias.tags import aggregate_tags
 from oracles import (
@@ -56,6 +56,7 @@ from oracles import (
     dictreader_parse_items,
     dictreader_parse_tags,
     loop_resample_two_groups,
+    pairs_select_tournaments,
 )
 
 
@@ -904,7 +905,6 @@ class TestPipeline:
         path = tmp_path / "duels.csv"
         write_duels(path, duels)
         parsed = parse_duels(path, catalog)
-        assert isinstance(parsed, CheckedDuels) and parsed.catalog is catalog
         swapped = DuelRecord("dx", "pizza", "tasty", "b-pizza-0", "a-pizza-0", "A", "r")
         message = "^duel 'dx': item_a must be group A"
         if change == "append":
@@ -921,7 +921,6 @@ class TestPipeline:
             missing = duels[0].item_a
             catalog = ItemCatalog(r for r in catalog.records if r.item_id != missing)
             message = f"^duel 'd0': unknown item '{missing}'"
-        assert parsed.catalog is None or parsed.catalog is not catalog
         with pytest.raises(ValidationError, match=message):
             run_pipeline(self.config(), catalog, parsed)
 
@@ -991,6 +990,114 @@ ERROR_BUILTIN_BASES = {
     "UnstableBootstrapError": RuntimeError,
     "NumericalError": RuntimeError,
 }
+
+
+def _breaks_rule(catalog, duel):
+    try:
+        catalog.check_duel(duel)
+    except ValidationError:
+        return True
+    return False
+
+
+@st.composite
+def duel_sets(draw):
+    """(catalog, duels, dimensions, categories): items in up to three
+    categories; duels that keep the duel rule, with up to three random
+    duels put among them that may name an unknown item, cross categories,
+    swap sides or pair one group; random filters."""
+    categories = ("pizza", "salad", "soup")
+    catalog = ItemCatalog(
+        ItemRecord(f"i{k}", draw(st.sampled_from(GROUPS)),
+                   draw(st.sampled_from(categories)))
+        for k in range(draw(st.integers(0, 10)))
+    )
+    sides = {c: (catalog.ids("A", c), catalog.ids("B", c)) for c in categories}
+    playable = [c for c, (side_a, side_b) in sides.items() if side_a and side_b]
+    ids = [*catalog.ids(), "ghost"]
+    duels = []
+    for _ in range(draw(st.integers(0, 12)) if playable else 0):
+        category = draw(st.sampled_from(playable))
+        a, b = (draw(st.sampled_from(side)) for side in sides[category])
+        duels.append((category, a, b))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        a = draw(st.sampled_from(ids))
+        b = draw(st.sampled_from([i for i in [*ids, "phantom"] if i != a]))
+        category = draw(st.sampled_from([*categories, "bread"]))
+        duels.insert(draw(st.integers(0, len(duels))), (category, a, b))
+    duels = [
+        DuelRecord(f"d{k}", category, draw(st.sampled_from(DIMENSIONS)), a, b,
+                   draw(st.sampled_from(GROUPS)), "r1")
+        for k, (category, a, b) in enumerate(duels)
+    ]
+    dimensions, categories = (
+        draw(st.none() | st.lists(st.sampled_from(values), min_size=1, unique=True))
+        for values in ((*DIMENSIONS, "crisp"), (*categories, "bread"))
+    )
+    return catalog, duels, dimensions, categories
+
+
+class TestSelectTournaments:
+    @settings(max_examples=300, deadline=None)
+    @given(duel_sets())
+    def test_same_tournaments_and_errors_as_a_check_pass(self, case):
+        catalog, duels, dimensions, categories = case
+        try:
+            expected = [
+                (c, dim, ds, graph, a.tolist(), b.tolist())
+                for c, dim, ds, graph, a, b in pairs_select_tournaments(*case)
+            ]
+        except ValidationError as exc:
+            expected = type(exc), str(exc)
+        bad = [d for d in duels if _breaks_rule(catalog, d)]
+        checked = []
+        check = ItemCatalog.check_duel
+
+        def counted(self, duel):
+            checked.append(duel)
+            return check(self, duel)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ItemCatalog, "check_duel", counted)
+            try:
+                tournaments = select_tournaments(*case)
+            except ValidationError as exc:
+                got = type(exc), str(exc)
+            else:
+                assert all(
+                    g.dtype == np.intp for t in tournaments for g in t.groups
+                )
+                got = [
+                    (t.category, t.dimension, t.duels, t.graph,
+                     *(g.tolist() for g in t.groups))
+                    for t in tournaments
+                ]
+        assert got == expected
+        # check_duel runs only to raise the first failing duel's error
+        assert checked == bad[:1]
+        if bad:
+            assert got[1].startswith(f"duel {bad[0].duel_id!r}: ")
+
+    @pytest.mark.parametrize("dimensions", [None, ["healthy"], ["crisp"]],
+                             ids=["unfiltered", "duel-filtered-out", "none-left"])
+    @pytest.mark.parametrize(
+        "item_a, item_b, error, message",
+        [
+            ("a-pizza-0", "zzz", ReferentialError, "unknown item 'zzz'"),
+            ("b-pizza-0", "a-pizza-0", ValidationError,
+             "item_a must be group A and item_b group B (got B, A)"),
+        ],
+        ids=["unknown-item", "swapped"],
+    )
+    def test_rejects_a_bad_duel_whatever_the_filters(
+        self, fixture_data, item_a, item_b, error, message, dimensions
+    ):
+        catalog, duels, _ = fixture_data
+        bad = DuelRecord("dx", "pizza", "tasty", item_a, item_b, "A", "r1")
+        with pytest.raises(error) as raised:
+            select_tournaments(catalog, [*duels, bad], dimensions)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"duel 'dx': {message}"
 
 
 @pytest.fixture(scope="module")
