@@ -12,7 +12,9 @@ OLD_SRC, runs the same ``duelbias`` commands with each tree (every
 subcommand at least once, so every output writer; ``bias`` and
 ``simulate`` also with their settings in a ``--config`` file, ``fit`` and
 ``bias`` also with ``--normalization sum-one``; ``fit``, ``tags`` and
-``bias --tags`` on the large inputs too; one ``bias`` run that must fail),
+``bias --tags`` on the large inputs too; a 50-replicate ``simulate`` and a
+duel-unit ``bias`` on the large set, whose batches span several blocks;
+one ``bias`` run that must fail),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
 are, and each tree's peak RSS (the child's ``ru_maxrss``, read with
@@ -89,6 +91,14 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
     out["demo-tags"] = ["tags", "--items", f"{demo}/items.csv", *tags]
     out["demo-freq"] = ["freq", "--items", f"{demo}/items.csv"]
     out["simulate"] = list(SIMULATE_ARGS)
+    # runs that cross block boundaries (bias.rows_per_block): 50 replicates
+    # in blocks of 32 at budget 2000, and refits of 2,000 duels in blocks of 32
+    out["simulate-50-replicates"] = [
+        "simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",
+        "--replicates", "50", "--seed", "1",
+    ]
+    out["large-bias-duel-pizza"] = ["bias", *l_in, "--unit", "duel",
+                                    "--bootstrap", "100", "--category", "pizza"]
     # more than 10% of its refits fail: an unstable bootstrap
     out["demo-bias-alpha0-duel"] = ["bias", *d_in, "--alpha", "0", "--unit", "duel",
                                     "--bootstrap", "200"]

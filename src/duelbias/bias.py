@@ -28,9 +28,14 @@ from .stats import (
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
-# resampled values gathered per block of replicates in resample_two_groups;
-# bounds the block's working set at a few MiB for any group size
-_RESAMPLE_BLOCK_VALUES = 2**16
+BLOCK_VALUES = 2**16
+
+
+def rows_per_block(rows: int, row_size: int) -> int:
+    """Rows per block of a batch of ``rows`` rows of ``row_size`` values: at
+    most ``BLOCK_VALUES`` values (a few MiB) and at least one row. Every
+    lockstep batch of replicates runs in such blocks; no output depends on it."""
+    return max(1, min(rows, BLOCK_VALUES // row_size))
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,13 @@ def resample_two_groups(
     Returns the per-replicate mean differences mean(b) - mean(a), shape
     (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
     the midpoint percentile rank within the resampled A of each grid
-    percentile of the resampled B. Row r of a block holds A's indices, then
-    B's, drawn as ``integers(0, bounds)`` with per-index bounds would draw
-    them (see ``_draw_indices``): the same stream as two calls per
-    replicate, so the values do not depend on the block size. The grid
-    percentiles are read from the sorted B rows with numpy's ``linear``
-    rule (see ``_sorted_percentiles``), a rank is counted from the
-    multiplicities of A's items in sorted order, and each replicate's
+    percentile of the resampled B. Row r of a ``rows_per_block`` block holds
+    A's indices, then B's, drawn as ``integers(0, bounds)`` with per-index
+    bounds would draw them (see ``_draw_indices``): the same stream as two
+    calls per replicate, so the values do not depend on the block size.
+    The grid percentiles are read from the sorted B rows with numpy's
+    ``linear`` rule (see ``_sorted_percentiles``), a rank is counted from
+    the multiplicities of A's items in sorted order, and each replicate's
     values are bit-identical to those computed for it alone. Empty groups
     and non-finite values are rejected.
     """
@@ -207,7 +212,7 @@ def resample_two_groups(
     rng = np.random.default_rng(seed)
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
-    block = max(1, min(replicates, _RESAMPLE_BLOCK_VALUES // (n_a + n_b)))
+    block = rows_per_block(replicates, n_a + n_b)
     # per-block buffers, sliced to the block's m rows
     idx_buf = np.empty((block, n_a + n_b), dtype=np.uint64)
     a_buf = np.empty((block, n_a))

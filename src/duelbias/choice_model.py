@@ -368,8 +368,9 @@ def fit_duel_arrays(
     ``losers`` are (rows, m) integer indices, e.g. the simulated
     tournaments of several replicates, or (1, m) for one duel list shared
     by every row of ``weights``; ``weights`` is (rows, m) and defaults to
-    unit weights. A shared list lets rows leave the batch without
-    renumbering their duel indices (see ``_newton``).
+    unit weights, and a weight must be finite and nonnegative. A shared
+    list lets rows leave the batch without renumbering their duel indices
+    (see ``_newton``).
 
     All rows run in one lockstep Newton-CG loop (see ``fit``) from the
     scores ``initial_scores`` (n_items,), finite and positive, by default
@@ -402,6 +403,9 @@ def fit_duel_arrays(
             f"weights must be (rows, duels) with one column per duel, got "
             f"{weights.shape} for duel arrays {wi.shape}"
         )
+    if not ((weights >= 0) & (weights < np.inf)).all():
+        # a NaN, infinite or negative weight has no maximizer to converge to
+        raise ValidationError("weights must be finite and nonnegative")
     if wi.size:
         if not (
             np.issubdtype(wi.dtype, np.integer) and np.issubdtype(li.dtype, np.integer)

@@ -10,9 +10,10 @@ Subcommands:
     freq       category frequency comparison
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
-For simulate, fit and bias, flags override values from --config (JSON);
-fit, bias, design and tags check every setting before they read any input
-file. DUELBIAS_OUTPUT_DIR sets the default output directory.
+For simulate, fit and bias, flags override values from --config (JSON),
+whose keys are the setting flags' names with _ for -; fit, bias, design
+and tags check every setting before they read any input file.
+DUELBIAS_OUTPUT_DIR sets the default output directory.
 
 The numeric layers, and numpy with them, are imported by ``main()`` only
 for the commands that need them: ``tags``, ``--help`` and argument errors
@@ -121,11 +122,18 @@ def _converted(kind, key: str, value):
 
 def _merged(args, cfg: dict, key: str, default, kind=None):
     """Priority: explicit flag > config file > default; converted by
-    ``_converted(kind, ...)`` if ``kind`` is given."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = cfg.get(key, default)
+    ``_converted(kind, ...)`` if ``kind`` is given. Takes ``key`` out of
+    ``cfg``, so that what is left names no setting (``_reject_unread``)."""
+    value = cfg.pop(key, default)
+    flag = getattr(args, key, None)
+    value = value if flag is None else flag
     return value if kind is None else _converted(kind, key, value)
+
+
+def _reject_unread(args, cfg: dict) -> None:
+    """Reject the first ``--config`` key that no ``_merged`` call took out."""
+    if cfg:
+        raise ValidationError(f"{args.config}: unknown setting {next(iter(cfg))!r}")
 
 
 def cmd_simulate(args) -> None:
@@ -134,6 +142,9 @@ def cmd_simulate(args) -> None:
     replicates = _merged(args, cfg, "replicates", 50, int)
     seed = _merged(args, cfg, "seed", 0, int)
     n_items = _merged(args, cfg, "items", 100, int)
+    outcome = _merged(args, cfg, "outcome", OUTCOME_RATER_NORMAL)
+    rater_noise = _merged(args, cfg, "rater_noise", DEFAULT_RATER_NOISE, float)
+    _reject_unread(args, cfg)
     if n_items % 2 != 0:
         raise ValidationError("--items must be even (two equal groups)")
     curve = simulate_rank_recovery(
@@ -141,8 +152,8 @@ def cmd_simulate(args) -> None:
         budgets=budgets,
         replicates=replicates,
         seed=seed,
-        outcome_noise=_merged(args, cfg, "outcome", OUTCOME_RATER_NORMAL),
-        rater_noise_scale=_merged(args, cfg, "rater_noise", DEFAULT_RATER_NOISE, float),
+        outcome_noise=outcome,
+        rater_noise_scale=rater_noise,
     )
     path = write_csv(
         _outpath(args, "recovery_curve.csv"),
@@ -192,6 +203,7 @@ def _column_map(args):
 def cmd_fit(args) -> None:
     cfg = _load_config_defaults(args.config)
     fit_config = _fit_config(args, cfg)
+    _reject_unread(args, cfg)
     column_map = _column_map(args)
     catalog = parse_items(args.items, column_map)
     duels = parse_duels(args.duels, catalog, column_map)
@@ -229,6 +241,7 @@ def cmd_bias(args) -> None:
         seed=_merged(args, cfg, "seed", d.seed, int),
         fit=_fit_config(args, cfg),
     )
+    _reject_unread(args, cfg)
     column_map = _column_map(args)
     catalog = parse_items(args.items, column_map)
     duels = parse_duels(args.duels, catalog, column_map)

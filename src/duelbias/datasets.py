@@ -150,28 +150,25 @@ def _build_records(path, record_type, columns, check=None):
     ``check`` if given. The first row that fails raises with its message
     prefixed ``{path}: line N: ``: a ParseError if the record fails, the
     check's own error if the check does."""
-    records, failed = [], None
-    try:
-        for values in zip(*columns):
-            records.append(record_type(*values))
-    except ValidationError as exc:
-        failed = exc
-    # the rows before a failed record are checked first, so an earlier error wins
-    if check is not None:
-        for row, record in enumerate(records):
+    records = []
+    for row, values in enumerate(zip(*columns)):
+        try:
+            record = record_type(*values)
+        except ValidationError as exc:
+            raise ParseError(exc, line=_row_line(path, row), path=path) from exc
+        if check is not None:
             try:
                 check(record)
             except ValidationError as exc:
                 exc.args = (f"{path}: line {_row_line(path, row)}: {exc}",)
                 raise
-    if failed is not None:
-        line = _row_line(path, len(records))
-        raise ParseError(failed, line=line, path=path) from failed
+        records.append(record)
     return records
 
 
 def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalog:
-    """Read an item catalog; duplicate ids and unknown groups are rejected."""
+    """Read an item catalog; unknown groups and duplicate ids are rejected,
+    a duplicate on the line of its second row once every row is valid."""
     columns = _read_columns(
         path, ITEM_COLUMNS[:3], column_map, optional=("external_ref",)
     )
@@ -179,8 +176,11 @@ def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalo
     records = _build_records(path, ItemRecord, columns)
     try:
         return ItemCatalog(records)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    except ValidationError as exc:  # the first id that repeats an earlier one
+        first = {}
+        row = next(k for k, i in enumerate(columns[0]) if first.setdefault(i, k) != k)
+        exc.args = (f"{path}: line {_row_line(path, row)}: {exc}",)
+        raise
 
 
 def parse_duels(

@@ -21,9 +21,6 @@ from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
 from .stats import pvalue_json
 from .tags import distinctive_tag_rows, write_distinctive_tags
 
-# duel multiplicities held per block of refitted bootstrap replicates;
-# bounds a block's working set at a few MiB for any tournament size
-_REFIT_BLOCK_DUELS = 2**16
 # the rank-curve column whose CI is the median-percentile CI
 _MEDIAN_COLUMN = bias_mod.DEFAULT_RANK_GRID.index(50)
 
@@ -236,11 +233,11 @@ def refit_bias_replicates(
     ``integers(0, m, size=m)`` draw of one generator seeded with ``seed``),
     which is the same as counting each duel by its multiplicity in the
     resample. The replicates are refitted together by ``fit_duel_arrays``
-    over the tournament's one duel list, a block at a time, warm-started
-    from the point fit and in its gauge. A replicate whose
-    fit does not converge is discarded; with alpha 0 that includes every
-    replicate whose win graph is not strongly connected. More than 10%
-    discards raise UnstableBootstrapError, which names the tournament.
+    over the tournament's one duel list, in blocks of ``bias.rows_per_block``
+    rows, warm-started from the point fit and in its gauge. A replicate
+    whose fit does not converge is discarded; with alpha 0 that includes
+    every replicate whose win graph is not strongly connected. More than
+    10% discards raise UnstableBootstrapError, which names the tournament.
     """
     replicates = config.bootstrap_replicates
     graph = tournament.graph
@@ -250,8 +247,7 @@ def refit_bias_replicates(
     group_a, group_b = tournament.groups
     fit_config = replace(config.fit, normalization=point.normalization)
     rng = np.random.default_rng(seed)
-    block = max(1, min(replicates, _REFIT_BLOCK_DUELS // m))
-    weights = np.empty((block, m))
+    block = bias_mod.rows_per_block(replicates, m)
     values = []
     for first in range(0, replicates, block):
         rows = min(block, replicates - first)
@@ -259,9 +255,9 @@ def refit_bias_replicates(
         # row r's indices by r * m counts every row in one bincount
         draws = rng.integers(0, m, size=(rows, m))
         draws += m * np.arange(rows)[:, None]
-        weights[:rows] = np.bincount(draws.ravel(), minlength=rows * m).reshape(rows, m)
+        weights = np.bincount(draws.ravel(), minlength=rows * m).reshape(rows, m)
         fits = fit_duel_arrays(
-            graph.n_items, winners, losers, fit_config, weights[:rows], start
+            graph.n_items, winners, losers, fit_config, weights, start
         )
         scores = np.log(fits.scores[fits.converged])
         values.append(scores[:, group_b].mean(axis=1) - scores[:, group_a].mean(axis=1))

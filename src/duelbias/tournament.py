@@ -15,6 +15,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .bias import rows_per_block
 # ``fit`` stays bound here because bench/traced.py wraps duelbias.tournament.fit
 from .choice_model import FitConfig, fit, fit_duel_arrays  # noqa: F401
 from .errors import (
@@ -42,12 +43,10 @@ SIMULATION_FIT_CONFIG = FitConfig(tolerance=1e-6, max_iterations=5_000)
 # a fit reproduces only to the last bits still counts as a tie.
 _TAU_DECIMALS = 9
 
-# A block of replicates is fitted, and its taus computed, in one call. The
-# block holds at most this many duels, as the refit bootstrap's blocks do,
-# and at most this many (item, item) entries in each sign matrix of
-# kendall_tau_values (1 MiB of int8), so memory stays flat in replicates.
-_BLOCK_DUELS = 2**16
-_BLOCK_PAIRS = 2**20
+# A block of replicates (bias.rows_per_block) is fitted, and its taus
+# computed, in one call. A row counts its budget of duels or, if more, the
+# (2n)**2 entries of each int8 sign matrix of kendall_tau_values at 16 to a
+# value, rounded up: at most 2**16 duels and 1 MiB per matrix by default.
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,8 @@ def simulate_rank_recovery(
     duel outcomes are generated, the choice model is fit, and Kendall's
     tau between true and fitted scores is recorded. Replicate r uses its
     own generators derived from seed + r. The replicates of a budget are
-    fitted in lockstep, a block at a time; a fit that does not converge
-    raises NumericalError naming its replicate seed and budget.
+    fitted in lockstep, in ``bias.rows_per_block`` blocks; a fit that does
+    not converge raises NumericalError naming its replicate seed and budget.
 
     Outcome models:
       "rater-normal" (default): each duel's rater perceives both qualities
@@ -260,9 +259,7 @@ def simulate_rank_recovery(
         fit_config = SIMULATION_FIT_CONFIG
     taus = np.empty((replicates, len(budgets)), dtype=float)
     for j, budget in enumerate(budgets):
-        block = max(
-            1, min(replicates, _BLOCK_DUELS // budget, _BLOCK_PAIRS // (2 * n) ** 2)
-        )
+        block = rows_per_block(replicates, max(budget, -(-(2 * n) ** 2 // 16)))
         for first in range(0, replicates, block):
             seeds = range(seed + first, seed + min(first + block, replicates))
             winners, losers, qualities = _tournaments(

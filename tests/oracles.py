@@ -322,19 +322,24 @@ def dictreader_parse_items(path, column_map, lines):
     ):
         try:
             records.append(
-                ItemRecord(
+                (lineno, ItemRecord(
                     item_id=row["item_id"],
                     group=row["group"],
                     category=row["category"],
                     external_ref=row["external_ref"] or None,
-                )
+                ))
             )
         except ValidationError as exc:
             raise ParseError(exc, line=lineno, path=path) from exc
-    try:
-        return ItemCatalog(records)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    # once every row is valid, the first repeated id, on its second row's line
+    seen = set()
+    for lineno, record in records:
+        if record.item_id in seen:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate item_id {record.item_id!r}"
+            )
+        seen.add(record.item_id)
+    return ItemCatalog(record for _, record in records)
 
 
 def dictreader_parse_duels(path, catalog, column_map, lines):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias.bias import (
-    _RESAMPLE_BLOCK_VALUES,
+    BLOCK_VALUES,
     DEFAULT_RANK_GRID,
     _draw_indices,
     _sorted_percentiles,
@@ -22,9 +22,12 @@ from duelbias.bias import (
     score_correlations,
     triangle_lower_bound,
 )
+from duelbias import bias as bias_mod
 from duelbias.errors import UnstableBootstrapError, ValidationError
+from duelbias.pipeline import AnalysisConfig, dump_report, run_pipeline
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord
 from duelbias.stats import midpoint_ranks, percentile_rank
+from duelbias.tournament import simulate_rank_recovery
 from oracles import loop_resample_two_groups
 
 
@@ -271,7 +274,7 @@ def _boundary_replicates(n_a, n_b):
     """Replicate counts one either side of a block boundary of
     resample_two_groups, where that boundary is a cheap replicate count
     for the per-replicate loop (small groups make blocks of thousands)."""
-    block = max(1, _RESAMPLE_BLOCK_VALUES // (n_a + n_b))
+    block = max(1, BLOCK_VALUES // (n_a + n_b))
     boundary = block * -(-101 // block)
     return (boundary - 1, boundary + 1) if boundary <= 2000 else ()
 
@@ -356,6 +359,46 @@ class TestResampleTwoGroups:
             tracemalloc.stop()
         # a (1000, 1000) int64 index matrix alone would take 7.6 MiB
         assert peak < 4 * 2**20
+
+
+def _two_category_set(seed, n_side=6, n_duels=150):
+    """Catalog and duels of four tournaments (two categories, two
+    dimensions), ``n_side`` items a side, with Bradley-Terry outcomes."""
+    rng = np.random.default_rng(seed)
+    records, duels = [], []
+    for category in ("pizza", "salad"):
+        ids = {g: [f"{category}-{g}{i}" for i in range(n_side)] for g in "AB"}
+        records += [ItemRecord(i, g, category) for g in "AB" for i in ids[g]]
+        for dimension in ("tasty", "healthy"):
+            quality = rng.normal(scale=0.5, size=(2, n_side))
+            for _ in range(n_duels):
+                a, b = rng.integers(n_side, size=2)
+                p_a = 1 / (1 + math.exp(quality[1, b] - quality[0, a]))
+                duels.append(DuelRecord(
+                    f"d{len(duels)}", category, dimension, ids["A"][a],
+                    ids["B"][b], "A" if rng.random() < p_a else "B", "r1",
+                ))
+    return ItemCatalog(records), duels
+
+
+class TestBlocksAreInvisible:
+    """Every lockstep batch gives the same outputs whatever its blocks: with
+    97 values a block, each refit block holds one replicate, each item
+    resample a few, and each simulation block a few replicates or one."""
+
+    @pytest.mark.parametrize("unit", ["duel", "item"])
+    def test_report_is_byte_identical(self, monkeypatch, unit):
+        catalog, duels = _two_category_set(3)
+        config = AnalysisConfig(bootstrap_replicates=150, bootstrap_unit=unit, seed=2)
+        default = dump_report(run_pipeline(config, catalog, duels))
+        monkeypatch.setattr(bias_mod, "BLOCK_VALUES", 97)
+        assert dump_report(run_pipeline(config, catalog, duels)) == default
+
+    def test_recovery_curve_is_equal(self, monkeypatch):
+        kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=4)
+        default = simulate_rank_recovery(**kwargs)
+        monkeypatch.setattr(bias_mod, "BLOCK_VALUES", 97)
+        assert simulate_rank_recovery(**kwargs) == default
 
 
 class TestDrawIndices:

@@ -436,6 +436,19 @@ class TestFitReplicates:
         with pytest.raises(ValidationError):
             fit_duel_arrays(2, winners, losers, weights=np.ones((3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    def test_weights_must_be_finite_and_nonnegative(self, bad, alpha):
+        # such a weight has no maximizer: it used to run every Newton step
+        winners, losers = np.array([[0, 1, 2, 0]]), np.array([[1, 2, 0, 2]])
+        weights = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, bad, 1.0]])
+        config = FitConfig(regularization_alpha=alpha)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            fit_duel_arrays(3, winners, losers, config, weights)
+        # a zero weight, a duel left out of a bootstrap resample, is fine
+        weights[1, 2] = 0.0
+        assert fit_duel_arrays(3, winners, losers, config, weights).converged[0]
+
 
 class TestScoreTable:
     def test_rejects_nonpositive_scores(self):

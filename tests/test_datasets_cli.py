@@ -312,6 +312,16 @@ class TestParseErrors:
         with pytest.raises(ValidationError, match="duplicate"):
             parse_items(path)
 
+    def test_duplicate_item_id_names_the_line_of_its_second_row(self, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text(
+            "item_id,group,category\na1,A,pizza\n\nb1,B,pizza\n"
+            'a2,A,"deep\ndish"\nb1,B,salad\na1,B,pizza\n'
+        )
+        with pytest.raises(ValidationError) as exc:
+            parse_items(path)
+        assert str(exc.value) == f"{path}: line 7: duplicate item_id 'b1'"
+
     def test_unknown_group(self, tmp_path):
         path = self.write(
             tmp_path,
@@ -1568,6 +1578,38 @@ class TestCLI:
                 "--column-map", missing, "--output-dir", str(tmp_path / "out")]
         assert main(args) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, config, unknown",
+        [
+            (["bias"], {"bootsrap": 150, "sede": 3}, "bootsrap"),
+            (["bias", "--seed", "2"], {"seed": 1, "category": "pizza"}, "category"),
+            (["fit"], {"alpha": 0.5, "unit": "item"}, "unit"),
+            (["fit"], {"max-iterations": 5}, "max-iterations"),
+            (["simulate"], {"seed": 3, "bootstrap": 150}, "bootstrap"),
+            (["simulate", "--rater-noise", "0.3"], {"rater-noise": 0.3}, "rater-noise"),
+        ],
+        ids=["bias-typos", "bias-unread-key", "fit-bias-key", "fit-dashed-key",
+             "simulate-bias-key", "simulate-dashed-key"],
+    )
+    def test_unknown_config_setting_exits_2_before_any_input(
+        self, tmp_path, capsys, monkeypatch, command, config, unknown
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("input parsed before the settings were checked")
+
+        for name in ("parse_items", "parse_duels", "parse_tags", "load_column_map",
+                     "simulate_rank_recovery"):
+            monkeypatch.setattr(cli, name, unread)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        args = [*command, "--config", str(cfg), "--output-dir", str(tmp_path / "out")]
+        if command[0] != "simulate":
+            missing = str(tmp_path / "missing.csv")
+            args += ["--items", missing, "--duels", missing, "--column-map", missing]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown setting {unknown!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_bias_run_leaves_numpy_ma_unloaded(self, paths):
         # np.percentile and np.median import numpy.ma: 1 MiB and 10 ms a run
