@@ -14,7 +14,9 @@ subcommand at least once, so every output writer; ``bias`` and
 ``bias`` also with ``--normalization sum-one``; ``fit``, ``tags`` and
 ``bias --tags`` on the large inputs too; a 50-replicate ``simulate`` and a
 duel-unit ``bias`` on the large set, whose batches span several blocks;
-one ``bias`` run that must fail),
+one ``bias`` run that must fail; ``bias``, ``fit`` and ``duelstats`` on
+copies of the large duels file that each break one duel rule near the
+end, whose line-numbered errors must match),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
 are, and each tree's peak RSS (the child's ``ru_maxrss``, read with
@@ -26,6 +28,7 @@ exits otherwise than expected.
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import importlib.util
 import json
@@ -45,8 +48,28 @@ LARGE_SET_ARGS = ("--items-per-side", "200",
 SIMULATE_ARGS = ("simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",
                  "--replicates", "5", "--seed", "1")
 REFIT_DEMO_SEEDS = (1, 2, 3)
+# each copy of the large duels file breaks one rule in its third-last row
+# (0-based index 19,997): how that row is changed
+BAD_DUEL_ROWS = {
+    "unknown-item": lambda row, other: {**row, "item_a": "ghost"},
+    "swapped-sides": lambda row, other: {**row, "item_a": row["item_b"],
+                                         "item_b": row["item_a"]},
+    "other-category": lambda row, other: {**row, "item_b": other["item_b"]},
+    "bad-winner": lambda row, other: {**row, "winner": "X"},
+    "self-duel": lambda row, other: {**row, "item_b": row["item_a"]},
+    "short-row": lambda row, other: {"duel_id": row["duel_id"],
+                                     "category": row["category"]},
+}
+# the rules that duelstats, which reads no catalog, applies too
+RECORD_RULES = ("bad-winner", "self-duel", "short-row")
+BAD_COMMANDS = ("bias", "fit", "duelstats")
 # runs that must fail, and their exit code; every other run must exit 0
-EXPECTED_EXIT = {"demo-bias-alpha0-duel": 3}
+EXPECTED_EXIT = {
+    "demo-bias-alpha0-duel": 3,
+    **{f"bad-{fault}-{command}": 2 for fault in BAD_DUEL_ROWS
+       for command in BAD_COMMANDS
+       if command != "duelstats" or fault in RECORD_RULES},
+}
 
 # runs duelbias.cli from the tree given as the first argument, and fails if
 # another copy of the package (say, an installed one) is imported instead
@@ -76,6 +99,7 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
     out["vocab-tags"] = ["tags", "--items", f"{vocab}/items.csv",
                          "--tags", f"{vocab}/tags.csv"]
     out["demo-duelstats"] = ["duelstats", "--duels", f"{demo}/duels.csv"]
+    out["large-duelstats"] = ["duelstats", "--duels", f"{large}/duels.csv"]
     out["demo-fit"] = ["fit", *d_in]
     out["large-fit"] = ["fit", *l_in]
     out["demo-fit-pizza-tasty"] = ["fit", *d_in, "--category", "pizza",
@@ -119,7 +143,33 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
         with open(path, "w", encoding="utf-8") as f:
             json.dump(settings, f)
         out[name] = [*command, "--config", path]
+    for fault, path in write_bad_duels(f"{large}/duels.csv", tmp).items():
+        bad_in = ["--items", f"{large}/items.csv", "--duels", path]
+        out[f"bad-{fault}-bias"] = ["bias", *bad_in, "--unit", "item",
+                                    "--bootstrap", "100"]
+        out[f"bad-{fault}-fit"] = ["fit", *bad_in]
+        out[f"bad-{fault}-duelstats"] = ["duelstats", "--duels", path]
     return out
+
+
+def write_bad_duels(source: str, tmp: str) -> dict[str, str]:
+    """Fault name -> path of a copy of the duels file ``source`` whose
+    third-last row is changed as ``BAD_DUEL_ROWS`` says; an item of another
+    category is taken from the first row of another category."""
+    with open(source, encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    row = rows[-3]
+    other = next(r for r in rows if r["category"] != row["category"])
+    paths = {}
+    for fault, change in BAD_DUEL_ROWS.items():
+        paths[fault] = os.path.join(tmp, f"duels-{fault}.csv")
+        with open(paths[fault], "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(rows[0].keys())
+            writer.writerows(r.values() for r in rows[:-3])
+            writer.writerow(change(row, other).values())
+            writer.writerows(r.values() for r in rows[-2:])
+    return paths
 
 
 def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float]:

@@ -15,6 +15,7 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .duel_table import DuelTable
 from .errors import DuelBiasError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
 from .stats import (
@@ -76,7 +77,7 @@ def duel_win_fraction(duels: Sequence[DuelRecord]) -> WinFraction:
     n = len(duels)
     if n == 0:
         raise ValidationError("win fraction requires at least one duel")
-    wins = sum(1 for d in duels if d.winner == GROUP_B)
+    wins = int(np.count_nonzero(DuelTable.of(duels).wins_of(GROUP_B)))
     return WinFraction(
         fraction=wins / n,
         p_value=binomial_two_sided(wins, n, 0.5),
@@ -90,22 +91,20 @@ def rater_macro_average(duels: Sequence[DuelRecord]) -> RaterSummary:
 
     Every rater counts once in the macro mean regardless of how many duels
     they judged. The histogram uses fixed bins of width 0.05 on [0, 1].
+    ``per_rater`` lists the raters in the order of their first duel.
     """
-    totals: dict[str, int] = {}
-    wins: dict[str, int] = {}
-    for d in duels:
-        totals[d.rater_id] = totals.get(d.rater_id, 0) + 1
-        if d.winner == GROUP_B:
-            wins[d.rater_id] = wins.get(d.rater_id, 0) + 1
-    per_rater = {r: wins.get(r, 0) / totals[r] for r in totals}
-    if not per_rater:
+    duels = DuelTable.of(duels)
+    if not len(duels):
         return RaterSummary(per_rater={}, macro_mean=float("nan"), histogram=())
+    names, raters = duels.column("rater_id")
+    present = np.fromiter(dict.fromkeys(raters.tolist()), np.intp)  # first-seen order
+    totals = np.bincount(raters)[present]
+    fractions = np.bincount(raters, duels.wins_of(GROUP_B))[present] / totals
+    per_rater = dict(zip(map(names.__getitem__, present.tolist()), fractions.tolist()))
     macro = math.fsum(per_rater.values()) / len(per_rater)
     n_bins = round(1.0 / HISTOGRAM_BIN_WIDTH)
-    counts = [0] * n_bins
-    for frac in per_rater.values():
-        idx = min(int(frac / HISTOGRAM_BIN_WIDTH), n_bins - 1)
-        counts[idx] += 1
+    bins = np.minimum((fractions / HISTOGRAM_BIN_WIDTH).astype(int), n_bins - 1)
+    counts = np.bincount(bins, minlength=n_bins).tolist()
     histogram = tuple(
         (i * HISTOGRAM_BIN_WIDTH, (i + 1) * HISTOGRAM_BIN_WIDTH, c)
         for i, c in enumerate(counts)

@@ -26,10 +26,13 @@ from collections import deque
 from contextlib import contextmanager
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord, TagTable
+
+if TYPE_CHECKING:
+    from .duel_table import DuelTable
 
 ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
 DUEL_COLUMNS = (
@@ -75,7 +78,7 @@ def load_column_map(path) -> dict[str, str]:
     return mapping
 
 
-def _read_columns(path, required, column_map, optional=()):
+def _read_columns(path, required, column_map, optional=(), codes=None):
     """Read the named columns of a CSV file with a header row.
 
     Returns one list of stripped values per column, in the order
@@ -88,8 +91,11 @@ def _read_columns(path, required, column_map, optional=()):
     Rows are read ``_CHUNK_ROWS`` at a time, and each column holds one
     string object per distinct value: crowd logs repeat most of their
     fields, so a file's columns take little more memory than its records.
+    ``codes`` maps a required column's name to a code book (a
+    ``duel_table.Codes``); that column holds instead each value's code.
     """
     column_map = column_map or {}
+    codes = codes or {}
     with open_utf8(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -105,7 +111,8 @@ def _read_columns(path, required, column_map, optional=()):
         width = max(indices) + 1
         indices += [position.get(column_map.get(col, col)) for col in optional]
         columns = [[] for _ in indices]
-        distinct = [{} for _ in indices]  # per column, each value's one string
+        # per column, its code book or each value's one string
+        distinct = [codes.get(col, {}) for col in (*required, *optional)]
         nonblank, short = filter(None, reader), None
         while rows := list(islice(nonblank, _CHUNK_ROWS)):
             if min(map(len, rows)) < width:
@@ -122,7 +129,10 @@ def _read_columns(path, required, column_map, optional=()):
                     fields = list(map(str.strip, map(itemgetter(j), rows)))
                 else:
                     fields = [row[j].strip() if j < len(row) else None for row in rows]
-                values.extend(map(seen.setdefault, fields, fields))
+                if type(seen) is dict:  # each value's one string
+                    values.extend(map(seen.setdefault, fields, fields))
+                else:  # a code book: each value's code
+                    values.extend(map(seen.__getitem__, fields))
     if short is not None:
         raise ParseError("row has too few fields", line=_row_line(path, short),
                          path=path)
@@ -145,13 +155,13 @@ def _row_line(path, row):
     raise ValueError(f"{path}: no row {row}")
 
 
-def _build_records(path, record_type, columns, check=None):
+def _build_records(path, record_type, columns, check=None, first=0):
     """One ``record_type(*values)`` per row, in file order, each passed to
-    ``check`` if given. The first row that fails raises with its message
-    prefixed ``{path}: line N: ``: a ParseError if the record fails, the
-    check's own error if the check does."""
+    ``check`` if given; ``first`` is the index of the first row. The first
+    row that fails raises with its message prefixed ``{path}: line N: ``: a
+    ParseError if the record fails, the check's own error if the check does."""
     records = []
-    for row, values in enumerate(zip(*columns)):
+    for row, values in enumerate(zip(*columns), first):
         try:
             record = record_type(*values)
         except ValidationError as exc:
@@ -187,14 +197,23 @@ def parse_duels(
     path,
     catalog: ItemCatalog | None = None,
     column_map: Mapping[str, str] | None = None,
-) -> list[DuelRecord]:
-    """Read duel records into a list. With a catalog, each duel must pass
+) -> DuelTable:
+    """Read duel records into a ``DuelTable``, which builds each record only
+    when it is read. With a catalog, each duel must pass
     ``catalog.check_duel``, and the first that fails raises its error
     prefixed ``{path}: line N: ``; without one, only structural checks
-    apply."""
-    columns = _read_columns(path, DUEL_COLUMNS, column_map)
-    check = None if catalog is None else catalog.check_duel
-    return _build_records(path, DuelRecord, columns, check)
+    apply. The rules run over whole columns: only a failing row is built."""
+    # imported here: `duelbias tags` needs neither the table nor numpy
+    from .duel_table import DuelTable
+
+    books = DuelTable.code_books()
+    duel_ids, *codes = _read_columns(path, DUEL_COLUMNS, column_map, codes=books)
+    table = DuelTable(duel_ids, books.values(), codes)
+    row = table.first_broken(catalog)
+    if row is not None:  # build and check that row alone, to raise its error
+        check = None if catalog is None else catalog.check_duel
+        _build_records(path, DuelRecord, table[row:row + 1].columns(), check, row)
+    return table
 
 
 def parse_tags(path, column_map: Mapping[str, str] | None = None) -> TagTable:

@@ -14,9 +14,9 @@ import numpy as np
 from . import bias as bias_mod
 from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
 from .datasets import write_csv
+from .duel_table import DuelTable
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
-from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
-from .records import TagRecord, TagTable
+from .records import GROUP_B, DuelRecord, ItemCatalog, TagRecord, TagTable
 from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
 from .stats import pvalue_json
 from .tags import distinctive_tag_rows, write_distinctive_tags
@@ -78,9 +78,12 @@ def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
     }
 
 
-def _digest(lines: Iterable[str]) -> str:
-    text = "".join(line + "\n" for line in lines)
+def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _lines(rows: Iterable[Sequence[str]]) -> str:
+    return "\n".join([*map(",".join, rows), ""])
 
 
 def input_digests(
@@ -88,20 +91,16 @@ def input_digests(
     duels: Sequence[DuelRecord],
     tags: Sequence[TagRecord] | None,
 ) -> dict[str, str]:
-    items_lines = [
-        f"{r.item_id},{r.group},{r.category},{r.external_ref or ''}"
-        for r in catalog.records
-    ]
-    duel_lines = [
-        f"{d.duel_id},{d.category},{d.dimension},{d.item_a},{d.item_b},"
-        f"{d.winner},{d.rater_id}"
-        for d in duels
-    ]
-    out = {"items": _digest(items_lines), "duels": _digest(duel_lines)}
+    items = [(r.item_id, r.group, r.category, r.external_ref or "")
+             for r in catalog.records]
+    out = {
+        "items": _digest(_lines(items)),
+        "duels": _digest(DuelTable.of(duels).lines()),
+    }
     if tags is not None:
         t = TagTable.of(tags)
         rows = zip(t.duel_ids, t.item_ids, t.rater_ids, t.raw_texts)
-        out["tags"] = _digest(map(",".join, rows))
+        out["tags"] = _digest(_lines(rows))
     return out
 
 
@@ -113,7 +112,7 @@ class Tournament:
 
     category: str
     dimension: str
-    duels: tuple[DuelRecord, ...]
+    duels: DuelTable
     graph: ComparisonGraph
     groups: tuple[np.ndarray, np.ndarray]
 
@@ -130,54 +129,54 @@ def select_tournaments(
 
     Every duel, whether the filters keep it or not, must pass
     ``catalog.check_duel``: the first that fails, in input order, raises
-    its error prefixed ``duel 'id': ``. The rule is applied by looking
-    each side up among its group's items of the duel's category, which
-    fails exactly when the rule does; ``check_duel`` runs only to raise.
-    Then ValidationError is raised if the filters leave no duel.
+    its error prefixed ``duel 'id': ``. The rule runs over whole columns
+    (``DuelTable.first_broken``); ``check_duel`` runs only to raise. Then
+    ValidationError is raised if the filters leave no duel.
     """
-    # per category: its items in catalog order, and the graph index of each
-    # of group A's items and of each of group B's
-    layout: dict[str, tuple[list[str], dict[str, int], dict[str, int]]] = {}
-    for r in catalog.records:
-        items, *indices = layout.setdefault(r.category, ([], {}, {}))
-        indices[r.group == GROUP_B][r.item_id] = len(items)
-        items.append(r.item_id)
-    no_items = ((), {}, {})
-    by_pair: dict[tuple[str, str], tuple[list[DuelRecord], list[tuple[int, int]]]] = {}
-    for d in duels:
-        _, index_a, index_b = layout.get(d.category, no_items)
-        a, b = index_a.get(d.item_a), index_b.get(d.item_b)
-        if a is None or b is None:
-            try:
-                catalog.check_duel(d)
-            except ValidationError as exc:
-                exc.args = (f"duel {d.duel_id!r}: {exc}",)
-                raise
-        if (dimensions is None or d.dimension in dimensions) and (
-            categories is None or d.category in categories
-        ):
-            kept, pairs = by_pair.setdefault((d.category, d.dimension), ([], []))
-            kept.append(d)
-            pairs.append((a, b) if d.winner == GROUP_A else (b, a))
-    if not by_pair:
+    duels = DuelTable.of(duels)
+    row = duels.first_broken(catalog)
+    if row is not None:
+        d = duels[row]
+        try:
+            catalog.check_duel(d)
+        except ValidationError as exc:
+            exc.args = (f"duel {d.duel_id!r}: {exc}",)
+            raise
+    kept = duels.where("category", categories).where("dimension", dimensions)
+    if not len(kept):
         raise ValidationError("no duels left after applying the configured filters")
+    # graph indices: each duel's items among its category's items
+    _, _, index = duels.item_places(catalog)
+    a, b = (index[kept.column(side)[1]] for side in ("item_a", "item_b"))
+    won_by_b = kept.wins_of(GROUP_B)
+    winners, losers = np.where(won_by_b, b, a), np.where(won_by_b, a, b)
+    members: dict[str, list] = {}
+    for r in catalog.records:
+        members.setdefault(r.category, []).append(r)
+    # one stable sort groups the duels by (category, dimension), in file order
+    dimension_names, dimension = kept.column("dimension")
+    key = kept.column("category")[1] * len(dimension_names) + dimension
+    order = np.argsort(key, kind="stable")
     tournaments = []
-    for (category, dimension), (kept, pairs) in sorted(by_pair.items()):
-        items, index_a, index_b = layout[category]
+    for rows in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        mine, first = kept[rows], kept[rows[0]]
+        items = members[first.category]
+        group_b = np.array([r.group == GROUP_B for r in items])
+        pairs = tuple(zip(winners[rows].tolist(), losers[rows].tolist()))
         tournaments.append(Tournament(
-            category, dimension, tuple(kept),
-            ComparisonGraph(items=tuple(items), duels=tuple(pairs)),
-            tuple(np.fromiter(i.values(), np.intp) for i in (index_a, index_b)),
+            first.category, first.dimension, mine,
+            ComparisonGraph(items=tuple(r.item_id for r in items), duels=pairs),
+            (np.flatnonzero(~group_b), np.flatnonzero(group_b)),
         ))
-    return tournaments
+    return sorted(tournaments, key=lambda t: (t.category, t.dimension))
 
 
-def duels_by_dimension(duels: Iterable[DuelRecord]) -> dict[str, list[DuelRecord]]:
+def duels_by_dimension(duels: Sequence[DuelRecord]) -> dict[str, DuelTable]:
     """``duels`` grouped by dimension, in order; dimensions sorted."""
-    by_dimension: dict[str, list[DuelRecord]] = {}
-    for d in duels:
-        by_dimension.setdefault(d.dimension, []).append(d)
-    return dict(sorted(by_dimension.items()))
+    duels = DuelTable.of(duels)
+    values, codes = duels.column("dimension")
+    names = sorted(values[k] for k in np.flatnonzero(np.bincount(codes)))
+    return {name: duels.where("dimension", [name]) for name in names}
 
 
 def _named(exc: Exception, tournament: Tournament) -> Exception:
@@ -293,6 +292,7 @@ def run_pipeline(
     error names the duel. The bundle is a pure function of (inputs,
     config): identical inputs and seed give a byte-identical serialization.
     """
+    duels = DuelTable.of(duels)
     tournaments = select_tournaments(
         catalog, duels, config.dimensions, config.categories
     )
@@ -354,12 +354,12 @@ def run_pipeline(
         fitted.append(_Fitted(t, table, (log_a, log_b), point, median_pct))
 
     dimensions = sorted({t.dimension for t in tournaments})
+    by_dimension = duels_by_dimension(duels.where("category", config.categories))
     for dimension in dimensions:
         mine = [f for f in fitted if f.tournament.dimension == dimension]
-        dim_duels = [d for f in mine for d in f.tournament.duels]
         outcomes = duel_outcomes_json(
-            bias_mod.duel_win_fraction(dim_duels),
-            bias_mod.rater_macro_average(dim_duels),
+            bias_mod.duel_win_fraction(by_dimension[dimension]),
+            bias_mod.rater_macro_average(by_dimension[dimension]),
         )
         pooled_a, pooled_b = map(np.concatenate, zip(*(f.log_scores for f in mine)))
         pooled_bias = float(pooled_b.mean() - pooled_a.mean())

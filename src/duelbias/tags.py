@@ -215,15 +215,16 @@ def _rank_direction(
     min_count: int,
 ) -> list[DistinctiveTag]:
     total_t, total_r = target.total, reference.total
+    # TagDistribution.probability's denominators, computed once per call
+    eps = DEFAULT_SMOOTHING
+    denom_t, denom_r = (total + eps * len(vocabulary) for total in (total_t, total_r))
     candidates = []
     for tag in vocabulary:
         ct = target.counts.get(tag, 0)
         cr = reference.counts.get(tag, 0)
         if ct + cr < min_count:
             continue
-        kl = pointwise_kl(
-            target.probability(tag, vocabulary), reference.probability(tag, vocabulary)
-        )
+        kl = pointwise_kl((ct + eps) / denom_t, (cr + eps) / denom_r)
         candidates.append((-kl, -(ct + cr), tag, ct, cr))
     # tags are distinct, so the order never looks past the tag
     candidates.sort()
