@@ -115,7 +115,7 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
     out["demo-tags"] = ["tags", "--items", f"{demo}/items.csv", *tags]
     out["demo-freq"] = ["freq", "--items", f"{demo}/items.csv"]
     out["simulate"] = list(SIMULATE_ARGS)
-    # runs that cross block boundaries (bias.rows_per_block): 50 replicates
+    # runs that cross block boundaries (settings.rows_per_block): 50 replicates
     # in blocks of 32 at budget 2000, and refits of 2,000 duels in blocks of 32
     out["simulate-50-replicates"] = [
         "simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",

@@ -10,6 +10,7 @@ against an unobserved reference population.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -18,6 +19,7 @@ import numpy as np
 from .duel_table import DuelTable
 from .errors import DuelBiasError, UnstableBootstrapError, ValidationError
 from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
+from .settings import rows_per_block
 from .stats import (
     PValue,
     binomial_two_sided,
@@ -29,14 +31,6 @@ from .stats import (
 
 HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
-BLOCK_VALUES = 2**16
-
-
-def rows_per_block(rows: int, row_size: int) -> int:
-    """Rows per block of a batch of ``rows`` rows of ``row_size`` values: at
-    most ``BLOCK_VALUES`` values (a few MiB) and at least one row. Every
-    lockstep batch of replicates runs in such blocks; no output depends on it."""
-    return max(1, min(rows, BLOCK_VALUES // row_size))
 
 
 @dataclass(frozen=True)
@@ -266,10 +260,25 @@ def _draw_indices(
     value that would be drawn again (about 300 in 2**32 at a few hundred
     items), or with a bound of 1, for which numpy draws nothing, is drawn
     from the saved state with the per-index call itself.
+
+    The raw values are ``integers(0, 2**32, dtype=np.uint32)``. PCG64 hands
+    these out as the low half, then the high half, of each 64-bit output,
+    keeping a high half for the next call; so when no half is kept and the
+    block holds an even number of values, the 64-bit outputs read as uint32
+    on a little-endian machine are the same values, read faster.
     """
     if all(1 < n < 2**32 for n in bounds):
         state = rng.bit_generator.state
-        raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)
+        if (
+            state["bit_generator"] == "PCG64"
+            and not state["has_uint32"]
+            and out.size % 2 == 0
+            and sys.byteorder == "little"
+        ):
+            raw = rng.bit_generator.random_raw(out.size // 2).view(np.uint32)
+            raw = raw.reshape(out.shape)
+        else:
+            raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)
         edges = np.cumsum((0, *widths)).tolist()
         spans = [(n, slice(lo, hi)) for n, lo, hi in zip(bounds, edges, edges[1:])]
         # the low 32 bits of u * n, in uint32 arithmetic, against numpy's threshold

@@ -15,9 +15,11 @@ whose keys are the setting flags' names with _ for -; fit, bias, design
 and tags check every setting before they read any input file.
 DUELBIAS_OUTPUT_DIR sets the default output directory.
 
-The numeric layers, and numpy with them, are imported by ``main()`` only
-for the commands that need them: ``tags``, ``--help`` and argument errors
-run without numpy.
+``main()`` imports only the layers its command runs (``_LAYERS``):
+``simulate`` and ``design`` load ``tournament``; ``fit``, ``bias``,
+``duelstats`` and ``freq`` load ``pipeline`` and ``bias``, and ``bias
+--tags`` also ``tags``; ``tags`` loads ``tags`` alone. ``tags``, ``--help``
+and argument errors run without numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import importlib
 import os
 import sys
 
-from . import tags as tags_mod
 from .datasets import load_column_map, load_json, parse_duels, parse_items
 from .datasets import parse_tags, write_csv
 from .errors import NumericalError, ValidationError
@@ -35,14 +36,16 @@ from .records import GROUP_A, GROUP_B
 from .settings import (
     BOOTSTRAP_UNITS,
     DEFAULT_BUDGETS,
+    DEFAULT_MIN_COUNT,
     DEFAULT_RATER_NOISE,
+    DEFAULT_TOP_K,
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
     FitConfig,
 )
 
 # the names the commands use from the numeric layers, by module; they become
-# globals of this module only when _bind_numeric runs
+# globals of this module only when _bind_numeric binds their module
 _NUMERIC = {
     "bias": ("duel_win_fraction", "frequency_divergence", "rater_macro_average"),
     "pipeline": (
@@ -66,18 +69,30 @@ _NUMERIC = {
 }
 
 
-def _bind_numeric() -> None:
-    """Import the numeric layers and bind the ``_NUMERIC`` names here. A
-    name already bound is kept, such as a wrapper set on this module from
-    outside before ``main()`` runs."""
-    for module, names in _NUMERIC.items():
+# the numeric layers each command runs
+_LAYERS = {
+    "simulate": ("tournament",),
+    "design": ("tournament",),
+    "fit": ("pipeline", "bias"),
+    "bias": ("pipeline", "bias"),
+    "duelstats": ("pipeline", "bias"),
+    "freq": ("pipeline", "bias"),
+}
+
+
+def _bind_numeric(modules=tuple(_NUMERIC)) -> None:
+    """Import the numeric layers ``modules`` and bind their ``_NUMERIC``
+    names here. A name already bound is kept, such as a wrapper set on this
+    module from outside before ``main()`` runs."""
+    for module in modules:
         loaded = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in _NUMERIC[module]:
             globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    # a numeric name read from outside before main() bound it
+    # a numeric name read from outside before main() bound it: every layer
+    # is bound, whichever command runs next
     if any(name in names for names in _NUMERIC.values()):
         _bind_numeric()
         return globals()[name]
@@ -264,6 +279,8 @@ def cmd_duelstats(args) -> None:
 
 
 def cmd_tags(args) -> None:
+    from . import tags as tags_mod
+
     tags_mod.check_top_k(args.top_k)
     column_map = _column_map(args)
     catalog = parse_items(args.items, column_map)
@@ -367,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tags", help="distinctive-tag rankings")
     p.add_argument("--tags", required=True)
     p.add_argument("--items", required=True)
-    p.add_argument("--top-k", type=int, default=tags_mod.DEFAULT_TOP_K)
-    p.add_argument("--min-count", type=int, default=tags_mod.DEFAULT_MIN_COUNT)
+    p.add_argument("--top-k", type=int, default=DEFAULT_TOP_K)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
     p.add_argument("--stopwords", default=None, help="stopword-prefix file")
     p.add_argument("--lexicon", default=None, help="dash-merge lexicon file")
     common(p)
@@ -385,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "tags":
-        _bind_numeric()
+    _bind_numeric(_LAYERS.get(args.command, ()))
     try:
         args.func(args)
     except (NumericalError, FloatingPointError) as exc:

@@ -1,4 +1,7 @@
-"""End-to-end analysis pipeline and deterministic report serialization."""
+"""End-to-end analysis pipeline and deterministic report serialization.
+
+The tag layer (``duelbias.tags``) is loaded only by a run that has tags.
+"""
 
 from __future__ import annotations
 
@@ -17,9 +20,14 @@ from .datasets import write_csv
 from .duel_table import DuelTable
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_B, DuelRecord, ItemCatalog, TagRecord, TagTable
-from .settings import BOOTSTRAP_UNITS, GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig
+from .settings import (
+    BOOTSTRAP_UNITS,
+    GEOMETRIC_MEAN_ONE,
+    SUM_ONE,
+    FitConfig,
+    rows_per_block,
+)
 from .stats import pvalue_json
-from .tags import distinctive_tag_rows, write_distinctive_tags
 
 # the rank-curve column whose CI is the median-percentile CI
 _MEDIAN_COLUMN = bias_mod.DEFAULT_RANK_GRID.index(50)
@@ -232,11 +240,12 @@ def refit_bias_replicates(
     ``integers(0, m, size=m)`` draw of one generator seeded with ``seed``),
     which is the same as counting each duel by its multiplicity in the
     resample. The replicates are refitted together by ``fit_duel_arrays``
-    over the tournament's one duel list, in blocks of ``bias.rows_per_block``
-    rows, warm-started from the point fit and in its gauge. A replicate
-    whose fit does not converge is discarded; with alpha 0 that includes
-    every replicate whose win graph is not strongly connected. More than
-    10% discards raise UnstableBootstrapError, which names the tournament.
+    over the tournament's one duel list, in blocks of
+    ``settings.rows_per_block`` rows, warm-started from the point fit and in
+    its gauge. A replicate whose fit does not converge is discarded; with
+    alpha 0 that includes every replicate whose win graph is not strongly
+    connected. More than 10% discards raise UnstableBootstrapError, which
+    names the tournament.
     """
     replicates = config.bootstrap_replicates
     graph = tournament.graph
@@ -246,7 +255,7 @@ def refit_bias_replicates(
     group_a, group_b = tournament.groups
     fit_config = replace(config.fit, normalization=point.normalization)
     rng = np.random.default_rng(seed)
-    block = bias_mod.rows_per_block(replicates, m)
+    block = rows_per_block(replicates, m)
     values = []
     for first in range(0, replicates, block):
         rows = min(block, replicates - first)
@@ -303,6 +312,8 @@ def run_pipeline(
         "pooled": {},
     }
     if tags is not None:
+        from .tags import distinctive_tag_rows
+
         bundle["distinctive_tags"] = distinctive_tag_rows(catalog, tags)
 
     fitted = []
@@ -458,6 +469,8 @@ def write_report_bundle(bundle: dict, outdir: str) -> list[str]:
         written.append(write_csv(os.path.join(outdir, "rank_curves.csv"), header, rows))
 
     if "distinctive_tags" in bundle:
+        from .tags import write_distinctive_tags
+
         written.append(
             write_distinctive_tags(
                 os.path.join(outdir, "distinctive_tags.csv"),

@@ -1,10 +1,11 @@
-"""Settings the command-line parser reads: fit settings, bootstrap units and
-simulation defaults.
+"""Settings the command-line parser reads (fit settings, bootstrap units,
+simulation and tag defaults) and the block rule of every lockstep batch.
 
 This module imports no numpy, so that ``import duelbias.cli`` does not load
-it; the modules that use these settings re-export them under their old
-names (``choice_model.FitConfig``, ``pipeline.BOOTSTRAP_UNITS``,
-``tournament.DEFAULT_BUDGETS`` and so on).
+it, and no other layer, so that a command loads only the layers it runs;
+the modules that use these settings re-export them under their old names
+(``choice_model.FitConfig``, ``pipeline.BOOTSTRAP_UNITS``,
+``tournament.DEFAULT_BUDGETS``, ``tags.DEFAULT_TOP_K`` and so on).
 """
 
 from __future__ import annotations
@@ -53,3 +54,17 @@ OUTCOME_BRADLEY_TERRY = "bradley-terry"
 # anchor (tau near 0.80 at 10 duels per item with 100 items). Zero gives the
 # noiseless limit where the higher-quality item always wins.
 DEFAULT_RATER_NOISE = 0.25
+
+DEFAULT_TOP_K = 20
+DEFAULT_MIN_COUNT = 5
+
+BLOCK_VALUES = 2**16
+
+
+def rows_per_block(rows: int, row_size: int) -> int:
+    """Rows per block of a batch of ``rows`` rows of ``row_size`` values: at
+    most ``BLOCK_VALUES`` values (a few MiB) and at least one row. Every
+    lockstep batch of replicates runs in such blocks (the refits and item
+    resamples of ``bias`` and the simulations of ``simulate``); no output
+    depends on it."""
+    return max(1, min(rows, BLOCK_VALUES // row_size))

@@ -21,11 +21,10 @@ from typing import Iterable, Mapping, Sequence
 from .datasets import open_utf8, write_csv
 from .errors import ParseError, ReferentialError, ValidationError
 from .records import GROUP_A, GROUP_B, ItemCatalog, TagRecord, TagTable
+from .settings import DEFAULT_MIN_COUNT, DEFAULT_TOP_K
 from .stats import PValue, chi_square_2x2, pvalue_json
 
 DEFAULT_SMOOTHING = 0.5
-DEFAULT_TOP_K = 20
-DEFAULT_MIN_COUNT = 5
 
 _STAR_THRESHOLDS = ((1e-4, "****"), (1e-3, "***"), (1e-2, "**"), (5e-2, "*"))
 _DATA = resources.files("duelbias").joinpath("data")  # the packaged tag files

@@ -15,7 +15,6 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .bias import rows_per_block
 # ``fit`` stays bound here because bench/traced.py wraps duelbias.tournament.fit
 from .choice_model import FitConfig, fit, fit_duel_arrays  # noqa: F401
 from .errors import (
@@ -29,6 +28,7 @@ from .settings import (
     DEFAULT_RATER_NOISE,
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
+    rows_per_block,
 )
 
 # Simulations fit every replicate of a budget in one batch and only use the
@@ -43,7 +43,7 @@ SIMULATION_FIT_CONFIG = FitConfig(tolerance=1e-6, max_iterations=5_000)
 # a fit reproduces only to the last bits still counts as a tie.
 _TAU_DECIMALS = 9
 
-# A block of replicates (bias.rows_per_block) is fitted, and its taus
+# A block of replicates (settings.rows_per_block) is fitted, and its taus
 # computed, in one call. A row counts its budget of duels or, if more, the
 # (2n)**2 entries of each int8 sign matrix of kendall_tau_values at 16 to a
 # value, rounded up: at most 2**16 duels and 1 MiB per matrix by default.
@@ -226,7 +226,7 @@ def simulate_rank_recovery(
     duel outcomes are generated, the choice model is fit, and Kendall's
     tau between true and fitted scores is recorded. Replicate r uses its
     own generators derived from seed + r. The replicates of a budget are
-    fitted in lockstep, in ``bias.rows_per_block`` blocks; a fit that does
+    fitted in lockstep, in ``settings.rows_per_block`` blocks; a fit that does
     not converge raises NumericalError naming its replicate seed and budget.
 
     Outcome models:

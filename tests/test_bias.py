@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from duelbias.bias import (
-    BLOCK_VALUES,
     DEFAULT_RANK_GRID,
     _draw_indices,
     _sorted_percentiles,
@@ -23,9 +22,11 @@ from duelbias.bias import (
     triangle_lower_bound,
 )
 from duelbias import bias as bias_mod
+from duelbias import pipeline, tournament
 from duelbias.errors import UnstableBootstrapError, ValidationError
 from duelbias.pipeline import AnalysisConfig, dump_report, run_pipeline
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord
+from duelbias.settings import BLOCK_VALUES
 from duelbias.stats import midpoint_ranks, percentile_rank
 from duelbias.tournament import simulate_rank_recovery
 from oracles import loop_resample_two_groups
@@ -381,47 +382,85 @@ def _two_category_set(seed, n_side=6, n_duels=150):
     return ItemCatalog(records), duels
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` with a wrapper that appends to the returned
+    list at every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestBlocksAreInvisible:
     """Every lockstep batch gives the same outputs whatever its blocks: with
     97 values a block, each refit block holds one replicate, each item
-    resample a few, and each simulation block a few replicates or one."""
+    resample a few, and each simulation block a few replicates or one. The
+    block counts show that the patched rule is the one that ran."""
 
     @pytest.mark.parametrize("unit", ["duel", "item"])
     def test_report_is_byte_identical(self, monkeypatch, unit):
+        # four tournaments of 12 items and 150 duels, and two pooled
+        # resamples of 24 items, at 150 replicates
         catalog, duels = _two_category_set(3)
         config = AnalysisConfig(bootstrap_replicates=150, bootstrap_unit=unit, seed=2)
+        draws = _count_calls(monkeypatch, bias_mod, "_draw_indices")
+        refits = _count_calls(monkeypatch, pipeline, "fit_duel_arrays")
         default = dump_report(run_pipeline(config, catalog, duels))
-        monkeypatch.setattr(bias_mod, "BLOCK_VALUES", 97)
+        refit_blocks = 4 if unit == "duel" else 0
+        assert (len(draws), len(refits)) == (6, refit_blocks)
+        draws.clear()
+        refits.clear()
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 97)
         assert dump_report(run_pipeline(config, catalog, duels)) == default
+        # item resamples of 8 and 4 rows a block, refit blocks of one row
+        assert (len(draws), len(refits)) == (4 * 19 + 2 * 38, 150 * refit_blocks)
 
     def test_recovery_curve_is_equal(self, monkeypatch):
         kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=4)
+        fits = _count_calls(monkeypatch, tournament, "fit_duel_arrays")
         default = simulate_rank_recovery(**kwargs)
-        monkeypatch.setattr(bias_mod, "BLOCK_VALUES", 97)
+        assert len(fits) == 3
+        fits.clear()
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 97)
         assert simulate_rank_recovery(**kwargs) == default
+        # blocks of 9, 4 and 1 replicates at budgets 10, 20 and 50
+        assert len(fits) == 1 + 2 + 7
 
 
+@pytest.mark.parametrize(
+    "bounds, widths",
+    [
+        # powers of two reject nothing; 400 and 3 reject about 300 and 1
+        # raw values in 2**32, so these blocks take the multiply-shift
+        ((400, 3), (400, 3)),
+        ((2**20, 7, 2), (5, 9, 1)),
+        # 2**31 + 1 rejects about half of all raw values: every block
+        # falls back to the per-index call
+        ((2**31 + 1,), (6,)),
+        ((13, 2**31 + 1), (4, 3)),
+        # numpy draws nothing for a bound of 1
+        ((1, 200), (1, 200)),
+        ((1,), (5,)),
+    ],
+)
 class TestDrawIndices:
-    @pytest.mark.parametrize(
-        "bounds, widths",
-        [
-            # powers of two reject nothing; 400 and 3 reject about 300 and 1
-            # raw values in 2**32, so these blocks take the multiply-shift
-            ((400, 3), (400, 3)),
-            ((2**20, 7, 2), (5, 9, 1)),
-            # 2**31 + 1 rejects about half of all raw values: every block
-            # falls back to the per-index call
-            ((2**31 + 1,), (6,)),
-            ((13, 2**31 + 1), (4, 3)),
-            # numpy draws nothing for a bound of 1
-            ((1, 200), (1, 200)),
-            ((1,), (5,)),
-        ],
-    )
-    def test_same_values_and_stream_as_per_index_bounds(self, bounds, widths):
+    @staticmethod
+    def _check(bounds, widths, bit_generator, buffered):
+        # m = 1 or 3 with an odd width makes a block of an odd number of values
         for seed in range(5):
             for m in (1, 3, 64):
-                rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+                rng, want_rng = (
+                    np.random.Generator(bit_generator(seed)) for _ in range(2)
+                )
+                if buffered:
+                    assert rng.integers(0, 2**32, dtype=np.uint32) == (
+                        want_rng.integers(0, 2**32, dtype=np.uint32)
+                    )
                 out = np.empty((m, sum(widths)), dtype=np.uint64)
                 got = _draw_indices(rng, bounds, widths, out)
                 want = want_rng.integers(
@@ -429,7 +468,27 @@ class TestDrawIndices:
                 )
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (seed, m)
-                assert rng.integers(0, 2**63) == want_rng.integers(0, 2**63)
+                # the next 32-bit draw, then one from a 64-bit output
+                for high, dtype in ((2**32, np.uint32), (2**64, np.uint64)):
+                    assert rng.integers(0, high, dtype=dtype) == (
+                        want_rng.integers(0, high, dtype=dtype)
+                    )
+
+    def test_same_values_and_stream_as_per_index_bounds(self, bounds, widths):
+        self._check(bounds, widths, np.random.PCG64, buffered=False)
+
+    @pytest.mark.parametrize(
+        "bit_generator, buffered",
+        [(np.random.PCG64, True), (np.random.MT19937, False),
+         (np.random.MT19937, True)],
+        ids=["PCG64-half-kept", "MT19937", "MT19937-half-kept"],
+    )
+    def test_same_with_a_kept_half_or_another_generator(
+        self, bounds, widths, bit_generator, buffered
+    ):
+        # a generator that keeps the high half of a 64-bit output from an
+        # earlier 32-bit draw, or that is not PCG64, takes the general draw
+        self._check(bounds, widths, bit_generator, buffered)
 
 
 class TestSortedPercentiles:

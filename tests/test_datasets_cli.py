@@ -1820,6 +1820,47 @@ class TestCLI:
         )
         assert done.stdout.splitlines()[-1] == f"{rc} {numpy_loaded}", done.stderr
 
+    @pytest.mark.parametrize(
+        "command, layers",
+        [
+            (["simulate", "--items", "8", "--budgets", "8,16", "--replicates", "1"],
+             "choice_model tournament"),
+            (["design", "--items", "{items}", "--duels-per-item", "2"],
+             "choice_model tournament"),
+            (["bias", "--items", "{items}", "--duels", "{duels}", "--unit", "item",
+              "--bootstrap", "100"],
+             "bias choice_model duel_table pipeline stats"),
+            (["bias", "--items", "{items}", "--duels", "{duels}", "--tags", "{tags}",
+              "--unit", "item", "--bootstrap", "100"],
+             "bias choice_model duel_table pipeline stats tags"),
+            (["fit", "--items", "{items}", "--duels", "{duels}"],
+             "bias choice_model duel_table pipeline stats"),
+            (["tags", "--items", "{items}", "--tags", "{tags}", "--min-count", "1"],
+             "stats tags"),
+        ],
+        ids=["simulate", "design", "bias", "bias-tags", "fit", "tags"],
+    )
+    def test_each_command_loads_only_its_layers(self, paths, command, layers):
+        # a fresh interpreter: every duelbias module loaded is one main() ran
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import sys\n"
+            "from duelbias.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('duelbias.'))\n"
+            "print(rc, *(m.removeprefix('duelbias.') for m in loaded))\n"
+        )
+        args = [a.format(items=items, duels=duels, tags=tags) for a in command]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args, "--output-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        always = "cli datasets errors records settings".split()
+        want = " ".join(sorted([*always, *layers.split()]))
+        assert done.stdout.splitlines()[-1] == f"0 {want}", done.stderr
+
     @pytest.mark.parametrize("read_first", [True, False], ids=["setattr", "setitem"])
     @pytest.mark.parametrize(
         "module, names, command",

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import duelbias
-from duelbias import choice_model, pipeline, tournament
+from duelbias import choice_model, pipeline, tags, tournament
 
 PUBLIC_NAMES = [
     "AnalysisConfig",
@@ -68,6 +68,7 @@ def test_settings_keep_their_old_module_names():
     assert tournament.FitConfig is duelbias.FitConfig
     assert pipeline.BOOTSTRAP_UNITS == ("duel", "item")
     assert tournament.DEFAULT_BUDGETS == (100, 200, 500, 1000, 2000)
+    assert (tags.DEFAULT_TOP_K, tags.DEFAULT_MIN_COUNT) == (20, 5)
 
 
 def test_star_import_binds_every_name():

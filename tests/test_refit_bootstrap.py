@@ -13,7 +13,7 @@ from duelbias.choice_model import SUM_ONE, FitConfig
 from duelbias.cli import main
 from duelbias.datasets import write_duels, write_items
 from duelbias.errors import UnstableBootstrapError
-from duelbias import bias, pipeline
+from duelbias import pipeline
 from duelbias.pipeline import (
     AnalysisConfig,
     _derived_seed,
@@ -99,7 +99,7 @@ class TestRefitBiasReplicates:
             return fit_duel_arrays(n, winners, losers, config, weights, *args)
 
         monkeypatch.setattr(pipeline, "fit_duel_arrays", spy)
-        monkeypatch.setattr(bias, "BLOCK_VALUES", block_duels)
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", block_duels)
         batched(catalog, duels, config, 9)
         rng = np.random.default_rng(9)
         expected = [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from duelbias import bias, tournament
+from duelbias import tournament
 from duelbias.choice_model import FitConfig
 from duelbias.errors import (
     InfeasibleScheduleError,
@@ -256,7 +256,7 @@ class TestSimulateRankRecovery:
     def test_blocks_match_per_replicate_loop(self, monkeypatch):
         # blocks of 6, 3 and 1 replicates at budgets 10, 20 and 50, so every
         # budget's 7 replicates cross at least one block boundary
-        monkeypatch.setattr(bias, "BLOCK_VALUES", 60)
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 60)
         kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=6)
         assert simulate_rank_recovery(**kwargs) == loop_simulate_rank_recovery(
             **kwargs
@@ -264,7 +264,7 @@ class TestSimulateRankRecovery:
 
     def test_memory_stays_flat_in_replicates(self, monkeypatch):
         # blocks of 4 replicates: 16 times the replicates, about the same peak
-        monkeypatch.setattr(bias, "BLOCK_VALUES", 400)
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 400)
         peaks = {}
         for replicates in (8, 128):
             tracemalloc.start()
