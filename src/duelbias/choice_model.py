@@ -33,25 +33,71 @@ _LOG_CEIL = math.log(1e150)
 _MAX_STEP = 2.0  # largest log-score change of one Newton step
 
 
-@dataclass(frozen=True)
+def _duel_array(duels) -> np.ndarray:
+    """``duels``, (winner, loser) pairs or an (m, 2) array of them, as an
+    array; ValidationError unless every index is an integer. numpy would
+    truncate a float index and turn a bool among int pairs into an int, so
+    neither is one."""
+    try:
+        d = np.asarray(duels)
+    except ValueError:  # pairs of unequal lengths
+        raise ValidationError("duels must be (winner, loser) pairs") from None
+    if not d.size:
+        return np.empty((0, 2), np.intp)
+    if d.ndim != 2 or d.shape[1] != 2:
+        raise ValidationError(f"duels must be (winner, loser) pairs, got shape {d.shape}")
+    integers = d.dtype.kind in "iu" and (
+        isinstance(duels, np.ndarray)
+        or not any(isinstance(x, (bool, np.bool_)) for pair in duels for x in pair)
+    )
+    if not integers:
+        raise ValidationError("duel indices must be integers")
+    return d
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class ComparisonGraph:
     """Duel outcomes over an ordered item set.
 
-    ``duels`` holds (winner_index, loser_index) pairs into ``items``.
+    Built from ``duels``, (winner_index, loser_index) pairs into ``items``
+    or an (m, 2) integer array of them, which it holds once, as the
+    read-only (m, 2) intp array ``duel_array``.
     """
 
     items: tuple[Hashable, ...]
-    duels: tuple[tuple[int, int], ...]
+    duel_array: np.ndarray
 
-    def __post_init__(self):
-        if len(set(self.items)) != len(self.items):
+    def __init__(self, items: Sequence[Hashable], duels):
+        items = tuple(items)
+        if len(set(items)) != len(items):
             raise ValidationError("duplicate item ids in comparison graph")
-        n = len(self.items)
-        for w, l in self.duels:
-            if not (0 <= w < n and 0 <= l < n):
+        d = _duel_array(duels)
+        out_of_range = ((d < 0) | (d >= len(items))).any(axis=1)
+        bad = np.flatnonzero(out_of_range | (d[:, 0] == d[:, 1]))
+        if bad.size:  # the first bad pair, in input order
+            w, l = d[bad[0]].tolist()
+            if out_of_range[bad[0]]:
                 raise ValidationError(f"duel index out of range: ({w}, {l})")
-            if w == l:
-                raise ValidationError(f"item {self.items[w]!r} dueled itself")
+            raise ValidationError(f"item {items[w]!r} dueled itself")
+        d = d.astype(np.intp)  # a copy, which no caller can change
+        d.flags.writeable = False
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "duel_array", d)
+
+    @property
+    def duels(self) -> tuple[tuple[int, int], ...]:
+        """The (winner_index, loser_index) pairs, built anew at each read."""
+        return tuple(map(tuple, self.duel_array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ComparisonGraph):
+            return NotImplemented
+        return self.items == other.items and np.array_equal(
+            self.duel_array, other.duel_array
+        )
+
+    def __hash__(self):
+        return hash((self.items, self.duel_array.tobytes()))
 
     @classmethod
     def from_pairs(
@@ -69,10 +115,10 @@ class ComparisonGraph:
             items = sorted({x for pair in pairs for x in pair})
         index = {item: i for i, item in enumerate(items)}
         try:
-            duels = tuple((index[w], index[l]) for w, l in pairs)
+            duels = [(index[w], index[l]) for w, l in pairs]
         except KeyError as exc:
             raise ReferentialError(f"unknown item {exc.args[0]!r}") from None
-        return cls(items=tuple(items), duels=duels)
+        return cls(items=items, duels=np.array(duels, np.intp).reshape(-1, 2))
 
     @property
     def n_items(self) -> int:
@@ -121,9 +167,7 @@ def log_likelihood(graph: ComparisonGraph, scores) -> float:
         s = np.array([scores[item] for item in graph.items], dtype=float)
     except KeyError as exc:
         raise LookupError(f"missing score for item {exc.args[0]!r}") from exc
-    if not graph.duels:
-        return 0.0
-    d = np.array(graph.duels, dtype=np.intp)
+    d = graph.duel_array
     sw, sl = s[d[:, 0]], s[d[:, 1]]
     return float(np.sum(np.log(sw) - np.log(sw + sl)))
 
@@ -470,9 +514,9 @@ def fit(
     if config is None:
         config = FitConfig()
     n = graph.n_items
-    d = np.array(graph.duels, dtype=np.intp).reshape(-1, 2)
+    d = graph.duel_array
     if config.regularization_alpha == 0.0:
-        if not graph.duels:
+        if not len(d):
             raise DegenerateFitError(
                 "no duels and no regularization: likelihood has no maximizer"
             )

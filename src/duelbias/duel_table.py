@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from itertools import repeat
 from operator import attrgetter, eq
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,16 +77,23 @@ class DuelTable(Sequence):
             columns.append(np.array(values, object)[codes].tolist())
         return columns
 
-    def lines(self) -> str:
-        """The rows as text: the fields comma-joined, a newline after each row.
-        One join makes it, and each distinct value's text, with the comma
-        before it, once."""
-        cells = np.empty((len(self), 1 + len(_CODED)), object)
-        cells[:, 0] = self._ids
-        for k, (values, codes) in enumerate(zip(self._values, self._codes), 1):
+    def lines(self, chunk_rows: int) -> Iterator[str]:
+        """The rows as text, ``chunk_rows`` rows a piece: the fields
+        comma-joined, a newline after each row. One join makes each piece,
+        and each distinct value's text, with the comma before it, is made
+        once."""
+        texts = []
+        for k, values in enumerate(self._values, 1):
             end = "\n" if k == len(_CODED) else ""
-            cells[:, k] = np.array([f",{v}{end}" for v in values], object)[codes]
-        return "".join(cells.ravel().tolist())
+            texts.append(np.array([f",{v}{end}" for v in values], object))
+        for start in range(0, len(self), chunk_rows):
+            ids = self._ids[start:start + chunk_rows]
+            cells = np.empty((len(ids), 1 + len(_CODED)), object)
+            cells[:, 0] = ids
+            codes = self._codes[:, start:start + chunk_rows]
+            for k, (text, column) in enumerate(zip(texts, codes), 1):
+                cells[:, k] = text[column]
+            yield "".join(cells.ravel().tolist())
 
     def where(self, field: str, wanted: Sequence[str] | None) -> DuelTable:
         """The rows whose ``field`` is in ``wanted`` (None: every row)."""

@@ -10,13 +10,14 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, NamedTuple, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bias as bias_mod
 from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
-from .datasets import write_csv
+from .datasets import _CHUNK_ROWS, write_csv
 from .duel_table import DuelTable
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_B, DuelRecord, ItemCatalog, TagRecord, TagTable
@@ -86,12 +87,20 @@ def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
     }
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(pieces: Iterable[str]) -> str:
+    """The SHA-256 of the UTF-8 text that ``pieces`` make in turn."""
+    digest = hashlib.sha256()
+    for text in pieces:
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
 
 
-def _lines(rows: Iterable[Sequence[str]]) -> str:
-    return "\n".join([*map(",".join, rows), ""])
+def _lines(rows: Iterable[Sequence[str]]) -> Iterator[str]:
+    """``rows`` as text, ``_CHUNK_ROWS`` rows a piece: the fields
+    comma-joined, a newline after each row."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield "\n".join([*map(",".join, chunk), ""])
 
 
 def input_digests(
@@ -99,11 +108,13 @@ def input_digests(
     duels: Sequence[DuelRecord],
     tags: Sequence[TagRecord] | None,
 ) -> dict[str, str]:
-    items = [(r.item_id, r.group, r.category, r.external_ref or "")
-             for r in catalog.records]
+    """The SHA-256 of each input's rows as text (see ``_lines``), hashed a
+    chunk of rows at a time."""
+    items = ((r.item_id, r.group, r.category, r.external_ref or "")
+             for r in catalog.records)
     out = {
         "items": _digest(_lines(items)),
-        "duels": _digest(DuelTable.of(duels).lines()),
+        "duels": _digest(DuelTable.of(duels).lines(_CHUNK_ROWS)),
     }
     if tags is not None:
         t = TagTable.of(tags)
@@ -157,7 +168,8 @@ def select_tournaments(
     _, _, index = duels.item_places(catalog)
     a, b = (index[kept.column(side)[1]] for side in ("item_a", "item_b"))
     won_by_b = kept.wins_of(GROUP_B)
-    winners, losers = np.where(won_by_b, b, a), np.where(won_by_b, a, b)
+    # one (winner, loser) row per kept duel
+    pairs = np.column_stack((np.where(won_by_b, b, a), np.where(won_by_b, a, b)))
     members: dict[str, list] = {}
     for r in catalog.records:
         members.setdefault(r.category, []).append(r)
@@ -170,10 +182,9 @@ def select_tournaments(
         mine, first = kept[rows], kept[rows[0]]
         items = members[first.category]
         group_b = np.array([r.group == GROUP_B for r in items])
-        pairs = tuple(zip(winners[rows].tolist(), losers[rows].tolist()))
         tournaments.append(Tournament(
             first.category, first.dimension, mine,
-            ComparisonGraph(items=tuple(r.item_id for r in items), duels=pairs),
+            ComparisonGraph(items=[r.item_id for r in items], duels=pairs[rows]),
             (np.flatnonzero(~group_b), np.flatnonzero(group_b)),
         ))
     return sorted(tournaments, key=lambda t: (t.category, t.dimension))
@@ -249,8 +260,8 @@ def refit_bias_replicates(
     """
     replicates = config.bootstrap_replicates
     graph = tournament.graph
-    m = len(graph.duels)
-    winners, losers = np.array(graph.duels, dtype=np.intp).T[:, None]
+    m = len(graph.duel_array)
+    winners, losers = graph.duel_array.T[:, None]
     start = point.score_array(graph.items)
     group_a, group_b = tournament.groups
     fit_config = replace(config.fit, normalization=point.normalization)

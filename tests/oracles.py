@@ -6,6 +6,7 @@ bootstrap and the rank-recovery simulation are checked against the paths
 they replaced: one graph and one single fit per replicate. So are the
 two-sample resampler and the binomial test, for bit equality. The CSV
 parsers are checked against the ``csv.DictReader`` parsers they replaced,
+the chunked input digests against the one-join text they replaced,
 the tournament selection against its ``ComparisonGraph.from_pairs`` route
 after a separate check pass, and the tag ranking against the version that
 tested every tag.
@@ -372,6 +373,26 @@ def dictreader_parse_duels(path, catalog, column_map, lines):
                     )
         duels.append(duel)
     return duels
+
+
+def one_join_lines(rows):
+    """Rows of strings as the text that the input digests hash, made by one
+    join: the fields comma-joined, a newline after each row."""
+    return "\n".join([*map(",".join, rows), ""])
+
+
+def one_join_duel_lines(table):
+    """A ``DuelTable``'s rows as the text that the duel digest hashes, made
+    by one join over the whole table, as ``DuelTable.lines`` did before it
+    made the text a chunk of rows at a time."""
+    fields = DUEL_COLUMNS[1:]
+    cells = np.empty((len(table), len(DUEL_COLUMNS)), object)
+    cells[:, 0] = table.columns()[0]
+    for k, field in enumerate(fields, 1):
+        values, codes = table.column(field)
+        end = "\n" if k == len(fields) else ""
+        cells[:, k] = np.array([f",{v}{end}" for v in values], object)[codes]
+    return "".join(cells.ravel().tolist())
 
 
 def pairs_select_tournaments(catalog, duels, dimensions, categories):

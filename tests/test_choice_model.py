@@ -63,6 +63,73 @@ class TestComparisonGraph:
         with pytest.raises(ValidationError):
             ComparisonGraph(items=("a",), duels=((0, 1),))
 
+    def test_pairs_and_arrays_give_equal_graphs(self):
+        items, pairs = ("a", "b", "c"), ((1, 0), (2, 0), (0, 2))
+        expected = ComparisonGraph(items=items, duels=pairs)
+        array = np.array(pairs)
+        for duels in (list(pairs), array, array.astype(np.int32), array.astype(np.uint8)):
+            g = ComparisonGraph(items=list(items), duels=duels)
+            assert g == expected and hash(g) == hash(expected)
+            assert g.items == items
+            assert g.duels == pairs
+            assert g.duel_array.dtype == np.intp and g.duel_array.shape == (3, 2)
+            assert not g.duel_array.flags.writeable
+        # the graph holds its own copy, and no field can be set
+        held = ComparisonGraph(items, array)
+        array[0] = (2, 1)
+        assert ComparisonGraph(items, array) != expected
+        assert held.duels == pairs
+        with pytest.raises(AttributeError):
+            g.items = ()
+
+    @pytest.mark.parametrize(
+        "duels", [(), [], np.empty((0, 2), np.intp), np.empty((0, 2))]
+    )
+    def test_empty_graph(self, duels):
+        g = ComparisonGraph(items=("a", "b"), duels=duels)
+        assert g == ComparisonGraph(items=("a", "b"), duels=())
+        assert g.duels == ()
+        assert g.duel_array.shape == (0, 2) and g.duel_array.dtype == np.intp
+        assert log_likelihood(g, {"a": 1.0, "b": 2.0}) == 0.0
+        assert fit(g).scores == {"a": 1.0, "b": 1.0}
+
+    @pytest.mark.parametrize(
+        "duels, message",
+        [
+            (((0, 1), (2, 2), (0, 3)), "item 'c' dueled itself"),
+            (((0, 1), (0, 3), (2, 2)), r"duel index out of range: \(0, 3\)"),
+            (((1, 0), (-1, 2), (1, 1)), r"duel index out of range: \(-1, 2\)"),
+            (((1, 1), (0, -1)), "item 'b' dueled itself"),
+            (((2, 0), (5, 5)), r"duel index out of range: \(5, 5\)"),
+        ],
+    )
+    def test_first_bad_pair_in_input_order_is_reported(self, duels, message):
+        for form in (duels, np.array(duels)):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                ComparisonGraph(items=("a", "b", "c"), duels=form)
+
+    @pytest.mark.parametrize(
+        "duels",
+        [
+            ((0.5, 1), (2, 1), (1, 2)),  # fit used to truncate 0.5 to item 0
+            ((1.0, 0),),
+            ((True, 0), (2, 1)),  # numpy would count True as 1
+            ((False, True),),
+            (("0", "1"),),
+            ((None, 1),),
+            np.array([[0.0, 1.0]]),
+            np.array([[True, False]]),
+        ],
+    )
+    def test_non_integer_indices_rejected(self, duels):
+        with pytest.raises(ValidationError, match="^duel indices must be integers$"):
+            ComparisonGraph(items=("a", "b", "c"), duels=duels)
+
+    @pytest.mark.parametrize("duels", [((0, 1, 2),), ((0, 1), (2,)), (0, 1)])
+    def test_duels_must_be_pairs(self, duels):
+        with pytest.raises(ValidationError, match=r"^duels must be \(winner, loser\) pairs"):
+            ComparisonGraph(items=("a", "b", "c"), duels=duels)
+
     def test_from_pairs_infers_sorted_items(self):
         g = graph_of([("b", "a"), ("c", "a")])
         assert g.items == ("a", "b", "c")

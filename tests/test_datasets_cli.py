@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import gc
+import hashlib
 import importlib
 import io
 import itertools
@@ -58,6 +59,8 @@ from oracles import (
     dictreader_parse_items,
     dictreader_parse_tags,
     loop_resample_two_groups,
+    one_join_duel_lines,
+    one_join_lines,
     pairs_select_tournaments,
 )
 
@@ -859,6 +862,39 @@ class TestPipeline:
             "tags": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         }
 
+    @pytest.mark.parametrize("rows", [0, 1, 1024, 1025, 2049])
+    def test_chunked_digests_hash_the_one_join_text(self, rows):
+        # the digests hash 1,024 rows (the reader's chunk) at a time: around
+        # each chunk boundary the text is still the one-join text
+        assert datasets._CHUNK_ROWS == 1024
+        categories = ("pizza", "salad", "café")
+        catalog = ItemCatalog([
+            ItemRecord(f"i{k}", "AB"[k % 2], categories[k % 3],
+                       f"img/{k}.jpg" if k % 5 else None)
+            for k in range(rows)
+        ])
+        duels = DuelTable.of([
+            DuelRecord(f"d{k}", categories[k % 3], ("tasty", "healthy")[k % 2],
+                       f"a{k % 97}", f"b{k % 89}", "AB"[k % 4 // 3], f"r{k % 7}")
+            for k in range(rows)
+        ])
+        tags = [TagRecord(f"d{k}", f"i{k}", f"r{k % 7}", f"tag {k % 13}, crème")
+                for k in range(rows)]
+        items = [(r.item_id, r.group, r.category, r.external_ref or "")
+                 for r in catalog.records]
+        texts = {
+            "items": one_join_lines(items),
+            "duels": one_join_duel_lines(duels),
+            "tags": one_join_lines(
+                (t.duel_id, t.item_id, t.rater_id, t.raw_text) for t in tags
+            ),
+        }
+        assert "".join(duels.lines(1024)) == texts["duels"]
+        assert input_digests(catalog, duels, tags) == {
+            name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+            for name, text in texts.items()
+        }
+
     def test_report_serialization_is_deterministic(self, fixture_data):
         catalog, duels, tags = fixture_data
         r1 = dump_report(run_pipeline(self.config(), catalog, duels, tags))
@@ -911,13 +947,13 @@ class TestPipeline:
     ):
         catalog, duels, _ = fixture_data
         built = []
-        post_init = ComparisonGraph.__post_init__
+        init = ComparisonGraph.__init__
 
-        def counting(graph):
+        def counting(graph, *args, **kwargs):
             built.append(graph)
-            post_init(graph)
+            init(graph, *args, **kwargs)
 
-        monkeypatch.setattr(ComparisonGraph, "__post_init__", counting)
+        monkeypatch.setattr(ComparisonGraph, "__init__", counting)
         config = AnalysisConfig(bootstrap_replicates=100, bootstrap_unit="duel")
         bundle = run_pipeline(config, catalog, duels)
         assert len(bundle["tournaments"]) == 4
@@ -1281,6 +1317,29 @@ class TestLargeInput:
         assert len(parsed) == 20_000
         # about 100 B: the id string and its slot, and six int32 codes
         assert retained / len(parsed) <= 250
+
+    def test_tournaments_and_digests_build_no_object_per_duel(self, large_set):
+        items, duels = large_set
+        catalog = parse_items(items)
+        parsed = parse_duels(duels, catalog)
+        select_tournaments(catalog, parsed)  # the catalog's item places, once
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tournaments = select_tournaments(catalog, parsed)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            input_digests(catalog, parsed, None)
+            peak = tracemalloc.get_traced_memory()[1] - retained
+        finally:
+            tracemalloc.stop()
+        assert sum(len(t.duels) for t in tournaments) == len(parsed) == 20_000
+        # about 50 B: the tournament's id slot, six int32 codes and the
+        # graph's two intp indices; a tuple of pairs took about 120 B
+        assert retained / len(parsed) <= 80
+        # about 32 B: one chunk of rows as text; the whole text took 173 B
+        assert peak / len(parsed) <= 80
 
     def test_cli_checks_each_duel_once(self, large_set, tmp_path, monkeypatch):
         items, duels = large_set
