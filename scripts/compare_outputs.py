@@ -16,7 +16,9 @@ subcommand at least once, so every output writer; ``bias`` and
 duel-unit ``bias`` on the large set, whose batches span several blocks;
 one ``bias`` run that must fail; ``bias``, ``fit`` and ``duelstats`` on
 copies of the large duels file that each break one duel rule near the
-end, whose line-numbered errors must match),
+end, whose line-numbered errors must match, and on a copy whose duel ids
+hold a quoted comma or newline, non-ASCII text, surrounding spaces or 200
+characters, as it is and with a bad winner near the end),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
 are, and each tree's peak RSS (the child's ``ru_maxrss``, read with
@@ -60,6 +62,15 @@ BAD_DUEL_ROWS = {
     "short-row": lambda row, other: {"duel_id": row["duel_id"],
                                      "category": row["category"]},
 }
+# duel ids that the CSV must quote or that the reader changes, one per row in
+# turn, for the copy of the large duels file with awkward ids
+AWKWARD_IDS = (
+    lambda k: f"d{k},comma",
+    lambda k: f"d{k}\nnewline",
+    lambda k: f"d{k}-caf\u00e9-\u98df\u3079\u7269",
+    lambda k: f"  d{k} spaced  ",  # stripped on reading
+    lambda k: f"d{k}-" + "x" * (199 - len(str(k))),  # 200 characters
+)
 # the rules that duelstats, which reads no catalog, applies too
 RECORD_RULES = ("bad-winner", "self-duel", "short-row")
 BAD_COMMANDS = ("bias", "fit", "duelstats")
@@ -69,6 +80,7 @@ EXPECTED_EXIT = {
     **{f"bad-{fault}-{command}": 2 for fault in BAD_DUEL_ROWS
        for command in BAD_COMMANDS
        if command != "duelstats" or fault in RECORD_RULES},
+    **{f"awkward-ids-bad-winner-{command}": 2 for command in BAD_COMMANDS},
 }
 
 # runs duelbias.cli from the tree given as the first argument, and fails if
@@ -143,33 +155,46 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
         with open(path, "w", encoding="utf-8") as f:
             json.dump(settings, f)
         out[name] = [*command, "--config", path]
-    for fault, path in write_bad_duels(f"{large}/duels.csv", tmp).items():
-        bad_in = ["--items", f"{large}/items.csv", "--duels", path]
-        out[f"bad-{fault}-bias"] = ["bias", *bad_in, "--unit", "item",
-                                    "--bootstrap", "100"]
-        out[f"bad-{fault}-fit"] = ["fit", *bad_in]
-        out[f"bad-{fault}-duelstats"] = ["duelstats", "--duels", path]
+    with open(f"{large}/duels.csv", encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    awkward = [{**row, "duel_id": AWKWARD_IDS[k % len(AWKWARD_IDS)](k)}
+               for k, row in enumerate(rows)]
+    runs = {f"bad-{fault}": path
+            for fault, path in write_bad_duels(rows, tmp, "duels").items()}
+    runs["awkward-ids"] = write_duel_rows(awkward, tmp, "duels-awkward-ids")
+    bad_winner = {"bad-winner": BAD_DUEL_ROWS["bad-winner"]}
+    runs["awkward-ids-bad-winner"] = write_bad_duels(
+        awkward, tmp, "duels-awkward-ids", bad_winner)["bad-winner"]
+    for name, path in runs.items():
+        inputs = ["--items", f"{large}/items.csv", "--duels", path]
+        out[f"{name}-bias"] = ["bias", *inputs, "--unit", "item",
+                               "--bootstrap", "100"]
+        out[f"{name}-fit"] = ["fit", *inputs]
+        out[f"{name}-duelstats"] = ["duelstats", "--duels", path]
     return out
 
 
-def write_bad_duels(source: str, tmp: str) -> dict[str, str]:
-    """Fault name -> path of a copy of the duels file ``source`` whose
-    third-last row is changed as ``BAD_DUEL_ROWS`` says; an item of another
-    category is taken from the first row of another category."""
-    with open(source, encoding="utf-8", newline="") as f:
-        rows = list(csv.DictReader(f))
+def write_duel_rows(rows: list[dict], tmp: str, name: str) -> str:
+    """The path of a duels file ``name``.csv in ``tmp`` holding ``rows``."""
+    path = os.path.join(tmp, f"{name}.csv")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(rows[0].keys())
+        writer.writerows(r.values() for r in rows)
+    return path
+
+
+def write_bad_duels(rows: list[dict], tmp: str, name: str,
+                    faults=BAD_DUEL_ROWS) -> dict[str, str]:
+    """Fault name -> path of a copy of the duel ``rows`` whose third-last row
+    is changed as ``faults`` says, written as ``name``-fault.csv in ``tmp``;
+    an item of another category is taken from the first row of another
+    category."""
     row = rows[-3]
     other = next(r for r in rows if r["category"] != row["category"])
-    paths = {}
-    for fault, change in BAD_DUEL_ROWS.items():
-        paths[fault] = os.path.join(tmp, f"duels-{fault}.csv")
-        with open(paths[fault], "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(rows[0].keys())
-            writer.writerows(r.values() for r in rows[:-3])
-            writer.writerow(change(row, other).values())
-            writer.writerows(r.values() for r in rows[-2:])
-    return paths
+    return {fault: write_duel_rows([*rows[:-3], change(row, other), *rows[-2:]],
+                                   tmp, f"{name}-{fault}")
+            for fault, change in faults.items()}
 
 
 def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float]:

@@ -216,6 +216,9 @@ def resample_two_groups(
     # stays 0, so their cumulative sum at j counts the draws below position j
     slot = np.empty(n_a, dtype=np.intp)
     slot[order] = np.arange(1, n_a + 1)
+    # where the run of values equal to sorted_a[j] ends, per position j
+    run_end = np.append(np.searchsorted(sorted_a, sorted_a, "right"), n_a)
+    padded = np.append(sorted_a, np.nan)  # NaN equals no grid percentile
     for start in range(0, replicates, block):
         stop = min(start + block, replicates)
         m = stop - start
@@ -233,10 +236,12 @@ def resample_two_groups(
             slots += (n_a + 1) * np.arange(m)[:, None]
             cumulative = np.bincount(slots.ravel(), minlength=m * (n_a + 1))
             cumulative = cumulative.reshape(m, n_a + 1).cumsum(axis=1)
-            below, not_above = (
-                np.take_along_axis(cumulative, np.searchsorted(sorted_a, q, side), 1)
-                for side in ("left", "right")
-            )
+            left = np.searchsorted(sorted_a, q)
+            right = np.where(padded[left] == q, run_end[left], left)
+            # both ends' counts by one flat read of the (m, n_a + 1) counts
+            ends = np.stack((left, right))
+            ends += (n_a + 1) * np.arange(m)[:, None]
+            below, not_above = np.take(cumulative, ends)
             rows[start:stop] = 50.0 * (below + not_above) / n_a
     return diffs, rows
 

@@ -78,7 +78,7 @@ def load_column_map(path) -> dict[str, str]:
     return mapping
 
 
-def _read_columns(path, required, column_map, optional=(), codes=None):
+def _read_columns(path, required, column_map, optional=(), sinks=None):
     """Read the named columns of a CSV file with a header row.
 
     Returns one list of stripped values per column, in the order
@@ -91,11 +91,12 @@ def _read_columns(path, required, column_map, optional=(), codes=None):
     Rows are read ``_CHUNK_ROWS`` at a time, and each column holds one
     string object per distinct value: crowd logs repeat most of their
     fields, so a file's columns take little more memory than its records.
-    ``codes`` maps a required column's name to a code book (a
-    ``duel_table.Codes``); that column holds instead each value's code.
+    ``sinks`` maps a required column's name to an object whose ``extend``
+    takes each chunk's list of values (a ``duel_table.CodedColumn`` or
+    ``TextColumn``); that object is returned in the column's place.
     """
     column_map = column_map or {}
-    codes = codes or {}
+    sinks = sinks or {}
     with open_utf8(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -110,14 +111,14 @@ def _read_columns(path, required, column_map, optional=(), codes=None):
         indices = [position[column_map.get(col, col)] for col in required]
         width = max(indices) + 1
         indices += [position.get(column_map.get(col, col)) for col in optional]
-        columns = [[] for _ in indices]
-        # per column, its code book or each value's one string
-        distinct = [codes.get(col, {}) for col in (*required, *optional)]
-        nonblank, short = filter(None, reader), None
+        columns = [sinks.get(col, []) for col in (*required, *optional)]
+        # per column read into a list, each value's one string
+        distinct = [{} for _ in columns]
+        nonblank, short, read = filter(None, reader), None, 0
         while rows := list(islice(nonblank, _CHUNK_ROWS)):
             if min(map(len, rows)) < width:
                 k = next(k for k, row in enumerate(rows) if len(row) < width)
-                short = len(columns[0]) + k  # the row's index
+                short = read + k  # the row's index
                 # read on: a byte that is not UTF-8 still comes first
                 deque(nonblank, maxlen=0)
                 break
@@ -129,10 +130,11 @@ def _read_columns(path, required, column_map, optional=(), codes=None):
                     fields = list(map(str.strip, map(itemgetter(j), rows)))
                 else:
                     fields = [row[j].strip() if j < len(row) else None for row in rows]
-                if type(seen) is dict:  # each value's one string
+                if type(values) is list:
                     values.extend(map(seen.setdefault, fields, fields))
-                else:  # a code book: each value's code
-                    values.extend(map(seen.__getitem__, fields))
+                else:  # a sink
+                    values.extend(fields)
+            read += len(rows)
     if short is not None:
         raise ParseError("row has too few fields", line=_row_line(path, short),
                          path=path)
@@ -204,11 +206,15 @@ def parse_duels(
     prefixed ``{path}: line N: ``; without one, only structural checks
     apply. The rules run over whole columns: only a failing row is built."""
     # imported here: `duelbias tags` needs neither the table nor numpy
-    from .duel_table import DuelTable
+    from .duel_table import CodedColumn, DuelTable, TextColumn
 
     books = DuelTable.code_books()
-    duel_ids, *codes = _read_columns(path, DUEL_COLUMNS, column_map, codes=books)
-    table = DuelTable(duel_ids, books.values(), codes)
+    sinks = {"duel_id": TextColumn(),
+             **{field: CodedColumn(book) for field, book in books.items()}}
+    ids, *coded = _read_columns(path, DUEL_COLUMNS, column_map, sinks=sinks)
+    table = DuelTable(b"".join(ids.pieces), ids.lengths, books.values(),
+                      [column.codes for column in coded])
+    del ids, coded, sinks  # the pieces read, which the table has copied
     row = table.first_broken(catalog)
     if row is not None:  # build and check that row alone, to raise its error
         check = None if catalog is None else catalog.check_duel

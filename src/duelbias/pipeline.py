@@ -44,12 +44,23 @@ class AnalysisConfig:
     fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
+        _check_filters(dimensions=self.dimensions, categories=self.categories)
         if self.bootstrap_replicates < 100:
             raise ValidationError("bootstrap needs at least 100 replicates")
         if self.bootstrap_unit not in BOOTSTRAP_UNITS:
             raise ValidationError(
                 f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
                 f"got {self.bootstrap_unit!r}"
+            )
+
+
+def _check_filters(**filters: Sequence[str] | None) -> None:
+    """Reject a filter given as one string: a duel would be kept when its
+    value is a substring of it."""
+    for name, names in filters.items():
+        if isinstance(names, str):
+            raise ValidationError(
+                f"{name} must be a sequence of names, not the string {names!r}"
             )
 
 
@@ -143,8 +154,9 @@ def select_tournaments(
     categories: Sequence[str] | None = None,
 ) -> list[Tournament]:
     """Each (category, dimension) tournament with a dimension in
-    ``dimensions`` and a category in ``categories`` (None: any), built once
-    and in sorted order.
+    ``dimensions`` and a category in ``categories`` (None: any; a string
+    raises ValidationError), built once and in sorted order. Each
+    tournament's duels are a view of ``duels``: its row indices.
 
     Every duel, whether the filters keep it or not, must pass
     ``catalog.check_duel``: the first that fails, in input order, raises
@@ -152,6 +164,7 @@ def select_tournaments(
     (``DuelTable.first_broken``); ``check_duel`` runs only to raise. Then
     ValidationError is raised if the filters leave no duel.
     """
+    _check_filters(dimensions=dimensions, categories=categories)
     duels = DuelTable.of(duels)
     row = duels.first_broken(catalog)
     if row is not None:
@@ -191,7 +204,8 @@ def select_tournaments(
 
 
 def duels_by_dimension(duels: Sequence[DuelRecord]) -> dict[str, DuelTable]:
-    """``duels`` grouped by dimension, in order; dimensions sorted."""
+    """``duels`` grouped by dimension, in order, each group a view of
+    ``duels``; dimensions sorted."""
     duels = DuelTable.of(duels)
     values, codes = duels.column("dimension")
     names = sorted(values[k] for k in np.flatnonzero(np.bincount(codes)))

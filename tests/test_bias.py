@@ -317,6 +317,8 @@ class TestResampleTwoGroups:
             ([0.3] * 40, [0.1, 0.3, 0.3, 0.5, 0.3, 0.2, 0.7]),
             # -0.0 and 0.0 compare equal, so they tie within and across groups
             ([-0.0, 0.0, 0.0, -0.0, 1.0, -1.0, 0.0], [0.0, -0.0, -0.0, 0.5, 0.0]),
+            # 200 + 200 normals rounded to whole numbers: a few long runs of ties
+            tuple(np.round(np.random.default_rng(5).normal(size=(2, 200)))),
         ],
     )
     def test_ties_bit_identical_to_per_replicate_loop(self, a, b):

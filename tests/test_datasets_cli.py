@@ -28,6 +28,7 @@ from duelbias.datasets import (
     parse_duels,
     parse_items,
     parse_tags,
+    write_csv,
     write_duels,
     write_items,
     write_tags,
@@ -44,6 +45,7 @@ from duelbias.pipeline import (
     AnalysisConfig,
     _derived_seed,
     dump_report,
+    duels_by_dimension,
     fit_tournament,
     input_digests,
     run_pipeline,
@@ -321,10 +323,13 @@ class TestDuelTable:
     def test_rejects_unequal_column_lengths(self):
         books = DuelTable.code_books()
         codes = [[books[f]["x" + f] for _ in range(2)] for f in books]
-        assert len(DuelTable(["d0", "d1"], books.values(), codes)) == 2
-        for ids, short in ((["d0"], codes), (["d0", "d1"], [*codes[:-1], [0]])):
+        table = DuelTable("d0d\u00e9".encode(), [2, 3], books.values(), codes)
+        assert table.columns()[0] == ["d0", "d\u00e9"]
+        for lengths, short in (([2], codes), ([2, 3], [*codes[:-1], [0]])):
             with pytest.raises(ValueError, match="equal lengths"):
-                DuelTable(ids, books.values(), short)
+                DuelTable(b"d0d1", lengths, books.values(), short)
+        with pytest.raises(ValueError, match="add up"):
+            DuelTable(b"d0d1", [2, 1], books.values(), codes)
 
     # a valid duel row, and changes to it that break a rule: the record's
     # rule, the catalog's, or both at once in one row
@@ -599,6 +604,42 @@ class TestParseErrors:
         with pytest.raises(ReferentialError) as exc:
             parse_duels(path, catalog)
         assert str(exc.value) == f"{path}: line 6: unknown item 'ghost'"
+
+    # duel ids the CSV must quote, non-ASCII, with surrounding spaces (which
+    # the reader strips) and of 200 characters
+    AWKWARD_IDS = ("d0,comma", "d1\nnewline", "d2-caf\u00e9-\u98df\u3079\u7269",
+                   "  d3 spaced  ", "d4-" + "x" * 197)
+
+    def test_awkward_duel_ids_round_trip(self, tmp_path, fixture_data):
+        catalog, _, _ = fixture_data
+        fields = ["pizza", "tasty", "a-pizza-0", "b-pizza-1", "B", "r1"]
+        path = tmp_path / "duels.csv"
+        rows = [[duel_id, *fields] for duel_id in self.AWKWARD_IDS]
+        write_csv(path, DUEL_COLUMNS, rows)
+        ids = [duel_id.strip() for duel_id in self.AWKWARD_IDS]
+        assert len(ids[-1]) == 200
+        records = [DuelRecord(duel_id, *fields) for duel_id in ids]
+        table = parse_duels(path, catalog)
+        assert table == records and [d.duel_id for d in table] == ids
+        assert table.columns()[0] == ids and table[1].duel_id == "d1\nnewline"
+        assert table[::-2] == records[::-2] and table[3:][0].duel_id == "d3 spaced"
+        assert table.where("dimension", ["tasty"])[np.array([4, 2])] == [
+            records[4], records[2]]
+        text = one_join_lines(
+            [d.duel_id, d.category, d.dimension, d.item_a, d.item_b, d.winner,
+             d.rater_id] for d in records
+        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert input_digests(catalog, table, None)["duels"] == digest
+        assert input_digests(catalog, records, None)["duels"] == digest
+        # a broken row after them starts on line 8: row d1 spans lines 3-4
+        write_csv(path, DUEL_COLUMNS, [*rows, ["  d5,\nbad ", *fields[:4], "X", "r1"]])
+        with pytest.raises(ParseError) as exc:
+            parse_duels(path, catalog)
+        assert str(exc.value) == (
+            f"{path}: line 8: duel 'd5,\\nbad': winner must be one of ('A', 'B'), "
+            "got 'X'"
+        )
 
     def test_duel_check_error_names_the_file_then_the_line(self, tmp_path):
         path = tmp_path / "duels.csv"
@@ -925,6 +966,16 @@ class TestPipeline:
         )
         bundle = run_pipeline(cfg, catalog, duels, tags)
         assert all(k.endswith("/tasty") for k in bundle["tournaments"])
+
+    @pytest.mark.parametrize("field", ["categories", "dimensions"])
+    def test_filter_given_as_a_string_is_rejected(self, fixture_data, field):
+        # "pizza" in "pizzas" holds, so a string would keep pizza duels
+        catalog, duels, _ = fixture_data
+        name = {"categories": "pizzas", "dimensions": "tastys"}[field]
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence"):
+            AnalysisConfig(**{field: name})
+        with pytest.raises(ValidationError, match=f"^{field} must be a sequence"):
+            select_tournaments(catalog, duels, **{field: name})
 
     def test_duel_unit_refit_bootstrap(self, fixture_data):
         catalog, duels, tags = fixture_data
@@ -1315,8 +1366,9 @@ class TestLargeInput:
         finally:
             tracemalloc.stop()
         assert len(parsed) == 20_000
-        # about 100 B: the id string and its slot, and six int32 codes
-        assert retained / len(parsed) <= 250
+        # about 44 B: the id's characters and int32 offset, and six int32
+        # codes; 97 B while each id was a string with its slot
+        assert retained / len(parsed) <= 55
 
     def test_tournaments_and_digests_build_no_object_per_duel(self, large_set):
         items, duels = large_set
@@ -1335,11 +1387,33 @@ class TestLargeInput:
         finally:
             tracemalloc.stop()
         assert sum(len(t.duels) for t in tournaments) == len(parsed) == 20_000
-        # about 50 B: the tournament's id slot, six int32 codes and the
-        # graph's two intp indices; a tuple of pairs took about 120 B
-        assert retained / len(parsed) <= 80
-        # about 32 B: one chunk of rows as text; the whole text took 173 B
-        assert peak / len(parsed) <= 80
+        # about 24 B: the tournament's int32 row index and the graph's two
+        # intp indices; 52 B while each tournament copied its rows of the
+        # columns, and about 120 B while the graph held a tuple of pairs
+        assert retained / len(parsed) <= 30
+        # about 37 B: one chunk of rows as text; the whole text took 173 B
+        assert peak / len(parsed) <= 47
+
+    def test_where_and_dimension_splits_retain_only_row_indices(self, large_set):
+        items, duels = large_set
+        parsed = parse_duels(duels, parse_items(items))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tasty = parsed.where("dimension", ["tasty"])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+            splits = duels_by_dimension(tasty)
+            gc.collect()
+            split_retained = tracemalloc.get_traced_memory()[0] - retained
+        finally:
+            tracemalloc.stop()
+        assert len(tasty) == sum(map(len, splits.values())) == 10_000
+        # an int32 index per row and a small constant; copying the rows of the
+        # columns took 32 B per row
+        assert retained <= 4 * len(tasty) + 1024
+        assert split_retained <= 4 * len(tasty) + 1024
+        assert splits["tasty"] == tasty
 
     def test_cli_checks_each_duel_once(self, large_set, tmp_path, monkeypatch):
         items, duels = large_set
