@@ -21,10 +21,10 @@ hold a quoted comma or newline, non-ASCII text, surrounding spaces or 200
 characters, as it is and with a bad winner near the end),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
-are, and each tree's peak RSS (the child's ``ru_maxrss``, read with
-``os.wait4``; reported only, never a failure). It exits 1 if any file,
-exit code or stderr differs, a file is missing from one side, or a run
-exits otherwise than expected.
+are, and each tree's peak RSS and their difference, new minus old (the
+child's ``ru_maxrss``, read with ``os.wait4``; reported only, never a
+failure). It exits 1 if any file, exit code or stderr differs, a file is
+missing from one side, or a run exits otherwise than expected.
 """
 
 from __future__ import annotations
@@ -258,7 +258,8 @@ def main() -> int:
             ok = ok and same
             print(f"{name}: exit code and stderr {'identical' if same else 'DIFFER'}")
             print(f"{name}: peak RSS old {rss['old']:.1f} MiB, "
-                  f"new {rss['new']:.1f} MiB")
+                  f"new {rss['new']:.1f} MiB "
+                  f"({rss['new'] - rss['old']:+.2f} MiB, reported only)")
             for side, (code, err) in ends.items() if not same else ():
                 print(f"  {side}: exit {code}, stderr {err!r}")
             # a missing output directory walks as empty

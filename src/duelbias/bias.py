@@ -205,7 +205,8 @@ def resample_two_groups(
     rng = np.random.default_rng(seed)
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
-    block = rows_per_block(replicates, n_a + n_b)
+    # a row holds one index and one value per drawn item
+    block = rows_per_block(replicates, 2 * (n_a + n_b))
     # per-block buffers, sliced to the block's m rows
     idx_buf = np.empty((block, n_a + n_b), dtype=np.uint64)
     a_buf = np.empty((block, n_a))

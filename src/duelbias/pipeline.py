@@ -52,6 +52,10 @@ class AnalysisConfig:
                 f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
                 f"got {self.bootstrap_unit!r}"
             )
+        # _derived_seed folds seeds mod 2**31: outside this range two seeds
+        # would give the same resamples
+        if not 0 <= self.seed < 2**31:
+            raise ValidationError(f"seed must be in [0, 2**31), got {self.seed}")
 
 
 def _check_filters(**filters: Sequence[str] | None) -> None:

@@ -62,9 +62,9 @@ BLOCK_VALUES = 2**16
 
 
 def rows_per_block(rows: int, row_size: int) -> int:
-    """Rows per block of a batch of ``rows`` rows of ``row_size`` values: at
-    most ``BLOCK_VALUES`` values (a few MiB) and at least one row. Every
-    lockstep batch of replicates runs in such blocks (the refits and item
-    resamples of ``bias`` and the simulations of ``simulate``); no output
-    depends on it."""
+    """Rows per block of a batch of ``rows`` rows, where ``row_size`` counts
+    the 8-byte values a row holds at once: at most ``BLOCK_VALUES`` values
+    (a few MiB) and at least one row. Every lockstep batch of replicates
+    runs in such blocks (the refits and item resamples of ``bias`` and the
+    simulations of ``simulate``); no output depends on it."""
     return max(1, min(rows, BLOCK_VALUES // row_size))

@@ -275,7 +275,7 @@ def _boundary_replicates(n_a, n_b):
     """Replicate counts one either side of a block boundary of
     resample_two_groups, where that boundary is a cheap replicate count
     for the per-replicate loop (small groups make blocks of thousands)."""
-    block = max(1, BLOCK_VALUES // (n_a + n_b))
+    block = max(1, BLOCK_VALUES // (2 * (n_a + n_b)))
     boundary = block * -(-101 // block)
     return (boundary - 1, boundary + 1) if boundary <= 2000 else ()
 
@@ -363,6 +363,28 @@ class TestResampleTwoGroups:
         # a (1000, 1000) int64 index matrix alone would take 7.6 MiB
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize(
+        "n, grid, bound",
+        [(200, DEFAULT_RANK_GRID, 1.5e6), (1000, (), 1.0e6)],
+        ids=["grid-200", "pooled-1000"],
+    )
+    def test_warm_call_scratch_is_bounded(self, n, grid, bound):
+        # a large-set run's tournament call (200 + 200 items, rank grid) and
+        # pooled call (1000 + 1000 items); the first call pays numpy's
+        # one-time allocations
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=n), rng.normal(size=n)
+        resample_two_groups(a, b, 1000, 0, grid)
+        tracemalloc.start()
+        try:
+            resample_two_groups(a, b, 1000, 1, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block row holds an index and a value per drawn item; blocks sized
+        # as if it held one value per item would peak at 2.34 and 1.50 MB
+        assert peak <= bound
+
 
 def _two_category_set(seed, n_side=6, n_duels=150):
     """Catalog and duels of four tournaments (two categories, two
@@ -419,8 +441,8 @@ class TestBlocksAreInvisible:
         refits.clear()
         monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 97)
         assert dump_report(run_pipeline(config, catalog, duels)) == default
-        # item resamples of 8 and 4 rows a block, refit blocks of one row
-        assert (len(draws), len(refits)) == (4 * 19 + 2 * 38, 150 * refit_blocks)
+        # item resamples of 4 and 2 rows a block, refit blocks of one row
+        assert (len(draws), len(refits)) == (4 * 38 + 2 * 75, 150 * refit_blocks)
 
     def test_recovery_curve_is_equal(self, monkeypatch):
         kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=4)

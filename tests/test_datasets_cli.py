@@ -977,6 +977,16 @@ class TestPipeline:
         with pytest.raises(ValidationError, match=f"^{field} must be a sequence"):
             select_tournaments(catalog, duels, **{field: name})
 
+    @pytest.mark.parametrize("seed", [-1, 2**31])
+    def test_seed_outside_range_is_rejected(self, seed):
+        # seeds are folded mod 2**31: -1 would alias 2**31 - 1, and 2**31 alias 0
+        with pytest.raises(ValidationError, match=r"^seed must be in \[0, 2\*\*31\)"):
+            AnalysisConfig(seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1])
+    def test_seed_range_bounds_are_accepted(self, seed):
+        assert AnalysisConfig(seed=seed).seed == seed
+
     def test_duel_unit_refit_bootstrap(self, fixture_data):
         catalog, duels, tags = fixture_data
         cfg = AnalysisConfig(
@@ -1788,6 +1798,10 @@ class TestCLI:
             (["tags", *TAGS_ARGS, "--top-k", "-1"], "top_k must be >= 1, got -1"),
             (["bias", *FIT_ARGS, "--unit", "duel", "--bootstrap", "50"],
              "bootstrap needs at least 100 replicates"),
+            (["bias", *BIAS_ARGS, "--seed", "-1"],
+             "seed must be in [0, 2**31), got -1"),
+            (["bias", *BIAS_ARGS, "--seed", "2147483648"],
+             "seed must be in [0, 2**31), got 2147483648"),
         ],
         ids=["fit-tolerance-inf", "bias-tolerance-inf", "bias-alpha-nan",
              "bias-alpha-inf", "simulate-rater-noise-nan", "simulate-no-budgets",
@@ -1795,7 +1809,8 @@ class TestCLI:
              "malformed-column-map", "items-directory", "non-utf8-tags",
              "non-utf8-items", "non-utf8-config", "non-utf8-column-map",
              "non-utf8-stopwords", "non-utf8-lexicon", "tags-top-k-0",
-             "tags-top-k-negative", "bias-duel-bootstrap-50"],
+             "tags-top-k-negative", "bias-duel-bootstrap-50", "bias-negative-seed",
+             "bias-seed-2-to-the-31"],
     )
     def test_bad_setting_or_unreadable_input_exits_2(
         self, paths, capsys, command, message
