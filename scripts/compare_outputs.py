@@ -18,13 +18,18 @@ one ``bias`` run that must fail; ``bias``, ``fit`` and ``duelstats`` on
 copies of the large duels file that each break one duel rule near the
 end, whose line-numbered errors must match, and on a copy whose duel ids
 hold a quoted comma or newline, non-ASCII text, surrounding spaces or 200
-characters, as it is and with a bad winner near the end),
+characters, as it is and with a bad winner near the end; ``bias`` on an
+all-ties set whose fitted scores are all equal),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
 are, and each tree's peak RSS and their difference, new minus old (the
 child's ``ru_maxrss``, read with ``os.wait4``; reported only, never a
-failure). It exits 1 if any file, exit code or stderr differs, a file is
-missing from one side, or a run exits otherwise than expected.
+failure). It first prints each tree's real path and its length, warning
+if the lengths differ, and whether the runs write bytecode: a run's peak
+RSS moves with both by more than the benchmark's 0.1 MiB bound, so RSS is
+comparable only between trees at paths of equal length. It exits 1 if any
+file, exit code or stderr differs, a file is missing from one side, or a
+run exits otherwise than expected.
 """
 
 from __future__ import annotations
@@ -171,7 +176,33 @@ def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]
                                "--bootstrap", "100"]
         out[f"{name}-fit"] = ["fit", *inputs]
         out[f"{name}-duelstats"] = ["duelstats", "--duels", path]
+    ties = write_all_ties(tmp)
+    out["all-ties-bias"] = ["bias", "--items", f"{ties}/items.csv", "--duels",
+                            f"{ties}/duels.csv", "--unit", "item",
+                            "--bootstrap", "100"]
     return out
+
+
+def write_all_ties(tmp: str) -> str:
+    """A directory in ``tmp`` with items.csv and duels.csv of one category,
+    two items a side and two dimensions, where every A-B pair duels twice
+    and each side wins once: every fitted score is 1, so the correlation of
+    the two dimensions' scores is undefined."""
+    root = os.path.join(tmp, "all-ties")
+    os.makedirs(root)
+    items = [(f"{group.lower()}{k}", group) for group in "AB" for k in range(2)]
+    with open(os.path.join(root, "items.csv"), "w", encoding="utf-8",
+              newline="") as f:
+        csv.writer(f).writerows([("item_id", "group", "category", "external_ref"),
+                                 *((i, group, "pizza", "") for i, group in items)])
+    duels = [(dimension, a, b, winner) for dimension in ("tasty", "healthy")
+             for a, _ in items[:2] for b, _ in items[2:] for winner in "AB"]
+    write_duel_rows([{"duel_id": f"d{k}", "category": "pizza", "dimension": dim,
+                      "item_a": a, "item_b": b, "winner": winner,
+                      "rater_id": f"r{k}"}
+                     for k, (dim, a, b, winner) in enumerate(duels)],
+                    root, "duels")
+    return root
 
 
 def write_duel_rows(rows: list[dict], tmp: str, name: str) -> str:
@@ -237,6 +268,14 @@ def main() -> int:
     args = parser.parse_args()
     trees = {"old": os.path.realpath(args.old_src),
              "new": os.path.realpath(args.new_src)}
+    for side, tree in trees.items():
+        print(f"{side} tree: {tree} ({len(tree)} characters)")
+    if len(trees["old"]) != len(trees["new"]):
+        print("warning: the trees' paths differ in length, so their peak RSS "
+              "may differ by a few tenths of a MiB for that alone")
+    # the runs inherit this environment and no -B flag
+    bytecode = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+    print(f"bytecode written: {'yes' if bytecode else 'no (PYTHONDONTWRITEBYTECODE)'}")
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         demo, large, vocab = (os.path.join(tmp, d) for d in ("demo", "large", "vocab"))

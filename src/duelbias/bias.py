@@ -367,9 +367,11 @@ def rank_curve(
 
 def score_correlations(
     score_tables: Mapping[str, Mapping[Hashable, float]],
-) -> tuple[tuple[str, ...], np.ndarray, list[list[PValue]]]:
+) -> tuple[tuple[str, ...], np.ndarray, list[list[PValue | None]]]:
     """Pearson correlation matrix between per-dimension log-scores over the
-    same items. Returns (dimensions, r matrix, p-value matrix)."""
+    same items. Returns (dimensions, r matrix, p-value matrix); a pair that
+    ``pearson`` rejects (fewer than 3 items, or a dimension whose scores are
+    all equal) has r NaN and p None."""
     dims = tuple(score_tables)
     if not dims:
         raise ValidationError("need at least one dimension")
@@ -380,10 +382,13 @@ def score_correlations(
     mat = np.log([[float(score_tables[d][i]) for i in items] for d in dims])
     k = len(dims)
     r = np.eye(k)
-    p: list[list[PValue]] = [[PValue(value=0.0)] * k for _ in range(k)]
+    p: list[list[PValue | None]] = [[PValue(value=0.0)] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            rij, pij = pearson(mat[i], mat[j])
+            try:
+                rij, pij = pearson(mat[i], mat[j])
+            except ValueError:
+                rij, pij = math.nan, None
             r[i, j] = r[j, i] = rij
             p[i][j] = p[j][i] = pij
     for i in range(k):

@@ -42,6 +42,7 @@ from .settings import (
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
     FitConfig,
+    checked_int,
 )
 
 # the names the commands use from the numeric layers, by module; they become
@@ -126,10 +127,15 @@ def _converted(kind, key: str, value):
     if kind is list and isinstance(value, (str, list)):
         parts = value.split(",") if isinstance(value, str) else value
         return [_converted(int, key, part) for part in parts]
-    wrong_type = isinstance(value, bool) or (kind is int and isinstance(value, float))
-    if kind is not list and not wrong_type:
+    if kind is int:
         try:
-            return kind(value)
+            value = int(value) if isinstance(value, str) else value
+        except ValueError:
+            pass  # rejected below as the string it is
+        return checked_int(key, value)
+    if kind is float and not isinstance(value, bool):
+        try:
+            return float(value)
         except (TypeError, ValueError):
             pass
     raise ValidationError(f"{key}: expected {kind.__name__}, got {value!r}")

@@ -215,7 +215,7 @@ def parse_duels(
     table = DuelTable(b"".join(ids.pieces), ids.lengths, books.values(),
                       [column.codes for column in coded])
     del ids, coded, sinks  # the pieces read, which the table has copied
-    row = table.first_broken(catalog)
+    row = table.first_broken(None if catalog is None else table.item_places(catalog))
     if row is not None:  # build and check that row alone, to raise its error
         check = None if catalog is None else catalog.check_duel
         _build_records(path, DuelRecord, table[row:row + 1].columns(), check, row)

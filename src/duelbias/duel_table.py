@@ -63,9 +63,9 @@ class _Columns:
     """The columns that a table and every table taken from it share: the
     duel ids joined into one UTF-8 text, with row r's id at
     ``text[bounds[r]:bounds[r + 1]]``, each other field's distinct values
-    and its rows' codes, and the item places of the last catalog asked."""
+    and its rows' codes."""
 
-    __slots__ = ("text", "bounds", "values", "codes", "places")
+    __slots__ = ("text", "bounds", "values", "codes")
 
     def __len__(self):
         return self.codes.shape[1]
@@ -99,7 +99,7 @@ class DuelTable(Sequence):
         columns = _Columns()
         columns.text, columns.bounds = id_text, bounds.astype(np.int32)
         columns.values = tuple(map(tuple, values))
-        columns.codes, columns.places = codes, None
+        columns.codes = codes
         columns.bounds.flags.writeable = codes.flags.writeable = False
         self._columns, self._rows = columns, None  # None: every row, in order
 
@@ -183,31 +183,27 @@ class DuelTable(Sequence):
         """Per item code: the code of its catalog category (-1 if no duel here
         has it or the item is unknown), its group (0 for A, 1 for B, -1 if
         unknown) and its index among its category's items in catalog order;
-        three arrays, kept for the last catalog asked about by this table or
-        any table sharing its columns."""
-        columns = self._columns
-        if columns.places is None or columns.places[0] is not catalog:
-            code = {c: k for k, c in enumerate(self.column("category")[0])}
-            seen: dict[str, int] = {}
-            places = {}
-            for r in catalog.records:
-                seen[r.category] = index = seen.get(r.category, -1) + 1
-                places[r.item_id] = code.get(r.category, -1), r.group == GROUP_B, index
-            items = self.column("item_a")[0]
-            rows = list(map(places.get, items, repeat((-1, -1, -1))))
-            columns.places = catalog, np.array(rows, np.intp).reshape(-1, 3).T
-        return columns.places[1]
+        three arrays."""
+        code = {c: k for k, c in enumerate(self.column("category")[0])}
+        seen: dict[str, int] = {}
+        places = {}
+        for r in catalog.records:
+            seen[r.category] = index = seen.get(r.category, -1) + 1
+            places[r.item_id] = code.get(r.category, -1), r.group == GROUP_B, index
+        rows = list(map(places.get, self.column("item_a")[0], repeat((-1, -1, -1))))
+        return np.array(rows, np.intp).reshape(-1, 3).T
 
-    def first_broken(self, catalog: ItemCatalog | None = None) -> int | None:
-        """The first row that breaks ``DuelRecord``'s rule or, given a catalog,
-        ``catalog.check_duel``, or None; each rule runs over whole columns."""
+    def first_broken(self, places: np.ndarray | None = None) -> int | None:
+        """The first row that breaks ``DuelRecord``'s rule or, given a
+        catalog's ``item_places``, ``catalog.check_duel``, or None; each rule
+        runs over whole columns."""
         category, _, a, b, winner, _ = self._at(self._columns.codes)
         bad = np.array([w not in GROUPS for w in self.column("winner")[0]], bool)
         broken = bad[winner] | (a == b)
-        if catalog is not None:
-            places, group, _ = self.item_places(catalog)
+        if places is not None:
+            home, group, _ = places
             broken |= (group[a] != 0) | (group[b] != 1)
-            broken |= (places[a] != category) | (places[b] != category)
+            broken |= (home[a] != category) | (home[b] != category)
         rows = np.flatnonzero(broken)
         return int(rows[0]) if rows.size else None
 

@@ -26,6 +26,7 @@ from .settings import (
     GEOMETRIC_MEAN_ONE,
     SUM_ONE,
     FitConfig,
+    checked_int,
     rows_per_block,
 )
 from .stats import pvalue_json
@@ -45,6 +46,8 @@ class AnalysisConfig:
 
     def __post_init__(self):
         _check_filters(dimensions=self.dimensions, categories=self.categories)
+        for name in ("bootstrap_replicates", "seed"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         if self.bootstrap_replicates < 100:
             raise ValidationError("bootstrap needs at least 100 replicates")
         if self.bootstrap_unit not in BOOTSTRAP_UNITS:
@@ -96,9 +99,7 @@ def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
             None if math.isinf(x) else x for x in freq.ratio_b_over_a
         ],
         "spearman_rho": freq.spearman_rho,
-        "spearman_p": (
-            pvalue_json(freq.spearman_p) if freq.spearman_p is not None else None
-        ),
+        "spearman_p": pvalue_json(freq.spearman_p),
     }
 
 
@@ -170,7 +171,8 @@ def select_tournaments(
     """
     _check_filters(dimensions=dimensions, categories=categories)
     duels = DuelTable.of(duels)
-    row = duels.first_broken(catalog)
+    places = duels.item_places(catalog)
+    row = duels.first_broken(places)
     if row is not None:
         d = duels[row]
         try:
@@ -182,8 +184,7 @@ def select_tournaments(
     if not len(kept):
         raise ValidationError("no duels left after applying the configured filters")
     # graph indices: each duel's items among its category's items
-    _, _, index = duels.item_places(catalog)
-    a, b = (index[kept.column(side)[1]] for side in ("item_a", "item_b"))
+    a, b = (places[2][kept.column(side)[1]] for side in ("item_a", "item_b"))
     won_by_b = kept.wins_of(GROUP_B)
     # one (winner, loser) row per kept duel
     pairs = np.column_stack((np.where(won_by_b, b, a), np.where(won_by_b, a, b)))
@@ -430,7 +431,7 @@ def run_pipeline(
             dims, r, p = bias_mod.score_correlations(tables)
             bundle["score_correlations"] = {
                 "dimensions": list(dims),
-                "r": [[float(v) for v in row] for row in r],
+                "r": [[None if math.isnan(v) else v for v in row] for row in r.tolist()],
                 "p": [[pvalue_json(v) for v in row] for row in p],
             }
 

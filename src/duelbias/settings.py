@@ -11,12 +11,24 @@ the modules that use these settings re-export them under their old names
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
 GEOMETRIC_MEAN_ONE = "geometric-mean-one"
 SUM_ONE = "sum-one"
+
+
+def checked_int(key: str, value) -> int:
+    """``value`` as an int if it is an int or a numpy integer; a bool or any
+    other value raises ValidationError naming the setting ``key``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{key}: expected int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,6 +44,9 @@ class FitConfig:
     normalization: str = GEOMETRIC_MEAN_ONE
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "max_iterations", checked_int("max_iterations", self.max_iterations)
+        )
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if not 0 < self.tolerance < math.inf:

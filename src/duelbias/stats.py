@@ -65,7 +65,10 @@ class PValue:
         return f"PValue(log10={self.log10_value!r})"
 
 
-def pvalue_json(p: PValue) -> dict:
+def pvalue_json(p: PValue | None) -> dict | None:
+    """``p`` as JSON; None (no p-value) as null."""
+    if p is None:
+        return None
     return {"value": p.value} if p.value is not None else {"log10": p.log10_value}
 
 

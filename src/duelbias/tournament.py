@@ -28,14 +28,16 @@ from .settings import (
     DEFAULT_RATER_NOISE,
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
+    checked_int,
     rows_per_block,
 )
 
-# Simulations fit every replicate of a budget in one batch and only use the
-# ranking each fit gives; a looser gradient tolerance than FitConfig's
-# default saves a Newton step or so per fit without moving Kendall's tau
-# measurably. 5,000 steps is far above the ten or so a fit needs; a fit
-# that does not converge stops the simulation with NumericalError.
+# Every simulation fits under this config and no other. It fits every
+# replicate of a budget in one batch and only uses the ranking each fit
+# gives; a looser gradient tolerance than FitConfig's default saves a Newton
+# step or so per fit without moving Kendall's tau measurably. 5,000 steps is
+# far above the ten or so a fit needs; a fit that does not converge stops
+# the simulation with NumericalError.
 SIMULATION_FIT_CONFIG = FitConfig(tolerance=1e-6, max_iterations=5_000)
 
 # Fitted log-scores are rounded to this many decimals, far finer than a fit
@@ -94,9 +96,9 @@ def check_schedule_settings(duels_per_item: int, seed: int) -> None:
     """Raise ValidationError unless ``sample_balanced_duels`` accepts these
     settings whatever the groups; a caller can check them before it reads
     any input."""
-    if duels_per_item < 1:
+    if checked_int("duels_per_item", duels_per_item) < 1:
         raise ValidationError("duels_per_item must be >= 1")
-    if seed < 0:
+    if checked_int("seed", seed) < 0:
         raise ValidationError("seed must be >= 0")
 
 
@@ -215,7 +217,6 @@ def simulate_rank_recovery(
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     replicates: int = 50,
     seed: int = 0,
-    fit_config: FitConfig | None = None,
     outcome_noise: str = OUTCOME_RATER_NORMAL,
     rater_noise_scale: float = DEFAULT_RATER_NOISE,
 ) -> RecoveryCurve:
@@ -225,9 +226,11 @@ def simulate_rank_recovery(
     normal, a balanced cross-group schedule is sampled for each budget,
     duel outcomes are generated, the choice model is fit, and Kendall's
     tau between true and fitted scores is recorded. Replicate r uses its
-    own generators derived from seed + r. The replicates of a budget are
-    fitted in lockstep, in ``settings.rows_per_block`` blocks; a fit that does
-    not converge raises NumericalError naming its replicate seed and budget.
+    own generators derived from seed + r. Every fit runs under
+    ``SIMULATION_FIT_CONFIG``, the only fit setting of a simulation. The
+    replicates of a budget are fitted in lockstep, in
+    ``settings.rows_per_block`` blocks; a fit that does not converge raises
+    NumericalError naming its replicate seed and budget.
 
     Outcome models:
       "rater-normal" (default): each duel's rater perceives both qualities
@@ -237,6 +240,9 @@ def simulate_rank_recovery(
       "bradley-terry": the outcome is drawn from the choice model on the
         exponentiated qualities; markedly noisier at equal budgets.
     """
+    n = checked_int("n_items_per_group", n_items_per_group)
+    budgets = [checked_int("budgets", budget) for budget in budgets]
+    replicates, seed = checked_int("replicates", replicates), checked_int("seed", seed)
     if outcome_noise not in (OUTCOME_RATER_NORMAL, OUTCOME_BRADLEY_TERRY):
         raise ValidationError(f"unknown outcome model {outcome_noise!r}")
     if not 0 <= rater_noise_scale < np.inf:
@@ -247,7 +253,6 @@ def simulate_rank_recovery(
         raise ValidationError("seed must be >= 0")
     if len(budgets) == 0:
         raise ValidationError("at least one budget is required")
-    n = n_items_per_group
     if n < 1:
         raise ValidationError("n_items_per_group must be >= 1")
     for budget in budgets:
@@ -255,8 +260,6 @@ def simulate_rank_recovery(
             raise InfeasibleScheduleError(
                 f"budget {budget} is not a positive multiple of group size {n}"
             )
-    if fit_config is None:
-        fit_config = SIMULATION_FIT_CONFIG
     taus = np.empty((replicates, len(budgets)), dtype=float)
     for j, budget in enumerate(budgets):
         block = rows_per_block(replicates, max(budget, -(-(2 * n) ** 2 // 16)))
@@ -265,26 +268,20 @@ def simulate_rank_recovery(
             winners, losers, qualities = _tournaments(
                 n, budget, seeds, outcome_noise, rater_noise_scale
             )
-            fits = fit_duel_arrays(2 * n, winners, losers, fit_config)
+            fits = fit_duel_arrays(2 * n, winners, losers, SIMULATION_FIT_CONFIG)
             if not fits.converged.all():
                 row = int(np.argmin(fits.converged))
-                hint = (
-                    "; with regularization_alpha 0 the win graph must be "
-                    "strongly connected"
-                    if fit_config.regularization_alpha == 0.0
-                    else ""
-                )
                 raise NumericalError(
                     f"rank-recovery fit of replicate seed {seeds[row]} at budget "
                     f"{budget} did not converge after {fits.iterations[row]} "
-                    f"Newton steps{hint}"
+                    "Newton steps"
                 )
             fitted = np.round(np.log(fits.scores), _TAU_DECIMALS)
             taus[first : first + len(seeds), j] = kendall_tau_values(
                 np.exp(qualities), fitted
             )
     return RecoveryCurve(
-        budgets=tuple(int(b) for b in budgets),
+        budgets=tuple(budgets),
         mean_tau=tuple(float(m) for m in taus.mean(axis=0)),
         std_tau=tuple(float(s) for s in taus.std(axis=0, ddof=0)),
         replicates=replicates,

@@ -245,7 +245,6 @@ def loop_simulate_rank_recovery(
     budgets,
     replicates,
     seed,
-    fit_config=SIMULATION_FIT_CONFIG,
     outcome_noise=OUTCOME_RATER_NORMAL,
     rater_noise_scale=0.25,
 ):
@@ -276,7 +275,8 @@ def loop_simulate_rank_recovery(
                 (int(a), int(b)) if win else (int(b), int(a))
                 for a, b, win in zip(a_idx, b_idx, a_wins)
             )
-            table = fit(ComparisonGraph(items=items, duels=duels), fit_config)
+            graph = ComparisonGraph(items=items, duels=duels)
+            table = fit(graph, SIMULATION_FIT_CONFIG)
             fitted = np.round(np.log(table.score_array(items)), _TAU_DECIMALS)
             taus[r, j] = kendall_tau_values(scores_true, fitted)
     return RecoveryCurve(

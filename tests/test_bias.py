@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -558,6 +559,37 @@ class TestScoreCorrelations:
     def test_item_set_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             score_correlations({"u": {"i1": 1.0}, "v": {"i2": 1.0}})
+
+    def test_constant_dimension_gives_undefined_pairs(self):
+        tables = {
+            "tasty": {"i1": 1.0, "i2": 2.0, "i3": 4.0},
+            "healthy": {"i1": 1.0, "i2": 1.0, "i3": 1.0},
+            "cheap": {"i1": 4.0, "i2": 2.0, "i3": 1.0},
+        }
+        _, r, p = score_correlations(tables)
+        assert np.isnan(r[0, 1]) and np.isnan(r[1, 2]) and np.isnan(r[2, 1])
+        assert p[0][1] is p[1][0] is p[1][2] is None
+        assert r[0, 2] == pytest.approx(-1.0) and p[0][2] is not None
+        assert np.allclose(np.diag(r), 1.0)
+
+    def test_all_ties_report_has_null_correlation(self):
+        # every A-B pair duels twice, each side winning once: every score
+        # fits to 1 in both dimensions
+        items = [ItemRecord(f"{g.lower()}{k}", g, "pizza") for g in "AB" for k in range(2)]
+        duels = [
+            DuelRecord(f"d{k}", "pizza", dim, a.item_id, b.item_id, winner, "r")
+            for k, (dim, a, b, winner) in enumerate(
+                product(("tasty", "healthy"), items[:2], items[2:], "AB")
+            )
+        ]
+        config = AnalysisConfig(bootstrap_unit="item", bootstrap_replicates=100)
+        bundle = run_pipeline(config, ItemCatalog(items), duels)
+        assert bundle["score_correlations"] == {
+            "dimensions": ["healthy", "tasty"],
+            "r": [[1.0, None], [None, 1.0]],
+            "p": [[{"value": 0.0}, None], [None, {"value": 0.0}]],
+        }
+        dump_report(bundle)  # null, not NaN: the report stays valid JSON
 
 
 class TestFrequencyDivergence:

@@ -531,6 +531,16 @@ class TestScoreTable:
 
 
 class TestFitConfig:
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_non_integral_max_iterations_rejected(self, value):
+        with pytest.raises(ValidationError, match="^max_iterations: expected int, got "):
+            FitConfig(max_iterations=value)
+
+    def test_numpy_integer_max_iterations_accepted(self):
+        config = FitConfig(max_iterations=np.int64(7))
+        assert config == FitConfig(max_iterations=7)
+        assert type(config.max_iterations) is int
+
     def test_invalid_values_rejected(self):
         with pytest.raises(ValidationError):
             FitConfig(max_iterations=0)

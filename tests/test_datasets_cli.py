@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -330,6 +331,42 @@ class TestDuelTable:
                 DuelTable(b"d0d1", lengths, books.values(), short)
         with pytest.raises(ValueError, match="add up"):
             DuelTable(b"d0d1", [2, 1], books.values(), codes)
+
+    def test_tables_and_tournaments_keep_no_catalog_alive(self, fixture_data, tmp_path):
+        catalog, duels, _ = fixture_data
+        catalog = ItemCatalog(catalog.records)  # a copy that only this test holds
+        path = tmp_path / "duels.csv"
+        write_duels(path, duels)
+        table = parse_duels(path, catalog)
+        tournaments = select_tournaments(catalog, table.where("dimension", ["tasty"]))
+        gone = weakref.ref(catalog)
+        del catalog
+        gc.collect()
+        assert gone() is None
+        assert len(tournaments) == 2 and table.first_broken() is None
+
+    def test_views_checked_against_two_catalogs_in_turn(self, fixture_data, tmp_path):
+        # in the second catalog b-pizza-1 is a salad item, so pizza duels
+        # against it break the rule there and only there
+        catalog, duels, _ = fixture_data
+        moved = ItemCatalog(
+            dataclasses.replace(r, category="salad") if r.item_id == "b-pizza-1" else r
+            for r in catalog.records
+        )
+        path = tmp_path / "duels.csv"
+        write_duels(path, duels)
+        table = parse_duels(path, catalog)
+        pizza, salad = (table.where("category", [c]) for c in ("pizza", "salad"))
+        first_bad = next(k for k, d in enumerate(pizza) if d.item_b == "b-pizza-1")
+        for _ in range(2):
+            for view in (pizza, salad, table):
+                assert view.first_broken(view.item_places(catalog)) is None
+                assert len(select_tournaments(catalog, view)) == 2 + 2 * (view is table)
+            assert pizza.first_broken(pizza.item_places(moved)) == first_bad
+            assert salad.first_broken(salad.item_places(moved)) is None
+            with pytest.raises(ReferentialError, match="item 'b-pizza-1' is catalogued as 'salad'"):
+                select_tournaments(moved, pizza)
+            assert len(select_tournaments(moved, salad)) == 2
 
     # a valid duel row, and changes to it that break a rule: the record's
     # rule, the catalog's, or both at once in one row
@@ -987,6 +1024,27 @@ class TestPipeline:
     def test_seed_range_bounds_are_accepted(self, seed):
         assert AnalysisConfig(seed=seed).seed == seed
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "3"),
+         ("bootstrap_replicates", 100.5), ("bootstrap_replicates", 200.0)],
+    )
+    def test_non_integral_setting_is_rejected(self, field, value):
+        # the message of the CLI's own rule: "seed: expected int, got True"
+        with pytest.raises(ValidationError, match=f"^{field}: expected int, got "):
+            AnalysisConfig(**{field: value})
+
+    def test_numpy_integer_settings_are_written_as_ints(self, fixture_data):
+        catalog, duels, _ = fixture_data
+
+        def report(**ints):
+            config = AnalysisConfig(categories=("pizza",), bootstrap_unit="item", **ints)
+            return dump_report(run_pipeline(config, catalog, duels))
+
+        assert report(bootstrap_replicates=np.int32(100), seed=np.int64(3)) == report(
+            bootstrap_replicates=100, seed=3
+        )
+
     def test_duel_unit_refit_bootstrap(self, fixture_data):
         catalog, duels, tags = fixture_data
         cfg = AnalysisConfig(
@@ -1384,7 +1442,7 @@ class TestLargeInput:
         items, duels = large_set
         catalog = parse_items(items)
         parsed = parse_duels(duels, catalog)
-        select_tournaments(catalog, parsed)  # the catalog's item places, once
+        select_tournaments(catalog, parsed)  # a first call's one-time allocations
         gc.collect()
         tracemalloc.start()
         try:
