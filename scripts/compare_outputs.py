@@ -22,12 +22,13 @@ characters, as it is and with a bad winner near the end; ``bias`` on an
 all-ties set whose fitted scores are all equal),
 and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes and stderr
-are, and each tree's peak RSS and their difference, new minus old (the
-child's ``ru_maxrss``, read with ``os.wait4``; reported only, never a
-failure). It first prints each tree's real path and its length, warning
-if the lengths differ, and whether the runs write bytecode: a run's peak
-RSS moves with both by more than the benchmark's 0.1 MiB bound, so RSS is
-comparable only between trees at paths of equal length. It exits 1 if any
+are, and each tree's peak RSS and user+system CPU seconds and their
+differences, new minus old (the child's ``ru_maxrss``, ``ru_utime`` and
+``ru_stime``, read with ``os.wait4``; reported only, never a failure). It
+first prints each tree's real path and its length, warning if the lengths
+differ, and whether the runs write bytecode: a run's peak RSS moves with
+both by more than the benchmark's 0.1 MiB bound, so RSS is comparable only
+between trees at paths of equal length. It exits 1 if any
 file, exit code or stderr differs, a file is missing from one side, or a
 run exits otherwise than expected.
 """
@@ -228,8 +229,8 @@ def write_bad_duels(rows: list[dict], tmp: str, name: str,
             for fault, change in faults.items()}
 
 
-def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float]:
-    """The run's exit code, stderr and peak RSS in MiB."""
+def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float, float]:
+    """The run's exit code, stderr, peak RSS in MiB and CPU seconds."""
     env = dict(os.environ, PYTHONPATH=tree)
     with subprocess.Popen([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
                           env=env, stdout=subprocess.DEVNULL,
@@ -238,7 +239,8 @@ def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float]:
         # the child's own resource usage; ru_maxrss is in KiB on Linux
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, err, usage.ru_maxrss / 1024
+    cpu = usage.ru_utime + usage.ru_stime
+    return child.returncode, err, usage.ru_maxrss / 1024, cpu
 
 
 def generate(tree: str, out: str, seed: int, extra=()) -> None:
@@ -283,10 +285,10 @@ def main() -> int:
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
         generate_tag_vocab(vocab)
         for name, cli_args in commands(demo, large, vocab, tmp).items():
-            outs, ends, rss = {}, {}, {}
+            outs, ends, rss, cpu = {}, {}, {}, {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)
-                code, err, rss[side] = run(
+                code, err, rss[side], cpu[side] = run(
                     tree, [*cli_args, "--output-dir", outs[side]], tmp
                 )
                 ends[side] = code, err
@@ -299,6 +301,8 @@ def main() -> int:
             print(f"{name}: peak RSS old {rss['old']:.1f} MiB, "
                   f"new {rss['new']:.1f} MiB "
                   f"({rss['new'] - rss['old']:+.2f} MiB, reported only)")
+            print(f"{name}: CPU old {cpu['old']:.3f} s, new {cpu['new']:.3f} s "
+                  f"({cpu['new'] - cpu['old']:+.3f} s, reported only)")
             for side, (code, err) in ends.items() if not same else ():
                 print(f"  {side}: exit {code}, stderr {err!r}")
             # a missing output directory walks as empty

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .duel_table import DuelTable
 from .errors import DuelBiasError, UnstableBootstrapError, ValidationError
-from .records import GROUP_A, GROUP_B, DuelRecord, ItemCatalog
+from .records import GROUP_A, GROUP_B, DuelRecord, Frozen, ItemCatalog
 from .settings import rows_per_block
 from .stats import (
     PValue,
@@ -33,36 +32,48 @@ HISTOGRAM_BIN_WIDTH = 0.05
 DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
 
 
-@dataclass(frozen=True)
-class WinFraction:
-    fraction: float
-    p_value: PValue
-    n: int
-    wins: int  # group B's wins
+class WinFraction(Frozen):
+    __slots__ = ("fraction", "p_value", "n", "wins")  # wins: group B's wins
+
+    def __init__(self, fraction: float, p_value: PValue, n: int, wins: int):
+        self._bind(fraction, p_value, n, wins)
 
 
-@dataclass(frozen=True)
-class RaterSummary:
-    per_rater: dict[str, float]
-    macro_mean: float
-    histogram: tuple[tuple[float, float, int], ...]  # (bin_low, bin_high, count)
+class RaterSummary(Frozen):
+    __slots__ = ("per_rater", "macro_mean", "histogram")
+
+    def __init__(
+        self,
+        per_rater: dict[str, float],
+        macro_mean: float,
+        histogram: tuple[tuple[float, float, int], ...],  # (bin_low, bin_high, count)
+    ):
+        self._bind(per_rater, macro_mean, histogram)
 
 
-@dataclass(frozen=True)
-class RankCurvePoint:
-    x: float
-    y: float
+class RankCurvePoint(Frozen):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self._bind(x, y)
 
 
-@dataclass(frozen=True)
-class FrequencyComparison:
-    categories: tuple[str, ...]
-    freq_a: tuple[float, ...]
-    freq_b: tuple[float, ...]
-    ratio_b_over_a: tuple[float, ...]  # inf where the category is absent from A
-    # None when undefined (fewer than 3 categories, or a constant profile)
-    spearman_rho: float | None
-    spearman_p: PValue | None
+class FrequencyComparison(Frozen):
+    __slots__ = (
+        "categories", "freq_a", "freq_b", "ratio_b_over_a", "spearman_rho", "spearman_p"
+    )
+
+    def __init__(
+        self,
+        categories: tuple[str, ...],
+        freq_a: tuple[float, ...],
+        freq_b: tuple[float, ...],
+        ratio_b_over_a: tuple[float, ...],  # inf where the category is absent from A
+        # None when undefined (fewer than 3 categories, or a constant profile)
+        spearman_rho: float | None,
+        spearman_p: PValue | None,
+    ):
+        self._bind(categories, freq_a, freq_b, ratio_b_over_a, spearman_rho, spearman_p)
 
 
 def duel_win_fraction(duels: Sequence[DuelRecord]) -> WinFraction:

@@ -14,7 +14,6 @@ resamples of a duel bootstrap); ``fit`` is its one-row, unit-weight case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import (
     UnidentifiableItemsError,
     ValidationError,
 )
+from .records import Frozen
 # SUM_ONE is imported for callers that read it as choice_model.SUM_ONE
 from .settings import GEOMETRIC_MEAN_ONE, SUM_ONE, FitConfig  # noqa: F401
 
@@ -55,8 +55,7 @@ def _duel_array(duels) -> np.ndarray:
     return d
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ComparisonGraph:
+class ComparisonGraph(Frozen):
     """Duel outcomes over an ordered item set.
 
     Built from ``duels``, (winner_index, loser_index) pairs into ``items``
@@ -64,8 +63,7 @@ class ComparisonGraph:
     read-only (m, 2) intp array ``duel_array``.
     """
 
-    items: tuple[Hashable, ...]
-    duel_array: np.ndarray
+    __slots__ = ("items", "duel_array")
 
     def __init__(self, items: Sequence[Hashable], duels):
         items = tuple(items)
@@ -81,8 +79,7 @@ class ComparisonGraph:
             raise ValidationError(f"item {items[w]!r} dueled itself")
         d = d.astype(np.intp)  # a copy, which no caller can change
         d.flags.writeable = False
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "duel_array", d)
+        self._bind(items, d)
 
     @property
     def duels(self) -> tuple[tuple[int, int], ...]:
@@ -125,8 +122,7 @@ class ComparisonGraph:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class ScoreTable:
+class ScoreTable(Frozen):
     """Fitted latent scores for one tournament, plus fit diagnostics.
 
     ``anchor_score`` is the regularization anchor expressed in the same
@@ -134,18 +130,28 @@ class ScoreTable:
     joint rescaling of scores and anchor.
     """
 
-    scores: dict[Hashable, float]
-    normalization: str
-    log_likelihood: float
-    iterations: int
-    converged: bool
-    regularization: float
-    anchor_score: float = 1.0
+    __slots__ = (
+        "scores", "normalization", "log_likelihood", "iterations", "converged",
+        "regularization", "anchor_score",
+    )
 
-    def __post_init__(self):
-        for item, s in self.scores.items():
+    def __init__(
+        self,
+        scores: dict[Hashable, float],
+        normalization: str,
+        log_likelihood: float,
+        iterations: int,
+        converged: bool,
+        regularization: float,
+        anchor_score: float = 1.0,
+    ):
+        for item, s in scores.items():
             if not (s > 0 and math.isfinite(s)):
                 raise ValidationError(f"non-positive score for {item!r}: {s}")
+        self._bind(
+            scores, normalization, log_likelihood, iterations, converged,
+            regularization, anchor_score,
+        )
 
     def score_array(self, items: Sequence[Hashable]) -> np.ndarray:
         return np.array([self.scores[i] for i in items], dtype=float)
@@ -372,16 +378,21 @@ def _gauge(log_s, normalization):
     return s / scale[:, None], 1.0 / scale
 
 
-@dataclass(frozen=True)
-class ReplicateFits:
+class ReplicateFits(Frozen):
     """Fits of several duel sets over the same items, one row each;
     ``scores`` (rows, n_items) and ``anchor_scores`` (rows,) are in the
     configured gauge, as in ``ScoreTable``."""
 
-    scores: np.ndarray
-    anchor_scores: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
+    __slots__ = ("scores", "anchor_scores", "iterations", "converged")
+
+    def __init__(
+        self,
+        scores: np.ndarray,
+        anchor_scores: np.ndarray,
+        iterations: np.ndarray,
+        converged: np.ndarray,
+    ):
+        self._bind(scores, anchor_scores, iterations, converged)
 
 
 def _start_log_scores(n_items: int, initial_scores) -> np.ndarray | float:

@@ -9,7 +9,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -20,7 +19,7 @@ from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
 from .datasets import _CHUNK_ROWS, write_csv
 from .duel_table import DuelTable
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
-from .records import GROUP_B, DuelRecord, ItemCatalog, TagRecord, TagTable
+from .records import GROUP_B, DuelRecord, Frozen, ItemCatalog, TagRecord, TagTable
 from .settings import (
     BOOTSTRAP_UNITS,
     GEOMETRIC_MEAN_ONE,
@@ -35,30 +34,38 @@ from .stats import pvalue_json
 _MEDIAN_COLUMN = bias_mod.DEFAULT_RANK_GRID.index(50)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    dimensions: tuple[str, ...] | None = None  # None: all present in the duels
-    categories: tuple[str, ...] | None = None
-    bootstrap_replicates: int = 1000
-    bootstrap_unit: str = "duel"  # unit for the per-tournament score-bias CI
-    seed: int = 0
-    fit: FitConfig = field(default_factory=FitConfig)
+class AnalysisConfig(Frozen):
+    __slots__ = (
+        "dimensions", "categories", "bootstrap_replicates", "bootstrap_unit",
+        "seed", "fit",
+    )
 
-    def __post_init__(self):
-        _check_filters(dimensions=self.dimensions, categories=self.categories)
-        for name in ("bootstrap_replicates", "seed"):
-            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
-        if self.bootstrap_replicates < 100:
+    def __init__(
+        self,
+        dimensions: tuple[str, ...] | None = None,  # None: all present in the duels
+        categories: tuple[str, ...] | None = None,
+        bootstrap_replicates: int = 1000,
+        bootstrap_unit: str = "duel",  # unit for the per-tournament score-bias CI
+        seed: int = 0,
+        fit: FitConfig = FitConfig(),
+    ):
+        _check_filters(dimensions=dimensions, categories=categories)
+        bootstrap_replicates = checked_int("bootstrap_replicates", bootstrap_replicates)
+        seed = checked_int("seed", seed)
+        if bootstrap_replicates < 100:
             raise ValidationError("bootstrap needs at least 100 replicates")
-        if self.bootstrap_unit not in BOOTSTRAP_UNITS:
+        if bootstrap_unit not in BOOTSTRAP_UNITS:
             raise ValidationError(
                 f"bootstrap unit must be one of {', '.join(BOOTSTRAP_UNITS)}, "
-                f"got {self.bootstrap_unit!r}"
+                f"got {bootstrap_unit!r}"
             )
         # _derived_seed folds seeds mod 2**31: outside this range two seeds
         # would give the same resamples
-        if not 0 <= self.seed < 2**31:
-            raise ValidationError(f"seed must be in [0, 2**31), got {self.seed}")
+        if not 0 <= seed < 2**31:
+            raise ValidationError(f"seed must be in [0, 2**31), got {seed}")
+        self._bind(
+            dimensions, categories, bootstrap_replicates, bootstrap_unit, seed, fit
+        )
 
 
 def _check_filters(**filters: Sequence[str] | None) -> None:
@@ -139,17 +146,23 @@ def input_digests(
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Tournament:
+class Tournament(Frozen):
     """One (category, dimension) tournament: its duels in file order, its
     graph over the category's items in catalog order, and the graph indices
-    of group A's items and of group B's."""
+    of group A's items and of group B's. Equal only to itself."""
 
-    category: str
-    dimension: str
-    duels: DuelTable
-    graph: ComparisonGraph
-    groups: tuple[np.ndarray, np.ndarray]
+    __slots__ = ("category", "dimension", "duels", "graph", "groups")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self,
+        category: str,
+        dimension: str,
+        duels: DuelTable,
+        graph: ComparisonGraph,
+        groups: tuple[np.ndarray, np.ndarray],
+    ):
+        self._bind(category, dimension, duels, graph, groups)
 
 
 def select_tournaments(
@@ -243,7 +256,7 @@ def fit_tournament(tournament: Tournament, fit_config: FitConfig) -> ScoreTable:
     attributes.
     """
     try:
-        gauge = replace(fit_config, normalization=GEOMETRIC_MEAN_ONE)
+        gauge = fit_config.replace(normalization=GEOMETRIC_MEAN_ONE)
         table = fit(tournament.graph, gauge)
         if not table.converged:
             hint = (
@@ -283,7 +296,7 @@ def refit_bias_replicates(
     winners, losers = graph.duel_array.T[:, None]
     start = point.score_array(graph.items)
     group_a, group_b = tournament.groups
-    fit_config = replace(config.fit, normalization=point.normalization)
+    fit_config = config.fit.replace(normalization=point.normalization)
     rng = np.random.default_rng(seed)
     block = rows_per_block(replicates, m)
     values = []
@@ -444,10 +457,20 @@ def run_pipeline(
 
 
 def _config_json(config: AnalysisConfig) -> dict:
-    out = asdict(config)
-    out["dimensions"] = list(config.dimensions) if config.dimensions else None
-    out["categories"] = list(config.categories) if config.categories else None
-    return out
+    fit = config.fit
+    return {
+        "dimensions": list(config.dimensions) if config.dimensions else None,
+        "categories": list(config.categories) if config.categories else None,
+        "bootstrap_replicates": config.bootstrap_replicates,
+        "bootstrap_unit": config.bootstrap_unit,
+        "seed": config.seed,
+        "fit": {
+            "max_iterations": fit.max_iterations,
+            "tolerance": fit.tolerance,
+            "regularization_alpha": fit.regularization_alpha,
+            "normalization": fit.normalization,
+        },
+    }
 
 
 def _derived_seed(seed: int, category: str, dimension: str) -> int:

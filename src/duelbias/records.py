@@ -1,9 +1,9 @@
-"""Core record types: item catalogs, duel records, tag records."""
+"""Core record types: item catalogs, duel records, tag records, and
+``Frozen``, the base of every immutable value type of the package."""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Optional
 
@@ -14,23 +14,80 @@ GROUP_B = "B"
 GROUPS = (GROUP_A, GROUP_B)
 
 
-@dataclass(frozen=True, slots=True)
-class ItemRecord:
-    item_id: str
-    group: str
-    category: str
-    external_ref: Optional[str] = None
+class Frozen:
+    """Base of the package's immutable value types. A subclass names its
+    attributes in ``__slots__`` and its ``__init__`` sets them with
+    ``object.__setattr__``; assigning or deleting one raises AttributeError.
+    ``==``, ``hash``, ``repr`` and ``replace`` go by the fields, which are
+    the slots unless the class names them in ``_fields``, and which
+    ``__init__`` takes in that order: pickling and copying call it with
+    them."""
 
-    def __post_init__(self):
-        if self.group not in GROUPS:
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
+    def _bind(self, *values) -> None:
+        """Set the slots, in order, to ``values``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _compared(self) -> tuple:
+        """The values that ``==`` and ``hash`` go by."""
+        return self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the fields named in ``changes`` replaced, made by
+        ``__init__`` so that its rules apply."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class ItemRecord(Frozen):
+    __slots__ = ("item_id", "group", "category", "external_ref")
+
+    def __init__(
+        self, item_id: str, group: str, category: str,
+        external_ref: Optional[str] = None,
+    ):
+        if group not in GROUPS:
             raise ValidationError(
-                f"item {self.item_id!r}: group must be one of {GROUPS}, "
-                f"got {self.group!r}"
+                f"item {item_id!r}: group must be one of {GROUPS}, got {group!r}"
             )
-        if not self.item_id:
+        if not item_id:
             raise ValidationError("item_id must be non-empty")
-        if not self.category:
-            raise ValidationError(f"item {self.item_id!r}: category must be non-empty")
+        if not category:
+            raise ValidationError(f"item {item_id!r}: category must be non-empty")
+        set_ = object.__setattr__
+        set_(self, "item_id", item_id)
+        set_(self, "group", group)
+        set_(self, "category", category)
+        set_(self, "external_ref", external_ref)
 
 
 class ItemCatalog:
@@ -93,26 +150,32 @@ class ItemCatalog:
         return counts
 
 
-@dataclass(frozen=True, slots=True)
-class DuelRecord:
-    """One pairwise comparison; item_a is from group A, item_b from group B."""
+class DuelRecord(Frozen):
+    """One pairwise comparison; item_a is from group A, item_b from group B,
+    and ``winner`` is "A" or "B"."""
 
-    duel_id: str
-    category: str
-    dimension: str
-    item_a: str
-    item_b: str
-    winner: str  # "A" or "B"
-    rater_id: str
+    __slots__ = (
+        "duel_id", "category", "dimension", "item_a", "item_b", "winner", "rater_id"
+    )
 
-    def __post_init__(self):
-        if self.winner not in GROUPS:
+    def __init__(
+        self, duel_id: str, category: str, dimension: str, item_a: str,
+        item_b: str, winner: str, rater_id: str,
+    ):
+        if winner not in GROUPS:
             raise ValidationError(
-                f"duel {self.duel_id!r}: winner must be one of {GROUPS}, "
-                f"got {self.winner!r}"
+                f"duel {duel_id!r}: winner must be one of {GROUPS}, got {winner!r}"
             )
-        if self.item_a == self.item_b:
-            raise ValidationError(f"duel {self.duel_id!r}: item dueled itself")
+        if item_a == item_b:
+            raise ValidationError(f"duel {duel_id!r}: item dueled itself")
+        set_ = object.__setattr__
+        set_(self, "duel_id", duel_id)
+        set_(self, "category", category)
+        set_(self, "dimension", dimension)
+        set_(self, "item_a", item_a)
+        set_(self, "item_b", item_b)
+        set_(self, "winner", winner)
+        set_(self, "rater_id", rater_id)
 
     @property
     def winner_item(self) -> str:
@@ -123,26 +186,24 @@ class DuelRecord:
         return self.item_b if self.winner == GROUP_A else self.item_a
 
 
-@dataclass(frozen=True, slots=True)
-class TagRecord:
-    duel_id: str
-    item_id: str
-    rater_id: str
-    raw_text: str
+class TagRecord(Frozen):
+    __slots__ = ("duel_id", "item_id", "rater_id", "raw_text")
 
-    def __post_init__(self):
-        if _blank(self.raw_text):
+    def __init__(self, duel_id: str, item_id: str, rater_id: str, raw_text: str):
+        if _blank(raw_text):
             raise ValidationError(
-                f"tag for item {self.item_id!r} in duel {self.duel_id!r} is empty"
+                f"tag for item {item_id!r} in duel {duel_id!r} is empty"
             )
+        set_ = object.__setattr__
+        set_(self, "duel_id", duel_id)
+        set_(self, "item_id", item_id)
+        set_(self, "rater_id", rater_id)
+        set_(self, "raw_text", raw_text)
 
 
 def _blank(raw_text: str) -> bool:
     """The tag rule: a raw text of only whitespace is no tag."""
     return not raw_text.strip()
-
-
-_TAG_FIELDS = ("duel_id", "item_id", "rater_id", "raw_text")
 
 
 class TagTable(Sequence):
@@ -168,7 +229,7 @@ class TagTable(Sequence):
         if isinstance(records, cls):
             return records
         records = list(records)
-        return cls(*(list(map(attrgetter(f), records)) for f in _TAG_FIELDS))
+        return cls(*(list(map(attrgetter(f), records)) for f in TagRecord.__slots__))
 
     @staticmethod
     def first_blank(raw_texts: Sequence[str]) -> int | None:

@@ -2,8 +2,9 @@
 simulation and tag defaults) and the block rule of every lockstep batch.
 
 This module imports no numpy, so that ``import duelbias.cli`` does not load
-it, and no other layer, so that a command loads only the layers it runs;
-the modules that use these settings re-export them under their old names
+it, and no other layer but ``records``, which every command loads, so that a
+command loads only the layers it runs; the modules that use these settings
+re-export them under their old names
 (``choice_model.FitConfig``, ``pipeline.BOOTSTRAP_UNITS``,
 ``tournament.DEFAULT_BUDGETS``, ``tags.DEFAULT_TOP_K`` and so on).
 """
@@ -12,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import ValidationError
+from .records import Frozen
 
 GEOMETRIC_MEAN_ONE = "geometric-mean-one"
 SUM_ONE = "sum-one"
@@ -31,30 +32,31 @@ def checked_int(key: str, value) -> int:
     raise ValidationError(f"{key}: expected int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class FitConfig:
+class FitConfig(Frozen):
     """``tolerance`` bounds max |d/d log s| of the (regularized)
     log-likelihood at a converged fit; ``max_iterations`` caps the number
     of Newton steps. In a batch (``fit_duel_arrays``) both apply to each
     row on its own."""
 
-    max_iterations: int = 10_000
-    tolerance: float = 1e-8
-    regularization_alpha: float = 0.1
-    normalization: str = GEOMETRIC_MEAN_ONE
+    __slots__ = ("max_iterations", "tolerance", "regularization_alpha", "normalization")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "max_iterations", checked_int("max_iterations", self.max_iterations)
-        )
-        if self.max_iterations < 1:
+    def __init__(
+        self,
+        max_iterations: int = 10_000,
+        tolerance: float = 1e-8,
+        regularization_alpha: float = 0.1,
+        normalization: str = GEOMETRIC_MEAN_ONE,
+    ):
+        max_iterations = checked_int("max_iterations", max_iterations)
+        if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not 0 < self.tolerance < math.inf:
+        if not 0 < tolerance < math.inf:
             raise ValidationError("tolerance must be finite and positive")
-        if not 0 <= self.regularization_alpha < math.inf:
+        if not 0 <= regularization_alpha < math.inf:
             raise ValidationError("regularization_alpha must be finite and nonnegative")
-        if self.normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
+        if normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
+            raise ValidationError(f"unknown normalization {normalization!r}")
+        self._bind(max_iterations, tolerance, regularization_alpha, normalization)
 
 
 # resampled units of the per-tournament score-bias CI: duels (with refits) or items

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
+
+from .records import Frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -19,24 +20,23 @@ if TYPE_CHECKING:
 LOG10_SWITCH = -300.0  # below this, a PValue is stored as log10(p)
 
 
-@dataclass(frozen=True)
-class PValue:
+class PValue(Frozen):
     """A p-value with a log10 fallback for the underflow range.
 
     Exactly one of ``value`` and ``log10_value`` is set. The log10
     representation is used only when the plain value would be < 1e-300.
     """
 
-    value: float | None = None
-    log10_value: float | None = None
+    __slots__ = ("value", "log10_value")
 
-    def __post_init__(self):
-        if (self.value is None) == (self.log10_value is None):
+    def __init__(self, value: float | None = None, log10_value: float | None = None):
+        if (value is None) == (log10_value is None):
             raise ValueError("exactly one of value and log10_value must be set")
-        if self.value is not None and not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"p-value out of [0, 1]: {self.value}")
-        if self.log10_value is not None and self.log10_value > LOG10_SWITCH:
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise ValueError(f"p-value out of [0, 1]: {value}")
+        if log10_value is not None and log10_value > LOG10_SWITCH:
             raise ValueError("log10 representation is reserved for p < 1e-300")
+        self._bind(value, log10_value)
 
     @classmethod
     def from_log10(cls, log10p: float) -> "PValue":
@@ -253,13 +253,17 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, PValue]:
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
+    # tested on the values: the deviations of a constant input from its
+    # rounded mean need not be zero
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise ValueError("correlation undefined for constant input")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]
     dy = [y - mean_y for y in ys]
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
+    if sxx == 0.0 or syy == 0.0:  # deviations too small to square
         raise ValueError("correlation undefined for constant input")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
     r = sxy / math.sqrt(sxx * syy)

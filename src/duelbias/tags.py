@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .datasets import open_utf8, write_csv
 from .errors import ParseError, ReferentialError, ValidationError
-from .records import GROUP_A, GROUP_B, ItemCatalog, TagRecord, TagTable
+from .records import GROUP_A, GROUP_B, Frozen, ItemCatalog, TagRecord, TagTable
 from .settings import DEFAULT_MIN_COUNT, DEFAULT_TOP_K
 from .stats import PValue, chi_square_2x2, pvalue_json
 
@@ -108,21 +107,21 @@ def _normalize_part(part, stopword_prefixes, dash_merge_lexicon) -> str:
     return dash_merge_lexicon.get(tag, tag)
 
 
-@dataclass(frozen=True)
-class TagDistribution:
+class TagDistribution(Frozen):
     """Normalized-tag counts for one group, with additive smoothing.
 
     Probabilities are (count + eps) / (total + eps * |vocabulary|), with eps
     ``DEFAULT_SMOOTHING``, where the vocabulary is supplied by the caller
     (usually the union over both groups) so both distributions share the
-    same support. ``counts`` must not change after ``total`` is first read.
+    same support. ``counts`` must not change after the distribution is made,
+    which sums them into ``total``.
     """
 
-    counts: dict[str, int]
+    __slots__ = ("counts", "total")
+    _fields = ("counts",)
 
-    @cached_property
-    def total(self) -> int:
-        return sum(self.counts.values())
+    def __init__(self, counts: dict[str, int]):
+        self._bind(counts, sum(counts.values()))
 
     def probability(self, tag: str, vocabulary: Sequence[str]) -> float:
         eps = DEFAULT_SMOOTHING
@@ -195,15 +194,25 @@ def significance_stars(p: PValue) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class DistinctiveTag:
-    tag: str
-    kl: float
-    count_target: int
-    count_reference: int
-    chi2: float
-    p_value: PValue
-    stars: str = field(compare=False, default="")
+class DistinctiveTag(Frozen):
+    __slots__ = (
+        "tag", "kl", "count_target", "count_reference", "chi2", "p_value", "stars"
+    )
+
+    def __init__(
+        self,
+        tag: str,
+        kl: float,
+        count_target: int,
+        count_reference: int,
+        chi2: float,
+        p_value: PValue,
+        stars: str = "",
+    ):
+        self._bind(tag, kl, count_target, count_reference, chi2, p_value, stars)
+
+    def _compared(self) -> tuple:
+        return self._values()[:-1]  # not stars
 
 
 def _rank_direction(

@@ -10,7 +10,6 @@ lockstep batch (``choice_model.fit_duel_arrays``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     SizeMismatchError,
     ValidationError,
 )
+from .records import Frozen
 from .settings import (
     DEFAULT_BUDGETS,
     DEFAULT_RATER_NOISE,
@@ -51,12 +51,17 @@ _TAU_DECIMALS = 9
 # value, rounded up: at most 2**16 duels and 1 MiB per matrix by default.
 
 
-@dataclass(frozen=True)
-class SchedulePlan:
-    group_a: tuple[Hashable, ...]
-    group_b: tuple[Hashable, ...]
-    duels_per_item: int
-    pairs: tuple[tuple[Hashable, Hashable], ...]
+class SchedulePlan(Frozen):
+    __slots__ = ("group_a", "group_b", "duels_per_item", "pairs")
+
+    def __init__(
+        self,
+        group_a: tuple[Hashable, ...],
+        group_b: tuple[Hashable, ...],
+        duels_per_item: int,
+        pairs: tuple[tuple[Hashable, Hashable], ...],
+    ):
+        self._bind(group_a, group_b, duels_per_item, pairs)
 
     def appearance_counts(self) -> dict[Hashable, int]:
         counts = {item: 0 for item in self.group_a + self.group_b}
@@ -66,13 +71,18 @@ class SchedulePlan:
         return counts
 
 
-@dataclass(frozen=True)
-class RecoveryCurve:
-    budgets: tuple[int, ...]
-    mean_tau: tuple[float, ...]
-    std_tau: tuple[float, ...]
-    replicates: int
-    seed: int
+class RecoveryCurve(Frozen):
+    __slots__ = ("budgets", "mean_tau", "std_tau", "replicates", "seed")
+
+    def __init__(
+        self,
+        budgets: tuple[int, ...],
+        mean_tau: tuple[float, ...],
+        std_tau: tuple[float, ...],
+        replicates: int,
+        seed: int,
+    ):
+        self._bind(budgets, mean_tau, std_tau, replicates, seed)
 
 
 def _schedule(

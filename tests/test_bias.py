@@ -572,6 +572,17 @@ class TestScoreCorrelations:
         assert r[0, 2] == pytest.approx(-1.0) and p[0][2] is not None
         assert np.allclose(np.diag(r), 1.0)
 
+    def test_equal_scores_off_one_give_undefined_pairs(self):
+        # log(1.003) is not the rounded mean of three copies of itself
+        items = ("i1", "i2", "i3")
+        tables = {
+            "tasty": dict(zip(items, (1.0, 2.0, 3.0))),
+            "healthy": dict.fromkeys(items, 1.003),
+        }
+        _, r, p = score_correlations(tables)
+        assert np.isnan(r[0, 1]) and np.isnan(r[1, 0])
+        assert p[0][1] is p[1][0] is None
+
     def test_all_ties_report_has_null_correlation(self):
         # every A-B pair duels twice, each side winning once: every score
         # fits to 1 in both dimensions

@@ -1,6 +1,5 @@
 import copy
 import csv
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -159,7 +158,7 @@ class TestTagTable:
         assert isinstance(table, TagTable)
         assert table == records and records == table
         assert not table != records and not records != table
-        changed = [*records[:-1], dataclasses.replace(records[-1], rater_id="x")]
+        changed = [*records[:-1], records[-1].replace(rater_id="x")]
         assert table != changed and changed != table
         assert table != records[:-1] and records[:-1] != table
         assert table == TagTable.of(records) and table != table[1:]
@@ -242,9 +241,9 @@ class TestTagTable:
         path = tmp_path / "tags.csv"
         write_tags(path, tags)
         built = []
-        check = TagRecord.__post_init__
+        init = TagRecord.__init__
         monkeypatch.setattr(
-            TagRecord, "__post_init__", lambda rec: built.append(rec) or check(rec)
+            TagRecord, "__init__", lambda rec, *a: init(rec, *a) or built.append(rec)
         )
         group_of = {r.item_id: r.group for r in catalog.records}
         table = parse_tags(path)
@@ -272,7 +271,7 @@ class TestDuelTable:
         for same in (records, tuple(records), DuelTable.of(records)):
             assert table == same and same == table
             assert not table != same and not same != table
-        changed = [*records[:-1], dataclasses.replace(records[-1], rater_id="x")]
+        changed = [*records[:-1], records[-1].replace(rater_id="x")]
         assert table != changed and changed != table
         assert table != tuple(changed) and tuple(changed) != table
         assert table != records[:-1] and table != table[1:]
@@ -350,7 +349,7 @@ class TestDuelTable:
         # against it break the rule there and only there
         catalog, duels, _ = fixture_data
         moved = ItemCatalog(
-            dataclasses.replace(r, category="salad") if r.item_id == "b-pizza-1" else r
+            r.replace(category="salad") if r.item_id == "b-pizza-1" else r
             for r in catalog.records
         )
         path = tmp_path / "duels.csv"
@@ -430,15 +429,15 @@ class TestRecords:
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_frozen_slotted_values(self, record):
-        field = dataclasses.fields(record)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        field = type(record).__slots__[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
             setattr(record, field, "x")
         assert not hasattr(record, "__dict__")
-        twin = type(record)(*dataclasses.astuple(record))
+        twin = type(record)(*(getattr(record, f) for f in type(record).__slots__))
         assert twin == record and twin is not record
         assert hash(twin) == hash(record)
         assert len({record, twin}) == 1
-        assert record != dataclasses.replace(record, **{field: "other"})
+        assert record != record.replace(**{field: "other"})
         for again in (pickle.loads(pickle.dumps(record)), copy.copy(record),
                       copy.deepcopy(record)):
             assert again == record and type(again) is type(record)
@@ -2066,6 +2065,47 @@ class TestCLI:
         always = "cli datasets errors records settings".split()
         want = " ".join(sorted([*always, *layers.split()]))
         assert done.stdout.splitlines()[-1] == f"0 {want}", done.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--items", "8", "--budgets", "8,16", "--replicates", "1"],
+            ["design", "--items", "{items}", "--duels-per-item", "2"],
+            ["fit", "--items", "{items}", "--duels", "{duels}"],
+            ["bias", "--items", "{items}", "--duels", "{duels}", "--tags", "{tags}",
+             "--unit", "item", "--bootstrap", "100"],
+            ["duelstats", "--duels", "{duels}"],
+            ["freq", "--items", "{items}"],
+            ["tags", "--items", "{items}", "--tags", "{tags}", "--min-count", "1"],
+            ["--help"],
+        ],
+        ids=["simulate", "design", "fit", "bias", "duelstats", "freq", "tags", "help"],
+    )
+    def test_no_command_loads_dataclasses(self, paths, command):
+        # the value types generate no code at import, so neither dataclasses
+        # nor, where numpy (which loads it) stays out, inspect is imported
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import sys\n"
+            "try:\n"
+            "    from duelbias.cli import main\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "loaded = sys.modules\n"
+            "print(rc, 'dataclasses' in loaded,\n"
+            "      'inspect' in loaded and 'numpy' not in loaded)\n"
+        )
+        args = [a.format(items=items, duels=duels, tags=tags) for a in command]
+        if command != ["--help"]:
+            args += ["--output-dir", str(tmp_path)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "0 False False", done.stderr
 
     @pytest.mark.parametrize("read_first", [True, False], ids=["setattr", "setitem"])
     @pytest.mark.parametrize(

@@ -240,6 +240,19 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([2, 2, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["xs", "ys"])
+    @pytest.mark.parametrize(
+        "value", [0.1, 0.7, math.log(1.003)], ids=["0.1", "0.7", "log-1.003"]
+    )
+    def test_constant_input_off_its_rounded_mean_rejected(self, value, swap):
+        # fsum([value] * 3) / 3 != value, so the deviations from the mean
+        # are tiny but not zero
+        xs, ys = [value] * 3, [1.0, 2.0, 3.0]
+        if swap:
+            xs, ys = ys, xs
+        with pytest.raises(ValueError, match="constant input"):
+            pearson(xs, ys)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2, 3], [1, 2])

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -249,7 +248,7 @@ class TestSimulateRankRecovery:
             fits = exact(*args)
             calls.append(len(fits.scores))
             signs = rng.choice((-1.0, 1.0), size=fits.scores.shape)
-            return dataclasses.replace(fits, scores=fits.scores * np.exp(1e-13 * signs))
+            return fits.replace(scores=fits.scores * np.exp(1e-13 * signs))
 
         monkeypatch.setattr(tournament, "fit_duel_arrays", perturbed_fit)
         assert simulate_rank_recovery(50, budgets=(100,), replicates=1, seed=2) == curve
