@@ -21,16 +21,18 @@ hold a quoted comma or newline, non-ASCII text, surrounding spaces or 200
 characters, as it is and with a bad winner near the end; ``bias`` on an
 all-ties set whose fitted scores are all equal),
 and prints for every output file whether the two trees' files are
-identical, and for every run whether the two trees' exit codes and stderr
-are, and each tree's peak RSS and user+system CPU seconds and their
-differences, new minus old (the child's ``ru_maxrss``, ``ru_utime`` and
-``ru_stime``, read with ``os.wait4``; reported only, never a failure). It
+identical, and for every run whether the two trees' exit codes, stdout
+(with each side's output directory written as ``OUTPUT_DIR``) and stderr
+are, and each tree's peak RSS, user+system CPU seconds and wall seconds
+and their differences, new minus old (the child's ``ru_maxrss``,
+``ru_utime`` and ``ru_stime``, read with ``os.wait4``, and the time from
+its start to its exit; reported only, never a failure). It
 first prints each tree's real path and its length, warning if the lengths
 differ, and whether the runs write bytecode: a run's peak RSS moves with
 both by more than the benchmark's 0.1 MiB bound, so RSS is comparable only
 between trees at paths of equal length. It exits 1 if any
-file, exit code or stderr differs, a file is missing from one side, or a
-run exits otherwise than expected.
+file, exit code, stdout or stderr differs, a file is missing from one
+side, or a run exits otherwise than expected.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 SCRIPTS = os.path.dirname(os.path.abspath(__file__))
 GENERATOR = os.path.join(SCRIPTS, "generate_synthetic_dataset.py")
@@ -229,18 +232,27 @@ def write_bad_duels(rows: list[dict], tmp: str, name: str,
             for fault, change in faults.items()}
 
 
-def run(tree: str, args: list[str], cwd: str) -> tuple[int, str, float, float]:
-    """The run's exit code, stderr, peak RSS in MiB and CPU seconds."""
+def run(tree: str, args: list[str],
+        cwd: str) -> tuple[int, str, str, float, float, float]:
+    """The run's exit code, stdout, stderr, peak RSS in MiB, CPU seconds and
+    wall seconds."""
     env = dict(os.environ, PYTHONPATH=tree)
-    with subprocess.Popen([sys.executable, "-c", CHILD, tree, *args], cwd=cwd,
-                          env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True) as child:
-        err = child.stderr.read()
-        # the child's own resource usage; ru_maxrss is in KiB on Linux
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
+    # stdout goes to a file, so that reading it does not reap the child
+    # before os.wait4 reads its resource usage
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+        start = time.monotonic()
+        with subprocess.Popen([sys.executable, "-c", CHILD, tree, *args],
+                              cwd=cwd, env=env, stdout=out,
+                              stderr=subprocess.PIPE, text=True) as child:
+            err = child.stderr.read()
+            # the child's own resource usage; ru_maxrss is in KiB on Linux
+            _, status, usage = os.wait4(child.pid, 0)
+            wall = time.monotonic() - start
+            child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        printed = out.read()
     cpu = usage.ru_utime + usage.ru_stime
-    return child.returncode, err, usage.ru_maxrss / 1024, cpu
+    return child.returncode, printed, err, usage.ru_maxrss / 1024, cpu, wall
 
 
 def generate(tree: str, out: str, seed: int, extra=()) -> None:
@@ -285,26 +297,29 @@ def main() -> int:
         generate(trees["old"], large, 1, LARGE_SET_ARGS)
         generate_tag_vocab(vocab)
         for name, cli_args in commands(demo, large, vocab, tmp).items():
-            outs, ends, rss, cpu = {}, {}, {}, {}
+            outs, ends, rss, cpu, wall = {}, {}, {}, {}, {}
             for side, tree in trees.items():
                 outs[side] = os.path.join(tmp, side, name)
-                code, err, rss[side], cpu[side] = run(
+                code, printed, err, rss[side], cpu[side], wall[side] = run(
                     tree, [*cli_args, "--output-dir", outs[side]], tmp
                 )
-                ends[side] = code, err
+                ends[side] = code, printed.replace(outs[side], "OUTPUT_DIR"), err
                 if code != EXPECTED_EXIT.get(name, 0):
                     print(f"{name}: FAILED with the {side} tree (exit {code})")
                     ok = False
             same = ends["old"] == ends["new"]
             ok = ok and same
-            print(f"{name}: exit code and stderr {'identical' if same else 'DIFFER'}")
+            print(f"{name}: exit code, stdout and stderr "
+                  f"{'identical' if same else 'DIFFER'}")
             print(f"{name}: peak RSS old {rss['old']:.1f} MiB, "
                   f"new {rss['new']:.1f} MiB "
                   f"({rss['new'] - rss['old']:+.2f} MiB, reported only)")
             print(f"{name}: CPU old {cpu['old']:.3f} s, new {cpu['new']:.3f} s "
                   f"({cpu['new'] - cpu['old']:+.3f} s, reported only)")
-            for side, (code, err) in ends.items() if not same else ():
-                print(f"  {side}: exit {code}, stderr {err!r}")
+            print(f"{name}: wall old {wall['old']:.3f} s, new {wall['new']:.3f} s "
+                  f"({wall['new'] - wall['old']:+.3f} s, reported only)")
+            for side, (code, printed, err) in ends.items() if not same else ():
+                print(f"  {side}: exit {code}, stdout {printed!r}, stderr {err!r}")
             # a missing output directory walks as empty
             old, new = files_under(outs["old"]), files_under(outs["new"])
             for rel in sorted(old | new):

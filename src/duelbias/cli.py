@@ -20,11 +20,16 @@ DUELBIAS_OUTPUT_DIR sets the default output directory.
 ``duelstats`` and ``freq`` load ``pipeline`` and ``bias``, and ``bias
 --tags`` also ``tags``; ``tags`` loads ``tags`` alone. ``tags``, ``--help``
 and argument errors run without numpy.
+
+``main()`` also registers ``gc.freeze`` with ``atexit``, once per process,
+so that the interpreter's last full collection at shutdown skips the heap.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import importlib
 import os
 import sys
@@ -405,7 +410,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_heap_freeze_registered = False
+
+
+def _freeze_heap_at_exit() -> None:
+    """Register ``gc.freeze`` with ``atexit``, once per process.
+
+    CPython's last full collection at shutdown walks the whole heap,
+    numpy's objects included. ``atexit`` handlers run before it, and it
+    skips frozen objects. Nothing needs that collection: every output file
+    is closed before ``main()`` returns, no module defines a finalizer, and
+    shutdown flushes stdout and stderr itself. An in-process caller's heap
+    stays unfrozen until its interpreter exits."""
+    global _heap_freeze_registered
+    if not _heap_freeze_registered:
+        atexit.register(gc.freeze)
+        _heap_freeze_registered = True
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     _bind_numeric(_LAYERS.get(args.command, ()))

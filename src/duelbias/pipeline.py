@@ -63,6 +63,8 @@ class AnalysisConfig(Frozen):
         # would give the same resamples
         if not 0 <= seed < 2**31:
             raise ValidationError(f"seed must be in [0, 2**31), got {seed}")
+        if not isinstance(fit, FitConfig):
+            raise ValidationError(f"fit must be a FitConfig, got {fit!r}")
         self._bind(
             dimensions, categories, bootstrap_replicates, bootstrap_unit, seed, fit
         )

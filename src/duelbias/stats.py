@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import TYPE_CHECKING, Sequence
 
 from .records import Frozen
@@ -246,6 +247,13 @@ def _corr_pvalue(r: float, n: int) -> PValue:
     return student_t_two_sided(t, n - 2)
 
 
+def _unit_scaled(deviations: list[float]) -> list[float]:
+    """``deviations`` times the power of two that takes the largest
+    magnitude into [0.5, 1); a power of two scales exactly."""
+    exponent = math.frexp(max(map(abs, deviations)))[1]
+    return [math.ldexp(d, -exponent) for d in deviations]
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, PValue]:
     """Sample Pearson correlation with a t-approximation p-value."""
     if len(xs) != len(ys):
@@ -263,8 +271,13 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, PValue]:
     dy = [y - mean_y for y in ys]
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:  # deviations too small to square
-        raise ValueError("correlation undefined for constant input")
+    if min(sxx, syy, sxx * syy) < sys.float_info.min or sxx * syy == math.inf:
+        # the sums of squares or their product are subnormal, zero or
+        # infinite (inputs near 1e-160 or 1e150): r does not depend on the
+        # scale of either input, so take both deviations to about 1
+        dx, dy = _unit_scaled(dx), _unit_scaled(dy)
+        sxx = math.fsum(d * d for d in dx)
+        syy = math.fsum(d * d for d in dy)
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))

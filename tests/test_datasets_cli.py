@@ -1033,6 +1033,16 @@ class TestPipeline:
         with pytest.raises(ValidationError, match=f"^{field}: expected int, got "):
             AnalysisConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "fit", [{"tolerance": 1e-6}, None, 1e-6], ids=["dict", "none", "float"]
+    )
+    def test_fit_that_is_not_a_fit_config_is_rejected(self, fixture_data, fit):
+        # it used to be accepted, and run_pipeline then raised AttributeError
+        catalog, duels, _ = fixture_data
+        with pytest.raises(ValidationError, match="^fit must be a FitConfig, got "):
+            config = AnalysisConfig(fit=fit, bootstrap_replicates=100)
+            run_pipeline(config, catalog, duels)
+
     def test_numpy_integer_settings_are_written_as_ints(self, fixture_data):
         catalog, duels, _ = fixture_data
 
@@ -2106,6 +2116,74 @@ class TestCLI:
             timeout=120,
         )
         assert done.stdout.splitlines()[-1] == "0 False False", done.stderr
+
+    @pytest.mark.parametrize(
+        "command, rc",
+        [
+            (["tags", "--items", "{items}", "--tags", "{tags}", "--min-count", "1",
+              "--output-dir", "{out}"], 0),
+            (["bias", "--items", "{items}", "--duels", "{duels}", "--unit", "item",
+              "--bootstrap", "100", "--output-dir", "{out}"], 0),
+            (["bias", "--items", "{items}", "--duels", "{duels}", "--bootstrap",
+              "99"], 2),
+            (["--help"], 0),
+        ],
+        ids=["tags", "bias", "bias-bad-setting", "help"],
+    )
+    def test_heap_is_frozen_at_exit(self, paths, command, rc):
+        # atexit runs its handlers last in, first out: a probe registered
+        # before main() runs after the hook main() registers
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "from duelbias.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "print('exit', rc)\n"
+        )
+        args = [a.format(items=items, duels=duels, tags=tags, out=tmp_path / "out")
+                for a in command]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        *printed, ended, probe = done.stdout.splitlines()
+        assert [ended, probe] == [f"exit {rc}", "frozen True"], done.stderr
+        if "--output-dir" in command:  # it printed the paths it wrote
+            assert printed and all(os.path.getsize(path) for path in printed)
+
+    def test_repeated_main_registers_one_exit_hook(self, paths):
+        (items, _, tags), tmp_path = paths
+        script = (
+            "import atexit, sys\n"
+            "from duelbias.cli import main\n"
+            "before = atexit._ncallbacks()\n"
+            "for _ in range(3):\n"
+            "    main(sys.argv[1:])\n"
+            "print(atexit._ncallbacks() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "tags", "--items", items, "--tags", tags,
+             "--min-count", "1", "--output-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert done.stdout.splitlines()[-1] == "1", done.stderr
+
+    def test_main_leaves_the_heap_unfrozen(self, paths, capsys):
+        # the freeze waits for interpreter exit, so an in-process caller's
+        # heap is collected as before
+        (items, duels, _), tmp_path = paths
+        assert gc.get_freeze_count() == 0
+        assert main(["bias", "--items", items, "--duels", duels, "--unit", "item",
+                     "--bootstrap", "100", "--output-dir", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == 0
 
     @pytest.mark.parametrize("read_first", [True, False], ids=["setattr", "setitem"])
     @pytest.mark.parametrize(

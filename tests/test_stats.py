@@ -253,6 +253,21 @@ class TestPearson:
         with pytest.raises(ValueError, match="constant input"):
             pearson(xs, ys)
 
+    @pytest.mark.parametrize("both", [False, True], ids=["xs", "both"])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-150, 1e150, 1e200])
+    def test_scale_free_where_sums_of_squares_leave_the_normal_range(
+        self, scale, both
+    ):
+        # sxx is zero at 1e-200, subnormal at 1e-160 and infinite at 1e200;
+        # sxx * syy underflows at 1e-150 and overflows at 1e150 when both
+        # inputs are scaled
+        xs, ys = [1.0, 2.0, 3.0], [1.0, 2.0, 4.0]
+        r1, _ = pearson(xs, ys)
+        assert r1 == pytest.approx(0.98198, abs=1e-5)
+        r, p = pearson([scale * x for x in xs], [scale * y if both else y for y in ys])
+        assert r == pytest.approx(r1, abs=1e-12)
+        assert float(p) == pytest.approx(float(pearson(xs, ys)[1]), rel=1e-9)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             pearson([1, 2, 3], [1, 2])
