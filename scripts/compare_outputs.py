@@ -24,11 +24,14 @@ and prints for every output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes, stdout
 (with each side's output directory written as ``OUTPUT_DIR``) and stderr
 are, and each tree's peak RSS, user+system CPU seconds and wall seconds
-and their differences, new minus old (the child's ``ru_maxrss``,
-``ru_utime`` and ``ru_stime``, read with ``os.wait4``, and the time from
-its start to its exit; reported only, never a failure). It
-first prints each tree's real path and its length, warning if the lengths
-differ, and whether the runs write bytecode: a run's peak RSS moves with
+and their differences, new minus old (the child's own ``VmHWM``, which it
+writes to a temporary file at exit, or its ``ru_maxrss`` where there is no
+``/proc``; its ``ru_utime`` and ``ru_stime``, read with ``os.wait4``; and
+the time from its start to its exit; reported only, never a failure). For
+a JSON file that differs it also prints how many leaves differ, the first
+ten with their old and new values, and the largest numeric difference
+(reported only). It first prints each tree's real path and its length,
+warning if the lengths differ, and whether the runs write bytecode: a run's peak RSS moves with
 both by more than the benchmark's 0.1 MiB bound, so RSS is comparable only
 between trees at paths of equal length. It exits 1 if any
 file, exit code, stdout or stderr differs, a file is missing from one
@@ -42,6 +45,7 @@ import csv
 import filecmp
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,15 +96,34 @@ EXPECTED_EXIT = {
     **{f"awkward-ids-bad-winner-{command}": 2 for command in BAD_COMMANDS},
 }
 
+# the file into which a run writes its own peak resident size, in KiB
+PEAK_FILE_VARIABLE = "COMPARE_OUTPUTS_PEAK_FILE"
 # runs duelbias.cli from the tree given as the first argument, and fails if
-# another copy of the package (say, an installed one) is imported instead
-CHILD = (
-    "import os, sys, duelbias.cli; "
-    "found = os.path.realpath(duelbias.cli.__file__); "
-    "found.startswith(os.path.realpath(sys.argv[1]) + os.sep) "
-    "or sys.exit('duelbias imported from ' + found); "
-    "sys.exit(duelbias.cli.main(sys.argv[2:]))"
-)
+# another copy of the package (say, an installed one) is imported instead.
+# Its exit hook, registered first so that it runs last, writes VmHWM: the
+# peak of the child's own memory, which its ru_maxrss is not, as that is at
+# least the parent's resident size at the fork. Without /proc it writes
+# nothing, and the run reports ru_maxrss.
+CHILD = f"""
+import atexit, os, sys
+
+def write_peak():
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            kib = next(line.split()[1] for line in status
+                       if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return
+    with open(os.environ["{PEAK_FILE_VARIABLE}"], "w", encoding="ascii") as f:
+        f.write(kib)
+
+atexit.register(write_peak)
+import duelbias.cli
+found = os.path.realpath(duelbias.cli.__file__)
+if not found.startswith(os.path.realpath(sys.argv[1]) + os.sep):
+    sys.exit("duelbias imported from " + found)
+sys.exit(duelbias.cli.main(sys.argv[2:]))
+"""
 
 
 def commands(demo: str, large: str, vocab: str, tmp: str) -> dict[str, list[str]]:
@@ -236,10 +259,11 @@ def run(tree: str, args: list[str],
         cwd: str) -> tuple[int, str, str, float, float, float]:
     """The run's exit code, stdout, stderr, peak RSS in MiB, CPU seconds and
     wall seconds."""
-    env = dict(os.environ, PYTHONPATH=tree)
     # stdout goes to a file, so that reading it does not reap the child
     # before os.wait4 reads its resource usage
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as out:
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as out, \
+            tempfile.NamedTemporaryFile("r", encoding="ascii") as peak:
+        env = dict(os.environ, PYTHONPATH=tree, **{PEAK_FILE_VARIABLE: peak.name})
         start = time.monotonic()
         with subprocess.Popen([sys.executable, "-c", CHILD, tree, *args],
                               cwd=cwd, env=env, stdout=out,
@@ -251,8 +275,55 @@ def run(tree: str, args: list[str],
             child.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         printed = out.read()
+        kib = int(peak.read() or usage.ru_maxrss)
     cpu = usage.ru_utime + usage.ru_stime
-    return child.returncode, printed, err, usage.ru_maxrss / 1024, cpu, wall
+    return child.returncode, printed, err, kib / 1024, cpu, wall
+
+
+def json_leaves(value, path: str = "") -> dict:
+    """Key path -> leaf of a parsed JSON value, in document order; a path
+    joins the keys and list indices under the root with "/", and an empty
+    object or list is a leaf."""
+    if not isinstance(value, (dict, list)) or not value:
+        return {path: value}
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    return {leaf: v for key, item in items
+            for leaf, v in json_leaves(item, f"{path}/{key}").items()}
+
+
+def json_differences(old_file: str, new_file: str) -> list[str]:
+    """Lines that summarize how two JSON files differ: the number of leaves
+    that differ, the first ten with their old and new values, and the
+    largest absolute difference between two numbers."""
+    leaves = []
+    for name in (old_file, new_file):
+        with open(name, encoding="utf-8") as f:
+            try:
+                leaves.append(json_leaves(json.load(f)))
+            except ValueError as exc:
+                return [f"not comparable as JSON: {name}: {exc}"]
+    old, new = leaves
+    # repr tells 1 from 1.0 and -0.0 from 0.0, as the bytes do, and NaN
+    # from nothing but NaN
+    differ = [path for path in {**old, **new}
+              if path not in old or path not in new
+              or repr(old[path]) != repr(new[path])]
+
+    def shown(side: dict, path: str) -> str:
+        return repr(side[path]) if path in side else "missing"
+
+    lines = [f"{len(differ)} JSON leaves differ (reported only)"]
+    lines += [f"{path or '/'}: old {shown(old, path)}, new {shown(new, path)}"
+              for path in differ[:10]]
+    gaps = [(abs(new[path] - old[path]), path) for path in differ
+            if all(type(side.get(path)) in (int, float) for side in (old, new))]
+    gaps = [(gap, path) for gap, path in gaps if not math.isnan(gap)]
+    if gaps:
+        gap, path = max(gaps)
+        lines.append(f"largest numeric difference {gap!r} at {path or '/'}")
+    else:
+        lines.append("no two numbers differ")
+    return lines
 
 
 def generate(tree: str, out: str, seed: int, extra=()) -> None:
@@ -332,6 +403,10 @@ def main() -> int:
                     verdict = "DIFFERS"
                 ok = ok and verdict == "identical"
                 print(f"{name}/{rel}: {verdict}")
+                if verdict == "DIFFERS" and rel.endswith(".json"):
+                    for line in json_differences(os.path.join(outs["old"], rel),
+                                                 os.path.join(outs["new"], rel)):
+                        print(f"  {line}")
     print("all outputs identical" if ok else "outputs differ")
     return 0 if ok else 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import importlib
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # public name -> the module that defines it, names sorted
 _EXPORTS = {

@@ -10,7 +10,6 @@ against an unobserved reference population.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -187,16 +186,16 @@ def resample_two_groups(
     grid: Sequence[float] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resample each group with replacement, independently, ``replicates``
-    times from one generator seeded with ``seed``.
+    times: A from the first and B from the second of two generators spawned
+    from ``np.random.SeedSequence(seed)``.
 
     Returns the per-replicate mean differences mean(b) - mean(a), shape
     (replicates,), and the rank-curve rows, shape (replicates, len(grid)):
     the midpoint percentile rank within the resampled A of each grid
-    percentile of the resampled B. Row r of a ``rows_per_block`` block holds
-    A's indices, then B's, drawn as ``integers(0, bounds)`` with per-index
-    bounds would draw them (see ``_draw_indices``): the same stream as two
-    calls per replicate, so the values do not depend on the block size.
-    The grid percentiles are read from the sorted B rows with numpy's
+    percentile of the resampled B. Each group's indices come one row per
+    replicate from its own generator, whose stream does not depend on how
+    the rows are split into ``rows_per_block`` blocks, nor on the other
+    group. The grid percentiles are read from the sorted B rows with numpy's
     ``linear`` rule (see ``_sorted_percentiles``), a rank is counted from
     the multiplicities of A's items in sorted order, and each replicate's
     values are bit-identical to those computed for it alone. Empty groups
@@ -213,13 +212,13 @@ def resample_two_groups(
         # NaN has no midpoint rank, and an infinite value can make a grid
         # percentile NaN (inf - inf)
         raise ValidationError("resampled values must be finite")
-    rng = np.random.default_rng(seed)
+    # not Generator.spawn, which needs numpy 1.25
+    rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
     # a row holds one index and one value per drawn item
     block = rows_per_block(replicates, 2 * (n_a + n_b))
     # per-block buffers, sliced to the block's m rows
-    idx_buf = np.empty((block, n_a + n_b), dtype=np.uint64)
     a_buf = np.empty((block, n_a))
     b_buf = np.empty((block, n_b))
     order = np.argsort(values_a)
@@ -234,10 +233,10 @@ def resample_two_groups(
     for start in range(0, replicates, block):
         stop = min(start + block, replicates)
         m = stop - start
-        idx = _draw_indices(rng, (n_a, n_b), (n_a, n_b), idx_buf[:m])
-        idx_a, idx_b = idx[:, :n_a], idx[:, n_a:]
+        idx_a = rng_a.integers(0, n_a, size=(m, n_a))
         a = np.take(values_a, idx_a, out=a_buf[:m], mode="clip")
-        b = np.take(values_b, idx_b, out=b_buf[:m], mode="clip")
+        b = np.take(values_b, rng_b.integers(0, n_b, size=(m, n_b)),
+                    out=b_buf[:m], mode="clip")
         # means of the unsorted rows: sorting first would change the
         # summation order and with it the last bits
         diffs[start:stop] = b.mean(axis=1) - a.mean(axis=1)
@@ -256,59 +255,6 @@ def resample_two_groups(
             below, not_above = np.take(cumulative, ends)
             rows[start:stop] = 50.0 * (below + not_above) / n_a
     return diffs, rows
-
-
-def _draw_indices(
-    rng: np.random.Generator,
-    bounds: Sequence[int],
-    widths: Sequence[int],
-    out: np.ndarray,
-) -> np.ndarray:
-    """Fill ``out``, a C-contiguous (m, sum(widths)) uint64 array, with the
-    indices ``rng.integers(0, np.repeat(bounds, widths), size=out.shape)``
-    returns, leave ``rng`` where that call leaves it, and return ``out``
-    viewed as int64.
-
-    That call maps each raw 32-bit value u of the generator's stream to
-    (u * n) >> 32 for a bound n (Lemire's multiply-shift, ACM TOMACS 29(1),
-    2019) and draws again where the low 32 bits of u * n fall below
-    (2**32 - n) % n. Here one call reads the block's raw values and the map
-    runs on each slice of columns with its scalar bound. A block with a
-    value that would be drawn again (about 300 in 2**32 at a few hundred
-    items), or with a bound of 1, for which numpy draws nothing, is drawn
-    from the saved state with the per-index call itself.
-
-    The raw values are ``integers(0, 2**32, dtype=np.uint32)``. PCG64 hands
-    these out as the low half, then the high half, of each 64-bit output,
-    keeping a high half for the next call; so when no half is kept and the
-    block holds an even number of values, the 64-bit outputs read as uint32
-    on a little-endian machine are the same values, read faster.
-    """
-    if all(1 < n < 2**32 for n in bounds):
-        state = rng.bit_generator.state
-        if (
-            state["bit_generator"] == "PCG64"
-            and not state["has_uint32"]
-            and out.size % 2 == 0
-            and sys.byteorder == "little"
-        ):
-            raw = rng.bit_generator.random_raw(out.size // 2).view(np.uint32)
-            raw = raw.reshape(out.shape)
-        else:
-            raw = rng.integers(0, 2**32, size=out.shape, dtype=np.uint32)
-        edges = np.cumsum((0, *widths)).tolist()
-        spans = [(n, slice(lo, hi)) for n, lo, hi in zip(bounds, edges, edges[1:])]
-        # the low 32 bits of u * n, in uint32 arithmetic, against numpy's threshold
-        if not any(
-            (raw[:, cols] * np.uint32(n) < (2**32 - n) % n).any() for n, cols in spans
-        ):
-            for n, cols in spans:
-                np.multiply(raw[:, cols], n, out=out[:, cols], dtype=np.uint64)
-            np.right_shift(out, np.uint64(32), out=out)
-            return out.view(np.int64)
-        rng.bit_generator.state = state
-    out[...] = rng.integers(0, np.repeat(bounds, widths), size=out.shape)
-    return out.view(np.int64)
 
 
 def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:

@@ -328,15 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--column-map", default=None, help="JSON column-name map")
 
     def fit_options(p):
+        defaults = FitConfig()
         p.add_argument("--alpha", default=None)
         p.add_argument(
             "--tolerance", default=None,
             help="converged once max |d/d log s| of the log-likelihood is "
-            f"below this (default {FitConfig.tolerance})",
+            f"below this (default {defaults.tolerance})",
         )
         p.add_argument(
             "--max-iterations", default=None,
-            help=f"cap on Newton steps per fit (default {FitConfig.max_iterations})",
+            help=f"cap on Newton steps per fit (default {defaults.max_iterations})",
         )
         p.add_argument("--normalization", default=None)
 

@@ -182,14 +182,15 @@ def grid_search_log_likelihood(
 
 def loop_resample_two_groups(values_a, values_b, replicates, seed, grid=()):
     """Two-sample resampling one replicate at a time, each rank counted
-    directly: the same draws as bias.resample_two_groups (A's indices,
-    then B's, per replicate) with no blocks and no searchsorted."""
-    rng = np.random.default_rng(seed)
+    directly: the same draws as bias.resample_two_groups (A's indices from
+    the first generator spawned from the seed, B's from the second) with no
+    blocks and no searchsorted."""
+    rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     diffs = np.empty(replicates)
     rows = np.empty((replicates, len(grid)))
     for r in range(replicates):
-        a = values_a[rng.integers(0, len(values_a), size=len(values_a))]
-        b = values_b[rng.integers(0, len(values_b), size=len(values_b))]
+        a = values_a[rng_a.integers(0, len(values_a), size=len(values_a))]
+        b = values_b[rng_b.integers(0, len(values_b), size=len(values_b))]
         diffs[r] = b.mean() - a.mean()
         for j, q in enumerate(np.percentile(b, grid) if len(grid) else ()):
             below = np.count_nonzero(a < q)

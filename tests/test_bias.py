@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from duelbias.bias import (
     DEFAULT_RANK_GRID,
-    _draw_indices,
     _sorted_percentiles,
     bootstrap_ci,
     duel_win_fraction,
@@ -302,6 +301,20 @@ class TestResampleTwoGroups:
             assert np.array_equal(rows, want_rows), replicates
             assert rows.shape == (replicates, len(grid))
 
+    def test_a_draws_do_not_depend_on_b(self):
+        # against a B of zeros a replicate's difference is exactly -mean(A*),
+        # and against an A of zeros exactly mean(B*); so when each group is
+        # drawn alone, (a, b) gives their sum, whatever B's size and values
+        a = np.round(np.random.default_rng(8).normal(size=30), 1)
+        seed = 5
+        minus_mean_a, _ = resample_two_groups(a, np.zeros(1), 1000, seed)
+        for n_b in (1, 2, 7, 30, 400):
+            b = np.round(np.random.default_rng(n_b).normal(size=n_b), 1)
+            for other in (np.zeros(n_b), b, b[::-1] + 3):
+                diffs, _ = resample_two_groups(a, other, 1000, seed)
+                mean_b, _ = resample_two_groups(np.zeros(30), other, 1000, seed)
+                assert np.array_equal(diffs, mean_b + minus_mean_a), n_b
+
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
@@ -408,14 +421,14 @@ def _two_category_set(seed, n_side=6, n_duels=150):
 
 
 def _count_calls(monkeypatch, module, name) -> list:
-    """Replace ``module.name`` with a wrapper that appends to the returned
-    list at every call."""
+    """Replace ``module.name`` with a wrapper that appends each call's result
+    to the returned list."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(None)
-        return original(*args, **kwargs)
+        calls.append(original(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -433,17 +446,20 @@ class TestBlocksAreInvisible:
         # resamples of 24 items, at 150 replicates
         catalog, duels = _two_category_set(3)
         config = AnalysisConfig(bootstrap_replicates=150, bootstrap_unit=unit, seed=2)
-        draws = _count_calls(monkeypatch, bias_mod, "_draw_indices")
+        # each item resample's rows per block: 150 replicates in blocks of b
+        # rows take -(-150 // b) blocks
+        blocks = _count_calls(monkeypatch, bias_mod, "rows_per_block")
         refits = _count_calls(monkeypatch, pipeline, "fit_duel_arrays")
         default = dump_report(run_pipeline(config, catalog, duels))
         refit_blocks = 4 if unit == "duel" else 0
-        assert (len(draws), len(refits)) == (6, refit_blocks)
-        draws.clear()
+        assert (blocks, len(refits)) == ([150] * 6, refit_blocks)
+        blocks.clear()
         refits.clear()
         monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 97)
         assert dump_report(run_pipeline(config, catalog, duels)) == default
         # item resamples of 4 and 2 rows a block, refit blocks of one row
-        assert (len(draws), len(refits)) == (4 * 38 + 2 * 75, 150 * refit_blocks)
+        assert sum(-(-150 // b) for b in blocks) == 4 * 38 + 2 * 75
+        assert len(refits) == 150 * refit_blocks
 
     def test_recovery_curve_is_equal(self, monkeypatch):
         kwargs = dict(n_items_per_group=5, budgets=(10, 20, 50), replicates=7, seed=4)
@@ -455,65 +471,6 @@ class TestBlocksAreInvisible:
         assert simulate_rank_recovery(**kwargs) == default
         # blocks of 9, 4 and 1 replicates at budgets 10, 20 and 50
         assert len(fits) == 1 + 2 + 7
-
-
-@pytest.mark.parametrize(
-    "bounds, widths",
-    [
-        # powers of two reject nothing; 400 and 3 reject about 300 and 1
-        # raw values in 2**32, so these blocks take the multiply-shift
-        ((400, 3), (400, 3)),
-        ((2**20, 7, 2), (5, 9, 1)),
-        # 2**31 + 1 rejects about half of all raw values: every block
-        # falls back to the per-index call
-        ((2**31 + 1,), (6,)),
-        ((13, 2**31 + 1), (4, 3)),
-        # numpy draws nothing for a bound of 1
-        ((1, 200), (1, 200)),
-        ((1,), (5,)),
-    ],
-)
-class TestDrawIndices:
-    @staticmethod
-    def _check(bounds, widths, bit_generator, buffered):
-        # m = 1 or 3 with an odd width makes a block of an odd number of values
-        for seed in range(5):
-            for m in (1, 3, 64):
-                rng, want_rng = (
-                    np.random.Generator(bit_generator(seed)) for _ in range(2)
-                )
-                if buffered:
-                    assert rng.integers(0, 2**32, dtype=np.uint32) == (
-                        want_rng.integers(0, 2**32, dtype=np.uint32)
-                    )
-                out = np.empty((m, sum(widths)), dtype=np.uint64)
-                got = _draw_indices(rng, bounds, widths, out)
-                want = want_rng.integers(
-                    0, np.repeat(bounds, widths), size=(m, sum(widths))
-                )
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want), (seed, m)
-                # the next 32-bit draw, then one from a 64-bit output
-                for high, dtype in ((2**32, np.uint32), (2**64, np.uint64)):
-                    assert rng.integers(0, high, dtype=dtype) == (
-                        want_rng.integers(0, high, dtype=dtype)
-                    )
-
-    def test_same_values_and_stream_as_per_index_bounds(self, bounds, widths):
-        self._check(bounds, widths, np.random.PCG64, buffered=False)
-
-    @pytest.mark.parametrize(
-        "bit_generator, buffered",
-        [(np.random.PCG64, True), (np.random.MT19937, False),
-         (np.random.MT19937, True)],
-        ids=["PCG64-half-kept", "MT19937", "MT19937-half-kept"],
-    )
-    def test_same_with_a_kept_half_or_another_generator(
-        self, bounds, widths, bit_generator, buffered
-    ):
-        # a generator that keeps the high half of a 64-bit output from an
-        # earlier 32-bit draw, or that is not PCG64, takes the general draw
-        self._check(bounds, widths, bit_generator, buffered)
 
 
 class TestSortedPercentiles:

@@ -1746,6 +1746,15 @@ class TestCLI:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("command", ["fit", "bias"])
+    def test_help_names_fit_defaults(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo the wrapping
+        assert "(default 1e-08)" in text
+        assert "(default 10000)" in text
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["freq", "--items", str(tmp_path / "nope.csv")])
         assert rc == 2
