@@ -301,19 +301,45 @@ class TestResampleTwoGroups:
             assert np.array_equal(rows, want_rows), replicates
             assert rows.shape == (replicates, len(grid))
 
-    def test_a_draws_do_not_depend_on_b(self):
+    @pytest.mark.parametrize("n_b", [1, 2, 7, 30, 400])
+    def test_a_draws_do_not_depend_on_b(self, n_b):
         # against a B of zeros a replicate's difference is exactly -mean(A*),
         # and against an A of zeros exactly mean(B*); so when each group is
         # drawn alone, (a, b) gives their sum, whatever B's size and values
         a = np.round(np.random.default_rng(8).normal(size=30), 1)
         seed = 5
         minus_mean_a, _ = resample_two_groups(a, np.zeros(1), 1000, seed)
-        for n_b in (1, 2, 7, 30, 400):
-            b = np.round(np.random.default_rng(n_b).normal(size=n_b), 1)
-            for other in (np.zeros(n_b), b, b[::-1] + 3):
-                diffs, _ = resample_two_groups(a, other, 1000, seed)
-                mean_b, _ = resample_two_groups(np.zeros(30), other, 1000, seed)
-                assert np.array_equal(diffs, mean_b + minus_mean_a), n_b
+        b = np.round(np.random.default_rng(n_b).normal(size=n_b), 1)
+        for other in (np.zeros(n_b), b, b[::-1] + 3):
+            diffs, _ = resample_two_groups(a, other, 1000, seed)
+            mean_b, _ = resample_two_groups(np.zeros(30), other, 1000, seed)
+            assert np.array_equal(diffs, mean_b + minus_mean_a)
+
+    @pytest.mark.parametrize("n_a", [1, 2, 7, 30, 400])
+    def test_b_draws_do_not_depend_on_a(self, n_a):
+        # the mirror image: B's resampled means are the same against an A
+        # of any size and values
+        b = np.round(np.random.default_rng(9).normal(size=30), 1)
+        seed = 6
+        mean_b, _ = resample_two_groups(np.zeros(1), b, 1000, seed)
+        a = np.round(np.random.default_rng(n_a).normal(size=n_a), 1)
+        for other in (np.zeros(n_a), a, a[::-1] - 2):
+            diffs, _ = resample_two_groups(other, b, 1000, seed)
+            minus_mean_a, _ = resample_two_groups(other, np.zeros(30), 1000, seed)
+            assert np.array_equal(diffs, mean_b + minus_mean_a)
+
+    @pytest.mark.parametrize("block_values", [1, 97, 300, 2**20])
+    def test_no_output_depends_on_the_block_size(self, monkeypatch, block_values):
+        # 13 + 9 items: blocks of 1, 2 and 6 rows, and one of all 301 rows
+        rng = np.random.default_rng(12)
+        a = np.round(rng.normal(size=13), 1)
+        b = np.round(rng.normal(0.3, 1.2, size=9), 1)
+        grid = (50,) + DEFAULT_RANK_GRID
+        want_diffs, want_rows = resample_two_groups(a, b, 301, 3, grid)
+        monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", block_values)
+        diffs, rows = resample_two_groups(a, b, 301, 3, grid)
+        assert np.array_equal(diffs, want_diffs)
+        assert np.array_equal(rows, want_rows)
 
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
