@@ -34,45 +34,23 @@ DEFAULT_RANK_GRID = tuple(range(5, 100, 5))
 class WinFraction(Frozen):
     __slots__ = ("fraction", "p_value", "n", "wins")  # wins: group B's wins
 
-    def __init__(self, fraction: float, p_value: PValue, n: int, wins: int):
-        self._bind(fraction, p_value, n, wins)
-
 
 class RaterSummary(Frozen):
+    # histogram: (bin_low, bin_high, count) tuples
     __slots__ = ("per_rater", "macro_mean", "histogram")
-
-    def __init__(
-        self,
-        per_rater: dict[str, float],
-        macro_mean: float,
-        histogram: tuple[tuple[float, float, int], ...],  # (bin_low, bin_high, count)
-    ):
-        self._bind(per_rater, macro_mean, histogram)
 
 
 class RankCurvePoint(Frozen):
     __slots__ = ("x", "y")
 
-    def __init__(self, x: float, y: float):
-        self._bind(x, y)
-
 
 class FrequencyComparison(Frozen):
+    # ratio_b_over_a is inf where the category is absent from A; spearman_rho
+    # and spearman_p are None when undefined (fewer than 3 categories, or a
+    # constant profile)
     __slots__ = (
         "categories", "freq_a", "freq_b", "ratio_b_over_a", "spearman_rho", "spearman_p"
     )
-
-    def __init__(
-        self,
-        categories: tuple[str, ...],
-        freq_a: tuple[float, ...],
-        freq_b: tuple[float, ...],
-        ratio_b_over_a: tuple[float, ...],  # inf where the category is absent from A
-        # None when undefined (fewer than 3 categories, or a constant profile)
-        spearman_rho: float | None,
-        spearman_p: PValue | None,
-    ):
-        self._bind(categories, freq_a, freq_b, ratio_b_over_a, spearman_rho, spearman_p)
 
 
 def duel_win_fraction(duels: Sequence[DuelRecord]) -> WinFraction:

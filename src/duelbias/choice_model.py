@@ -385,15 +385,6 @@ class ReplicateFits(Frozen):
 
     __slots__ = ("scores", "anchor_scores", "iterations", "converged")
 
-    def __init__(
-        self,
-        scores: np.ndarray,
-        anchor_scores: np.ndarray,
-        iterations: np.ndarray,
-        converged: np.ndarray,
-    ):
-        self._bind(scores, anchor_scores, iterations, converged)
-
 
 def _start_log_scores(n_items: int, initial_scores) -> np.ndarray | float:
     """Log of ``initial_scores``, (n_items,) finite and positive; 0 if None."""

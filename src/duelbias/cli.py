@@ -47,6 +47,7 @@ from .settings import (
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
     FitConfig,
+    checked_float,
     checked_int,
 )
 
@@ -132,17 +133,12 @@ def _converted(kind, key: str, value):
     if kind is list and isinstance(value, (str, list)):
         parts = value.split(",") if isinstance(value, str) else value
         return [_converted(int, key, part) for part in parts]
-    if kind is int:
+    if kind in (int, float):
         try:
-            value = int(value) if isinstance(value, str) else value
+            value = kind(value) if isinstance(value, str) else value
         except ValueError:
             pass  # rejected below as the string it is
-        return checked_int(key, value)
-    if kind is float and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+        return (checked_int if kind is int else checked_float)(key, value)
     raise ValidationError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 

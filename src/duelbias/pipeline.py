@@ -156,16 +156,6 @@ class Tournament(Frozen):
     __slots__ = ("category", "dimension", "duels", "graph", "groups")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(
-        self,
-        category: str,
-        dimension: str,
-        duels: DuelTable,
-        graph: ComparisonGraph,
-        groups: tuple[np.ndarray, np.ndarray],
-    ):
-        self._bind(category, dimension, duels, graph, groups)
-
 
 def select_tournaments(
     catalog: ItemCatalog,

@@ -16,18 +16,38 @@ GROUPS = (GROUP_A, GROUP_B)
 
 class Frozen:
     """Base of the package's immutable value types. A subclass names its
-    attributes in ``__slots__`` and its ``__init__`` sets them with
-    ``object.__setattr__``; assigning or deleting one raises AttributeError.
-    ``==``, ``hash``, ``repr`` and ``replace`` go by the fields, which are
-    the slots unless the class names them in ``_fields``, and which
-    ``__init__`` takes in that order: pickling and copying call it with
-    them."""
+    attributes in ``__slots__``; assigning or deleting one raises
+    AttributeError. ``==``, ``hash``, ``repr`` and ``replace`` go by the
+    fields, which are the slots unless the class names them in ``_fields``.
+    The constructor takes the fields in that order, and pickling and copying
+    call it with them; ``Frozen``'s own takes them by position or keyword. A
+    type whose fields have rules writes its own ``__init__``, which checks
+    them and ends in ``_bind``."""
 
     __slots__ = ()
+    _defaults: dict = {}  # field name: its value when the constructor is not given it
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+
+    def __init__(self, *args, **kwargs):
+        """Bind the fields in order to ``args``, then to ``kwargs``; a field
+        that neither gives takes its value in ``_defaults``."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {field!r}")
+            if field in given:
+                raise TypeError(f"{name}() got multiple values for argument {field!r}")
+        values = {**self._defaults, **given, **kwargs}
+        for field in fields:
+            if field not in values:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            object.__setattr__(self, field, values[field])
 
     def _bind(self, *values) -> None:
         """Set the slots, in order, to ``values``."""
@@ -83,11 +103,7 @@ class ItemRecord(Frozen):
             raise ValidationError("item_id must be non-empty")
         if not category:
             raise ValidationError(f"item {item_id!r}: category must be non-empty")
-        set_ = object.__setattr__
-        set_(self, "item_id", item_id)
-        set_(self, "group", group)
-        set_(self, "category", category)
-        set_(self, "external_ref", external_ref)
+        self._bind(item_id, group, category, external_ref)
 
 
 class ItemCatalog:
@@ -168,14 +184,7 @@ class DuelRecord(Frozen):
             )
         if item_a == item_b:
             raise ValidationError(f"duel {duel_id!r}: item dueled itself")
-        set_ = object.__setattr__
-        set_(self, "duel_id", duel_id)
-        set_(self, "category", category)
-        set_(self, "dimension", dimension)
-        set_(self, "item_a", item_a)
-        set_(self, "item_b", item_b)
-        set_(self, "winner", winner)
-        set_(self, "rater_id", rater_id)
+        self._bind(duel_id, category, dimension, item_a, item_b, winner, rater_id)
 
     @property
     def winner_item(self) -> str:
@@ -194,11 +203,7 @@ class TagRecord(Frozen):
             raise ValidationError(
                 f"tag for item {item_id!r} in duel {duel_id!r} is empty"
             )
-        set_ = object.__setattr__
-        set_(self, "duel_id", duel_id)
-        set_(self, "item_id", item_id)
-        set_(self, "rater_id", rater_id)
-        set_(self, "raw_text", raw_text)
+        self._bind(duel_id, item_id, rater_id, raw_text)
 
 
 def _blank(raw_text: str) -> bool:

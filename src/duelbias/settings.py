@@ -32,6 +32,24 @@ def checked_int(key: str, value) -> int:
     raise ValidationError(f"{key}: expected int, got {value!r}")
 
 
+def checked_float(key: str, value) -> float:
+    """``value`` as a float, with -0.0 as 0.0, if it is a real number: an
+    int, a float or another ``numbers.Real`` such as a numpy integer or
+    float. A bool, a complex number or any other value, or an int too large
+    for a float, raises ValidationError naming the setting ``key``."""
+    real = isinstance(value, (int, float))
+    if not real:
+        import numbers  # only here: a command's own settings are ints and floats
+
+        real = isinstance(value, numbers.Real)
+    if real and not isinstance(value, bool):
+        try:
+            return float(value) + 0.0  # -0.0 + 0.0 is 0.0
+        except OverflowError:
+            pass
+    raise ValidationError(f"{key}: expected float, got {value!r}")
+
+
 class FitConfig(Frozen):
     """``tolerance`` bounds max |d/d log s| of the (regularized)
     log-likelihood at a converged fit; ``max_iterations`` caps the number
@@ -48,15 +66,17 @@ class FitConfig(Frozen):
         normalization: str = GEOMETRIC_MEAN_ONE,
     ):
         max_iterations = checked_int("max_iterations", max_iterations)
+        tolerance = checked_float("tolerance", tolerance)
+        alpha = checked_float("regularization_alpha", regularization_alpha)
         if max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
         if not 0 < tolerance < math.inf:
             raise ValidationError("tolerance must be finite and positive")
-        if not 0 <= regularization_alpha < math.inf:
+        if not 0 <= alpha < math.inf:
             raise ValidationError("regularization_alpha must be finite and nonnegative")
         if normalization not in (GEOMETRIC_MEAN_ONE, SUM_ONE):
             raise ValidationError(f"unknown normalization {normalization!r}")
-        self._bind(max_iterations, tolerance, regularization_alpha, normalization)
+        self._bind(max_iterations, tolerance, alpha, normalization)
 
 
 # resampled units of the per-tournament score-bias CI: duels (with refits) or items

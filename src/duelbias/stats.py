@@ -200,8 +200,8 @@ def _betacf(a: float, b: float, x: float) -> float:
 def log_regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Natural log of I_x(a, b), accurate even when I_x underflows.
 
-    Only valid on the branch x < (a+1)/(a+b+2); callers needing the full
-    range should use :func:`regularized_incomplete_beta`.
+    Only valid on the branch x < (a+1)/(a+b+2), where its continued
+    fraction converges fast; beyond it, use I_x(a, b) = 1 - I_{1-x}(b, a).
     """
     if x <= 0.0:
         return -math.inf
@@ -215,16 +215,6 @@ def log_regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return ln_front + math.log(_betacf(a, b, x) / a)
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return x
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_regularized_incomplete_beta(a, b, x))
-    return 1.0 - math.exp(log_regularized_incomplete_beta(b, a, 1.0 - x))
-
-
 def student_t_two_sided(t: float, df: float) -> PValue:
     """Two-sided tail probability of Student's t with df degrees of freedom."""
     if df <= 0:
@@ -236,7 +226,8 @@ def student_t_two_sided(t: float, df: float) -> PValue:
         # direct branch: p = I_x(df/2, 1/2), log-safe for extreme t
         ln_p = log_regularized_incomplete_beta(df / 2.0, 0.5, x)
         return PValue.from_log10(min(ln_p / math.log(10), 0.0))
-    p = regularized_incomplete_beta(df / 2.0, 0.5, x)
+    # complement: p = 1 - I_{1-x}(1/2, df/2)
+    p = 1.0 - math.exp(log_regularized_incomplete_beta(0.5, df / 2.0, 1.0 - x))
     return PValue(value=min(p, 1.0))
 
 

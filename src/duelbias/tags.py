@@ -198,18 +198,7 @@ class DistinctiveTag(Frozen):
     __slots__ = (
         "tag", "kl", "count_target", "count_reference", "chi2", "p_value", "stars"
     )
-
-    def __init__(
-        self,
-        tag: str,
-        kl: float,
-        count_target: int,
-        count_reference: int,
-        chi2: float,
-        p_value: PValue,
-        stars: str = "",
-    ):
-        self._bind(tag, kl, count_target, count_reference, chi2, p_value, stars)
+    _defaults = {"stars": ""}
 
     def _compared(self) -> tuple:
         return self._values()[:-1]  # not stars

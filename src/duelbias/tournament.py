@@ -28,6 +28,7 @@ from .settings import (
     DEFAULT_RATER_NOISE,
     OUTCOME_BRADLEY_TERRY,
     OUTCOME_RATER_NORMAL,
+    checked_float,
     checked_int,
     rows_per_block,
 )
@@ -54,15 +55,6 @@ _TAU_DECIMALS = 9
 class SchedulePlan(Frozen):
     __slots__ = ("group_a", "group_b", "duels_per_item", "pairs")
 
-    def __init__(
-        self,
-        group_a: tuple[Hashable, ...],
-        group_b: tuple[Hashable, ...],
-        duels_per_item: int,
-        pairs: tuple[tuple[Hashable, Hashable], ...],
-    ):
-        self._bind(group_a, group_b, duels_per_item, pairs)
-
     def appearance_counts(self) -> dict[Hashable, int]:
         counts = {item: 0 for item in self.group_a + self.group_b}
         for a, b in self.pairs:
@@ -73,16 +65,6 @@ class SchedulePlan(Frozen):
 
 class RecoveryCurve(Frozen):
     __slots__ = ("budgets", "mean_tau", "std_tau", "replicates", "seed")
-
-    def __init__(
-        self,
-        budgets: tuple[int, ...],
-        mean_tau: tuple[float, ...],
-        std_tau: tuple[float, ...],
-        replicates: int,
-        seed: int,
-    ):
-        self._bind(budgets, mean_tau, std_tau, replicates, seed)
 
 
 def _schedule(
@@ -255,6 +237,7 @@ def simulate_rank_recovery(
     replicates, seed = checked_int("replicates", replicates), checked_int("seed", seed)
     if outcome_noise not in (OUTCOME_RATER_NORMAL, OUTCOME_BRADLEY_TERRY):
         raise ValidationError(f"unknown outcome model {outcome_noise!r}")
+    rater_noise_scale = checked_float("rater_noise_scale", rater_noise_scale)
     if not 0 <= rater_noise_scale < np.inf:
         raise ValidationError("rater_noise_scale must be finite and nonnegative")
     if replicates < 1:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -535,6 +536,31 @@ class TestFitConfig:
     def test_non_integral_max_iterations_rejected(self, value):
         with pytest.raises(ValidationError, match="^max_iterations: expected int, got "):
             FitConfig(max_iterations=value)
+
+    @pytest.mark.parametrize("field", ["tolerance", "regularization_alpha"])
+    @pytest.mark.parametrize(
+        "value", [True, False, np.True_, "0.1", None, 1j, np.complex128(1), 10**400],
+        ids=["True", "False", "numpy-True", "str", "None", "complex", "complex128",
+             "huge-int"],
+    )
+    def test_non_real_float_settings_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field}: expected float, got "):
+            FitConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "value", [1, np.int64(1), np.float32(1.0), np.float64(1.0)],
+        ids=["int", "int64", "float32", "float64"],
+    )
+    def test_float_settings_are_python_floats(self, value):
+        # so that report.json writes 1.0 for each, as for the CLI's --alpha 1
+        config = FitConfig(tolerance=value, regularization_alpha=value)
+        written = [config.tolerance, config.regularization_alpha]
+        assert all(type(got) is float for got in written)
+        assert json.dumps(written) == "[1.0, 1.0]"
+
+    def test_negative_zero_alpha_is_zero(self):
+        alpha = FitConfig(regularization_alpha=-0.0).regularization_alpha
+        assert math.copysign(1.0, alpha) == 1.0
 
     def test_numpy_integer_max_iterations_accepted(self):
         config = FitConfig(max_iterations=np.int64(7))

@@ -1815,9 +1815,11 @@ class TestCLI:
             (["bias"], {"seed": True}, "seed: expected int, got True"),
             (["bias", "--bootstrap", "150.9"], None,
              "bootstrap: expected int, got '150.9'"),
+            (["bias"], {"alpha": 10**400}, f"alpha: expected float, got {10**400}"),
         ],
         ids=["simulate-budgets", "bias-config", "simulate-budgets-list",
-             "bias-fractional-config", "bias-bool-config", "bias-fractional-flag"],
+             "bias-fractional-config", "bias-bool-config", "bias-fractional-flag",
+             "bias-huge-int-config"],
     )
     def test_value_that_does_not_convert_exits_2(
         self, paths, capsys, command, config, message
@@ -1834,6 +1836,35 @@ class TestCLI:
         assert main([*args, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--alpha", "-0"], None), ([], {"alpha": -0.0}), ([], {"alpha": 0})],
+        ids=["negative-zero-flag", "negative-zero-config", "int-config"],
+    )
+    def test_float_settings_write_as_the_flag(self, tmp_path, flags, config):
+        # the report of --alpha 0: -0.0 is 0.0, and an int a float. Every
+        # item wins and loses, so the fit without regularization converges.
+        catalog = ItemCatalog(
+            [ItemRecord(f"{g.lower()}{i}", g, "pizza") for g in "AB" for i in range(2)]
+        )
+        pairs = [(a, b, w) for a in ("a0", "a1") for b in ("b0", "b1") for w in "AB"]
+        duels = [
+            DuelRecord(f"d{k}", "pizza", "tasty", a, b, winner, "r1")
+            for k, (a, b, winner) in enumerate(pairs)
+        ]
+        items, duels, _ = write_fixture(tmp_path, catalog, duels, [])
+        common = ["bias", "--items", items, "--duels", duels, "--bootstrap", "100",
+                  "--unit", "item"]
+        assert main([*common, "--alpha", "0", "--output-dir", str(tmp_path / "a")]) == 0
+        args = [*common, *flags, "--output-dir", str(tmp_path / "b")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "config.json")]
+        assert main(args) == 0
+        report = (tmp_path / "b" / "report.json").read_text()
+        assert '"regularization_alpha": 0.0,' in report
+        assert report == (tmp_path / "a" / "report.json").read_text()
 
     @pytest.mark.parametrize(
         "command, message",

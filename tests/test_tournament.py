@@ -208,6 +208,9 @@ class TestSimulateRankRecovery:
             (dict(rater_noise_scale=float("nan")), "rater_noise_scale"),
             (dict(rater_noise_scale=float("inf")), "rater_noise_scale"),
             (dict(rater_noise_scale=-0.1), "rater_noise_scale"),
+            (dict(rater_noise_scale=True), "rater_noise_scale: expected float, got True"),
+            (dict(rater_noise_scale="0.25"),
+             "rater_noise_scale: expected float, got '0.25'"),
             (dict(budgets=[]), "at least one budget"),
             (dict(seed=-1), "seed must be >= 0"),
             (dict(seed=1.5), "seed: expected int, got 1.5"),

@@ -3,18 +3,21 @@ that cannot be assigned or deleted, ``==``, ``hash`` and ``repr`` by field,
 and pickling and copying that restore it."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from collections.abc import Hashable
 
 import numpy as np
 import pytest
 
+import duelbias
 from duelbias.bias import FrequencyComparison, RankCurvePoint, RaterSummary, WinFraction
 from duelbias.choice_model import ComparisonGraph, ReplicateFits, ScoreTable
 from duelbias.duel_table import DuelTable
 from duelbias.errors import ValidationError
 from duelbias.pipeline import AnalysisConfig, Tournament
-from duelbias.records import DuelRecord, ItemRecord, TagRecord
+from duelbias.records import DuelRecord, Frozen, ItemRecord, TagRecord
 from duelbias.settings import FitConfig
 from duelbias.stats import PValue
 from duelbias.tags import DistinctiveTag, TagDistribution
@@ -209,3 +212,72 @@ def test_replace_applies_the_rules():
         config.replace(max_iterations=0)
     with pytest.raises(TypeError, match="unexpected keyword argument 'iterations'"):
         config.replace(iterations=7)
+
+
+# the types whose constructor is Frozen's: it takes the fields in order, by
+# position or keyword
+PLAIN = ("WinFraction", "RaterSummary", "RankCurvePoint", "FrequencyComparison",
+         "ReplicateFits", "Tournament", "DistinctiveTag", "SchedulePlan",
+         "RecoveryCurve")
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_type_is_checked():
+    for module in pkgutil.iter_modules(duelbias.__path__):
+        importlib.import_module(f"duelbias.{module.name}")
+    defined = {sub.__name__ for sub in _subclasses(Frozen)
+               if sub.__module__.startswith("duelbias.")}
+    assert defined == set(VALUES)
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_type_takes_its_fields_in_order(name):
+    make, _, fields = VALUES[name]
+    value = make()
+    cls = type(value)
+    assert "__init__" not in cls.__dict__ and cls._fields == cls.__slots__ == fields
+    values = [getattr(value, field) for field in fields]
+    by_keyword = dict(zip(fields, values))
+    mixed = dict(list(by_keyword.items())[1:])
+    for again in (cls(*values), cls(**by_keyword), cls(values[0], **mixed),
+                  cls(*values[:-1], **{fields[-1]: values[-1]})):
+        assert type(again) is cls
+        _same_fields(again, value, fields)
+
+
+_TAG = ("fresh", 0.2, 5, 1, 3.0)  # DistinctiveTag's fields before p_value
+
+
+def test_tag_stars_default_to_empty():
+    fields = (*_TAG, PValue(0.01))
+    tag = DistinctiveTag(*fields)
+    assert tag.stars == "" and tag == DistinctiveTag(*fields, "*")
+    assert DistinctiveTag(**dict(zip(DistinctiveTag._fields, fields))).stars == ""
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, message",
+    [
+        (RankCurvePoint, (5.0, 40.0, 1.0), {}, "RankCurvePoint() takes 2 arguments, got 3"),
+        (RankCurvePoint, (5.0,), {"z": 40.0},
+         "RankCurvePoint() got an unexpected keyword argument 'z'"),
+        (RankCurvePoint, (5.0, 40.0), {"x": 5.0},
+         "RankCurvePoint() got multiple values for argument 'x'"),
+        (RankCurvePoint, (5.0,), {}, "RankCurvePoint() missing argument 'y'"),
+        (RankCurvePoint, (), {"y": 40.0}, "RankCurvePoint() missing argument 'x'"),
+        (DistinctiveTag, _TAG, {}, "DistinctiveTag() missing argument 'p_value'"),
+        (DistinctiveTag, (*_TAG, PValue(0.01), "*"), {"stars": ""},
+         "DistinctiveTag() got multiple values for argument 'stars'"),
+    ],
+    ids=["too-many", "unknown", "repeated", "missing-last", "missing-first",
+         "missing-before-a-default", "repeated-default"],
+)
+def test_plain_constructor_rejects_bad_arguments(cls, args, kwargs, message):
+    with pytest.raises(TypeError) as caught:
+        cls(*args, **kwargs)
+    assert str(caught.value) == message
