@@ -366,14 +366,13 @@ def triangle_lower_bound(
     bias: float, ci: tuple[float, float]
 ) -> tuple[float, tuple[float, float]]:
     """Lower bound |bias|/2 on the larger of the two unobserved biases
-    against a reference population, with the shifted confidence interval.
+    against a reference population, with its confidence interval.
 
-    The interval is mirrored into the bias's magnitude scale and shifted
-    down by |bias|/2, so e.g. bias 0.52 with CI (0.46, 0.56) gives bound
-    0.26 with CI (0.20, 0.30).
+    The interval is for |bias|/2, not for the unobserved bias: the image of
+    the bias's CI under d -> |d|/2, which is monotone on each side of 0. So
+    e.g. bias 0.52 with CI (0.46, 0.56) gives bound 0.26 with CI (0.23,
+    0.28), and a CI that holds 0 gives an interval from 0.
     """
-    bound = abs(bias) / 2.0
     low, high = ci
-    if bias < 0:
-        low, high = -high, -low
-    return bound, (low - bound, high - bound)
+    ends = abs(low) / 2.0, abs(high) / 2.0
+    return abs(bias) / 2.0, (0.0 if low <= 0.0 <= high else min(ends), max(ends))

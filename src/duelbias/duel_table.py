@@ -11,7 +11,7 @@ from array import array
 from collections.abc import Sequence
 from itertools import repeat
 from operator import attrgetter, eq
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class _Columns:
     """The columns that a table and every table taken from it share: the
     duel ids joined into one UTF-8 text, with row r's id at
     ``text[bounds[r]:bounds[r + 1]]``, each other field's distinct values
-    and its rows' codes."""
+    (as a tuple, and as an object array that an index array reads) and its
+    rows' codes."""
 
-    __slots__ = ("text", "bounds", "values", "codes")
+    __slots__ = ("text", "bounds", "values", "objects", "codes")
 
     def __len__(self):
         return self.codes.shape[1]
@@ -99,6 +100,7 @@ class DuelTable(Sequence):
         columns = _Columns()
         columns.text, columns.bounds = id_text, bounds.astype(np.int32)
         columns.values = tuple(map(tuple, values))
+        columns.objects = [np.array(v, object) for v in columns.values]
         columns.codes = codes
         columns.bounds.flags.writeable = codes.flags.writeable = False
         self._columns, self._rows = columns, None  # None: every row, in order
@@ -140,31 +142,14 @@ class DuelTable(Sequence):
         codes.flags.writeable = False
         return self._columns.values[k], codes
 
-    def columns(self) -> list[list[str]]:
-        """The seven fields' columns as lists of strings."""
-        columns = [self._ids()]
-        for values, codes in zip(self._columns.values, self._at(self._columns.codes)):
-            columns.append(np.array(values, object)[codes].tolist())
+    def columns(self, rows=slice(None)) -> list[list[str]]:
+        """The seven fields' columns at ``rows`` (a slice or index array) as
+        lists of strings."""
+        columns = [self._ids(rows)]
+        codes = self._at(self._columns.codes, rows)
+        for values, column in zip(self._columns.objects, codes):
+            columns.append(values[column].tolist())
         return columns
-
-    def lines(self, chunk_rows: int) -> Iterator[str]:
-        """The rows as text, ``chunk_rows`` rows a piece: the fields
-        comma-joined, a newline after each row. One join makes each piece,
-        and each distinct value's text, with the comma before it, is made
-        once."""
-        texts = []
-        for k, values in enumerate(self._columns.values, 1):
-            end = "\n" if k == len(_CODED) else ""
-            texts.append(np.array([f",{v}{end}" for v in values], object))
-        for start in range(0, len(self), chunk_rows):
-            rows = slice(start, start + chunk_rows)
-            ids = self._ids(rows)
-            cells = np.empty((len(ids), 1 + len(_CODED)), object)
-            cells[:, 0] = ids
-            codes = self._at(self._columns.codes, rows)
-            for k, (text, column) in enumerate(zip(texts, codes), 1):
-                cells[:, k] = text[column]
-            yield "".join(cells.ravel().tolist())
 
     def where(self, field: str, wanted: Sequence[str] | None) -> DuelTable:
         """The rows whose ``field`` is in ``wanted`` (None: every row)."""

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import os
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -137,10 +137,14 @@ def input_digests(
     chunk of rows at a time."""
     items = ((r.item_id, r.group, r.category, r.external_ref or "")
              for r in catalog.records)
-    out = {
-        "items": _digest(_lines(items)),
-        "duels": _digest(DuelTable.of(duels).lines(_CHUNK_ROWS)),
-    }
+    table = DuelTable.of(duels)
+    # the rows become strings a chunk at a time: all at once would raise the
+    # run's peak memory, which the digest runs close to
+    duel_rows = chain.from_iterable(
+        zip(*table.columns(slice(start, start + _CHUNK_ROWS)))
+        for start in range(0, len(table), _CHUNK_ROWS)
+    )
+    out = {"items": _digest(_lines(items)), "duels": _digest(_lines(duel_rows))}
     if tags is not None:
         t = TagTable.of(tags)
         rows = zip(t.duel_ids, t.item_ids, t.rater_ids, t.raw_texts)

@@ -84,8 +84,15 @@ class Frozen:
 
     def replace(self, **changes):
         """A copy with the fields named in ``changes`` replaced, made by
-        ``__init__`` so that its rules apply."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+        ``__init__`` so that its rules apply. The fields go by position, as
+        in ``__reduce__``: a constructor may name its parameters otherwise."""
+        values = dict(zip(self._fields, self._values()))
+        for field in changes:
+            if field not in values:
+                raise TypeError(f"{type(self).__qualname__}() got an unexpected "
+                                f"keyword argument {field!r}")
+        values.update(changes)
+        return type(self)(*values.values())
 
 
 class ItemRecord(Frozen):

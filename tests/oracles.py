@@ -384,8 +384,8 @@ def one_join_lines(rows):
 
 def one_join_duel_lines(table):
     """A ``DuelTable``'s rows as the text that the duel digest hashes, made
-    by one join over the whole table, as ``DuelTable.lines`` did before it
-    made the text a chunk of rows at a time."""
+    by one join over the whole table from each field's distinct values and
+    codes, where the digest joins the rows' strings a chunk at a time."""
     fields = DUEL_COLUMNS[1:]
     cells = np.empty((len(table), len(DUEL_COLUMNS)), object)
     cells[:, 0] = table.columns()[0]

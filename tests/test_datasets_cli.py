@@ -966,11 +966,32 @@ class TestPipeline:
                 (t.duel_id, t.item_id, t.rater_id, t.raw_text) for t in tags
             ),
         }
-        assert "".join(duels.lines(1024)) == texts["duels"]
         assert input_digests(catalog, duels, tags) == {
             name: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for name, text in texts.items()
         }
+
+    def test_a_view_hashes_like_its_records(self):
+        # rows 3-2048 are the pizza duels: the where view, the slice (which
+        # starts inside the first 1,024-row chunk) and the list of records
+        # hold the same rows, and each hashes its own one-join text
+        duels = DuelTable.of([
+            DuelRecord(f"d{k}", "pizza" if 3 <= k < 2049 else "café",
+                       ("tasty", "healthy")[k % 2], f"a{k % 97}", f"b{k % 89}é",
+                       "AB"[k % 4 // 3], f"r{k % 7}")
+            for k in range(2100)
+        ])
+        views = {
+            "where": duels.where("category", ("pizza",)),
+            "slice": duels[3:2049],
+            "records": list(duels[3:2049]),
+        }
+        texts = {name: one_join_duel_lines(DuelTable.of(view))
+                 for name, view in views.items()}
+        assert len(set(texts.values())) == 1
+        for name, view in views.items():
+            digest = hashlib.sha256(texts[name].encode("utf-8")).hexdigest()
+            assert input_digests(ItemCatalog([]), view, None)["duels"] == digest, name
 
     def test_report_serialization_is_deterministic(self, fixture_data):
         catalog, duels, tags = fixture_data
