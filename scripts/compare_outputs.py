@@ -4,11 +4,13 @@
     python3 scripts/compare_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are ``src`` directories, for example of a clean
-checkout of the parent commit and of the working tree. The script
-generates the README demo set (generator seed 0), the benchmark's large
-set (seed 1, 2,000 items) and its large-vocabulary tag log (seed 1, 36,000
-rows, made by ``bench/inputs.py``) into a temporary directory with
-OLD_SRC, runs the same ``duelbias`` commands with each tree (every
+checkout of the parent commit and of the working tree. In a temporary
+directory, the script generates the README demo set (generator seed 0)
+and the benchmark's large set (seed 1, 2,000 items) with each tree, so
+through each tree's CSV writers, and compares the generated files byte
+for byte. It generates the benchmark's large-vocabulary tag log (seed 1,
+36,000 rows, made by ``bench/inputs.py``) once. It then runs the same
+``duelbias`` commands with each tree on OLD_SRC's generated inputs (every
 subcommand at least once, so every output writer; ``bias`` and
 ``simulate`` also with their settings in a ``--config`` file, ``fit`` and
 ``bias`` also with ``--normalization sum-one``; ``fit``, ``tags`` and
@@ -20,7 +22,7 @@ end, whose line-numbered errors must match, and on a copy whose duel ids
 hold a quoted comma or newline, non-ASCII text, surrounding spaces or 200
 characters, as it is and with a bad winner near the end; ``bias`` on an
 all-ties set whose fitted scores are all equal),
-and prints for every output file whether the two trees' files are
+and prints for every generated or output file whether the two trees' files are
 identical, and for every run whether the two trees' exit codes, stdout
 (with each side's output directory written as ``OUTPUT_DIR``) and stderr
 are, and each tree's peak RSS, user+system CPU seconds and wall seconds
@@ -33,8 +35,8 @@ ten with their old and new values, and the largest numeric difference
 (reported only). It first prints each tree's real path and its length,
 warning if the lengths differ, and whether the runs write bytecode: a run's peak RSS moves with
 both by more than the benchmark's 0.1 MiB bound, so RSS is comparable only
-between trees at paths of equal length. It exits 1 if any
-file, exit code, stdout or stderr differs, a file is missing from one
+between trees at paths of equal length. It exits 1 if any generated or
+output file, exit code, stdout or stderr differs, a file is missing from one
 side, or a run exits otherwise than expected.
 """
 
@@ -60,6 +62,8 @@ TAG_VOCAB_SEED = 1
 # the benchmark's large set and command arguments (bench/inputs.py, bench/run.py)
 LARGE_SET_ARGS = ("--items-per-side", "200",
                   "--categories", "pizza,salad,burger,pasta,soup")
+# the sets that each tree's generator writes: name -> generator seed, arguments
+INPUT_SETS = {"demo": (0, ()), "large": (1, LARGE_SET_ARGS)}
 SIMULATE_ARGS = ("simulate", "--items", "100", "--budgets", "100,200,500,1000,2000",
                  "--replicates", "5", "--seed", "1")
 REFIT_DEMO_SEEDS = (1, 2, 3)
@@ -346,6 +350,44 @@ def files_under(root: str) -> set[str]:
     }
 
 
+def compare_files(name: str, old_root: str, new_root: str) -> bool:
+    """Print ``name``/path and whether the file is identical under both
+    roots, for every file under either, and for a JSON file that differs a
+    summary of its differences; returns whether every file is identical. A
+    missing root walks as empty."""
+    ok = True
+    old, new = files_under(old_root), files_under(new_root)
+    for rel in sorted(old | new):
+        if rel not in old or rel not in new:
+            verdict = f"only in {'old' if rel in old else 'new'}"
+        elif filecmp.cmp(os.path.join(old_root, rel), os.path.join(new_root, rel),
+                         shallow=False):
+            verdict = "identical"
+        else:
+            verdict = "DIFFERS"
+        ok = ok and verdict == "identical"
+        print(f"{name}/{rel}: {verdict}")
+        if verdict == "DIFFERS" and rel.endswith(".json"):
+            for line in json_differences(os.path.join(old_root, rel),
+                                         os.path.join(new_root, rel)):
+                print(f"  {line}")
+    return ok
+
+
+def generate_inputs(trees: dict[str, str], tmp: str) -> tuple[dict[str, str], bool]:
+    """Write each of ``INPUT_SETS`` with each tree's generator, which writes
+    through that tree's ``write_items``, ``write_duels`` and ``write_tags``,
+    into ``tmp``/inputs-<side>/<set>, and compare the files (see
+    ``compare_files``). Returns the old tree's directory of each set, which
+    every run reads, and whether every file is identical."""
+    roots = {side: os.path.join(tmp, f"inputs-{side}") for side in trees}
+    for side, tree in trees.items():
+        for name, (seed, extra) in INPUT_SETS.items():
+            generate(tree, os.path.join(roots[side], name), seed, extra)
+    same = compare_files("inputs", roots["old"], roots["new"])
+    return {name: os.path.join(roots["old"], name) for name in INPUT_SETS}, same
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src")
@@ -361,11 +403,9 @@ def main() -> int:
     # the runs inherit this environment and no -B flag
     bytecode = not os.environ.get("PYTHONDONTWRITEBYTECODE")
     print(f"bytecode written: {'yes' if bytecode else 'no (PYTHONDONTWRITEBYTECODE)'}")
-    ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        demo, large, vocab = (os.path.join(tmp, d) for d in ("demo", "large", "vocab"))
-        generate(trees["old"], demo, 0)
-        generate(trees["old"], large, 1, LARGE_SET_ARGS)
+        sets, ok = generate_inputs(trees, tmp)
+        demo, large, vocab = sets["demo"], sets["large"], os.path.join(tmp, "vocab")
         generate_tag_vocab(vocab)
         for name, cli_args in commands(demo, large, vocab, tmp).items():
             outs, ends, rss, cpu, wall = {}, {}, {}, {}, {}
@@ -391,22 +431,7 @@ def main() -> int:
                   f"({wall['new'] - wall['old']:+.3f} s, reported only)")
             for side, (code, printed, err) in ends.items() if not same else ():
                 print(f"  {side}: exit {code}, stdout {printed!r}, stderr {err!r}")
-            # a missing output directory walks as empty
-            old, new = files_under(outs["old"]), files_under(outs["new"])
-            for rel in sorted(old | new):
-                if rel not in old or rel not in new:
-                    verdict = f"only in {'old' if rel in old else 'new'}"
-                elif filecmp.cmp(os.path.join(outs["old"], rel),
-                                 os.path.join(outs["new"], rel), shallow=False):
-                    verdict = "identical"
-                else:
-                    verdict = "DIFFERS"
-                ok = ok and verdict == "identical"
-                print(f"{name}/{rel}: {verdict}")
-                if verdict == "DIFFERS" and rel.endswith(".json"):
-                    for line in json_differences(os.path.join(outs["old"], rel),
-                                                 os.path.join(outs["new"], rel)):
-                        print(f"  {line}")
+            ok = compare_files(name, outs["old"], outs["new"]) and ok
     print("all outputs identical" if ok else "outputs differ")
     return 0 if ok else 1
 

@@ -99,12 +99,15 @@ def score_bias(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
 
     Both groups must come from the same joint fit. Taking the means over
     log-scores makes the difference independent of the normalization gauge.
+    A score that is not positive and finite raises ValidationError.
     """
     if len(scores_a) == 0 or len(scores_b) == 0:
         raise ValidationError("score bias requires both groups non-empty")
-    a = np.log(np.asarray(scores_a, dtype=float))
-    b = np.log(np.asarray(scores_b, dtype=float))
-    return float(b.mean() - a.mean())
+    a, b = (np.asarray(s, dtype=float) for s in (scores_a, scores_b))
+    bad = [x for x in (*a, *b) if not 0 < x < math.inf]
+    if bad:
+        raise ValidationError(f"scores must be positive and finite, got {bad[0]}")
+    return float(np.log(b).mean() - np.log(a).mean())
 
 
 def bootstrap_ci(
@@ -176,8 +179,8 @@ def resample_two_groups(
     group. The grid percentiles are read from the sorted B rows with numpy's
     ``linear`` rule (see ``_sorted_percentiles``), a rank is counted from
     the multiplicities of A's items in sorted order, and each replicate's
-    values are bit-identical to those computed for it alone. Empty groups
-    and non-finite values are rejected.
+    values are bit-identical to those computed for it alone. Empty groups,
+    non-finite values and grid percentiles outside [0, 100] are rejected.
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
@@ -247,10 +250,14 @@ def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     b - (b - a) * (1 - g) where g >= 0.5. The same operations in the same
     order give the same bits, signed zeros included; a row that holds NaN
     gives its last value, NaN, as numpy does. numpy's own call would also
-    load ``numpy.ma``, which nothing else here needs.
+    load ``numpy.ma``, which nothing else here needs. A grid percentile
+    outside [0, 100], or NaN, raises ValidationError, where numpy raises.
     """
+    grid = np.asarray(grid, dtype=float)
+    if not ((grid >= 0) & (grid <= 100)).all():
+        raise ValidationError(f"grid percentiles must lie in [0, 100]: {grid.tolist()}")
     n = rows.shape[1]
-    virtual = (n - 1) * (np.asarray(grid, dtype=float) / 100)
+    virtual = (n - 1) * (grid / 100)
     lower = np.floor(virtual)
     upper = lower + 1
     top = virtual >= n - 1
@@ -290,7 +297,8 @@ def rank_curve(
 ) -> tuple[RankCurvePoint, ...]:
     """For each percentile x of group B, the percentile rank within group A
     of group B's x-th percentile score; non-decreasing in x. Its bootstrap
-    CIs come from the rank-curve rows of ``resample_two_groups``."""
+    CIs come from the rank-curve rows of ``resample_two_groups``. A grid
+    percentile outside [0, 100] raises ValidationError."""
     if len(scores_a) == 0 or len(scores_b) == 0:
         raise ValidationError("both groups must be non-empty")
     a = np.asarray(scores_a, dtype=float)

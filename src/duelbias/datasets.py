@@ -25,7 +25,7 @@ import json
 from collections import deque
 from contextlib import contextmanager
 from itertools import islice
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -34,17 +34,10 @@ from .records import DuelRecord, ItemCatalog, ItemRecord, TagRecord, TagTable
 if TYPE_CHECKING:
     from .duel_table import DuelTable
 
-ITEM_COLUMNS = ("item_id", "group", "category", "external_ref")
-DUEL_COLUMNS = (
-    "duel_id",
-    "category",
-    "dimension",
-    "item_a",
-    "item_b",
-    "winner",
-    "rater_id",
-)
-TAG_COLUMNS = ("duel_id", "item_id", "rater_id", "raw_tag")
+ITEM_COLUMNS = ItemRecord.__slots__
+DUEL_COLUMNS = DuelRecord.__slots__
+# the file names a tag's text raw_tag
+TAG_COLUMNS = (*TagRecord.__slots__[:-1], "raw_tag")
 # rows of a CSV file read before their values go to the columns
 _CHUNK_ROWS = 1024
 
@@ -182,7 +175,7 @@ def parse_items(path, column_map: Mapping[str, str] | None = None) -> ItemCatalo
     """Read an item catalog; unknown groups and duplicate ids are rejected,
     a duplicate on the line of its second row once every row is valid."""
     columns = _read_columns(
-        path, ITEM_COLUMNS[:3], column_map, optional=("external_ref",)
+        path, ITEM_COLUMNS[:3], column_map, optional=ITEM_COLUMNS[3:]
     )
     columns[3] = [ref or None for ref in columns[3]]
     records = _build_records(path, ItemRecord, columns)
@@ -242,21 +235,19 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return path
 
 
+def item_row(r: ItemRecord) -> tuple[str, ...]:
+    """An item's fields as its file row holds them: no ``external_ref`` is
+    written as empty."""
+    return r.item_id, r.group, r.category, r.external_ref or ""
+
+
 def write_items(path, catalog: ItemCatalog) -> str:
-    rows = (
-        [r.item_id, r.group, r.category, r.external_ref or ""] for r in catalog.records
-    )
-    return write_csv(path, ITEM_COLUMNS, rows)
+    return write_csv(path, ITEM_COLUMNS, map(item_row, catalog.records))
 
 
 def write_duels(path, duels: Sequence[DuelRecord]) -> str:
-    rows = (
-        [d.duel_id, d.category, d.dimension, d.item_a, d.item_b, d.winner, d.rater_id]
-        for d in duels
-    )
-    return write_csv(path, DUEL_COLUMNS, rows)
+    return write_csv(path, DUEL_COLUMNS, map(attrgetter(*DUEL_COLUMNS), duels))
 
 
 def write_tags(path, tags: Sequence[TagRecord]) -> str:
-    rows = ([t.duel_id, t.item_id, t.rater_id, t.raw_text] for t in tags)
-    return write_csv(path, TAG_COLUMNS, rows)
+    return write_csv(path, TAG_COLUMNS, map(attrgetter(*TagRecord.__slots__), tags))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .records import GROUP_B, GROUPS, DuelRecord, ItemCatalog
 
-_CODED = ("category", "dimension", "item_a", "item_b", "winner", "rater_id")
+_CODED = DuelRecord.__slots__[1:]  # all but duel_id
 
 
 class Codes(dict):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bias as bias_mod
 from .choice_model import ComparisonGraph, ScoreTable, fit, fit_duel_arrays
-from .datasets import _CHUNK_ROWS, write_csv
+from .datasets import _CHUNK_ROWS, item_row, write_csv
 from .duel_table import DuelTable
 from .errors import NumericalError, UnstableBootstrapError, ValidationError
 from .records import GROUP_B, DuelRecord, Frozen, ItemCatalog, TagRecord, TagTable
@@ -49,7 +49,7 @@ class AnalysisConfig(Frozen):
         seed: int = 0,
         fit: FitConfig = FitConfig(),
     ):
-        _check_filters(dimensions=dimensions, categories=categories)
+        dimensions, categories = _filters(dimensions=dimensions, categories=categories)
         bootstrap_replicates = checked_int("bootstrap_replicates", bootstrap_replicates)
         seed = checked_int("seed", seed)
         if bootstrap_replicates < 100:
@@ -70,23 +70,21 @@ class AnalysisConfig(Frozen):
         )
 
 
-def _check_filters(**filters: Sequence[str] | None) -> None:
-    """Reject a filter given as one string: a duel would be kept when its
-    value is a substring of it."""
+def _filters(**filters: Sequence[str] | None) -> list[tuple[str, ...] | None]:
+    """Each filter as a tuple, or None. A filter given as one string raises
+    ValidationError: a duel would be kept when its value is a substring of it."""
     for name, names in filters.items():
         if isinstance(names, str):
             raise ValidationError(
                 f"{name} must be a sequence of names, not the string {names!r}"
             )
+    return [None if f is None else tuple(f) for f in filters.values()]
 
 
 def win_fraction_json(wf: bias_mod.WinFraction) -> dict:
-    return {
-        "fraction": wf.fraction,
-        "wins": wf.wins,
-        "n": wf.n,
-        "p": pvalue_json(wf.p_value),
-    }
+    out = wf._asdict()
+    out["p"] = pvalue_json(out.pop("p_value"))
+    return out
 
 
 def duel_outcomes_json(
@@ -100,16 +98,10 @@ def duel_outcomes_json(
 
 
 def frequency_json(freq: bias_mod.FrequencyComparison) -> dict:
-    return {
-        "categories": list(freq.categories),
-        "freq_a": list(freq.freq_a),
-        "freq_b": list(freq.freq_b),
-        "ratio_b_over_a": [
-            None if math.isinf(x) else x for x in freq.ratio_b_over_a
-        ],
-        "spearman_rho": freq.spearman_rho,
-        "spearman_p": pvalue_json(freq.spearman_p),
-    }
+    out = freq._asdict()
+    out["ratio_b_over_a"] = [None if math.isinf(x) else x for x in freq.ratio_b_over_a]
+    out["spearman_p"] = pvalue_json(freq.spearman_p)
+    return out
 
 
 def _digest(pieces: Iterable[str]) -> str:
@@ -135,8 +127,7 @@ def input_digests(
 ) -> dict[str, str]:
     """The SHA-256 of each input's rows as text (see ``_lines``), hashed a
     chunk of rows at a time."""
-    items = ((r.item_id, r.group, r.category, r.external_ref or "")
-             for r in catalog.records)
+    items = map(item_row, catalog.records)
     table = DuelTable.of(duels)
     # the rows become strings a chunk at a time: all at once would raise the
     # run's peak memory, which the digest runs close to
@@ -178,7 +169,7 @@ def select_tournaments(
     (``DuelTable.first_broken``); ``check_duel`` runs only to raise. Then
     ValidationError is raised if the filters leave no duel.
     """
-    _check_filters(dimensions=dimensions, categories=categories)
+    dimensions, categories = _filters(dimensions=dimensions, categories=categories)
     duels = DuelTable.of(duels)
     places = duels.item_places(catalog)
     row = duels.first_broken(places)
@@ -345,7 +336,7 @@ def run_pipeline(
         catalog, duels, config.dimensions, config.categories
     )
     bundle: dict = {
-        "config": _config_json(config),
+        "config": {**config._asdict(), "fit": config.fit._asdict()},
         "input_digests": input_digests(catalog, duels, tags),
         "tournaments": {},
         "pooled": {},
@@ -450,23 +441,6 @@ def run_pipeline(
         )
 
     return bundle
-
-
-def _config_json(config: AnalysisConfig) -> dict:
-    fit = config.fit
-    return {
-        "dimensions": list(config.dimensions) if config.dimensions else None,
-        "categories": list(config.categories) if config.categories else None,
-        "bootstrap_replicates": config.bootstrap_replicates,
-        "bootstrap_unit": config.bootstrap_unit,
-        "seed": config.seed,
-        "fit": {
-            "max_iterations": fit.max_iterations,
-            "tolerance": fit.tolerance,
-            "regularization_alpha": fit.regularization_alpha,
-            "normalization": fit.normalization,
-        },
-    }
 
 
 def _derived_seed(seed: int, category: str, dimension: str) -> int:

@@ -57,6 +57,9 @@ class Frozen:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
     def _compared(self) -> tuple:
         """The values that ``==`` and ``hash`` go by."""
         return self._values()
@@ -86,7 +89,7 @@ class Frozen:
         """A copy with the fields named in ``changes`` replaced, made by
         ``__init__`` so that its rules apply. The fields go by position, as
         in ``__reduce__``: a constructor may name its parameters otherwise."""
-        values = dict(zip(self._fields, self._values()))
+        values = self._asdict()
         for field in changes:
             if field not in values:
                 raise TypeError(f"{type(self).__qualname__}() got an unexpected "
@@ -250,21 +253,11 @@ class TagTable(Sequence):
         blank = [text for text in set(raw_texts) if _blank(text)]
         return min(map(raw_texts.index, blank)) if blank else None
 
-    @property
-    def duel_ids(self) -> tuple[str, ...]:
-        return self._columns[0]
-
-    @property
-    def item_ids(self) -> tuple[str, ...]:
-        return self._columns[1]
-
-    @property
-    def rater_ids(self) -> tuple[str, ...]:
-        return self._columns[2]
-
-    @property
-    def raw_texts(self) -> tuple[str, ...]:
-        return self._columns[3]
+    # each field's column, a tuple of strings
+    duel_ids = property(lambda self: self._columns[0])
+    item_ids = property(lambda self: self._columns[1])
+    rater_ids = property(lambda self: self._columns[2])
+    raw_texts = property(lambda self: self._columns[3])
 
     def __len__(self):
         return len(self._columns[0])

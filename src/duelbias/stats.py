@@ -101,8 +101,10 @@ def binomial_two_sided(k: int, n: int, p0: float = 0.5) -> PValue:
     ``fsum`` returns the correctly rounded exact sum whatever the order of
     its terms; it gets them largest first, which keeps its list of partial
     sums short (at n = 2,000 about 25 times faster than in outcome order).
+    ``k`` and ``n`` must be integers, not bools.
     """
-    if n < 1 or not 0 <= k <= n:
+    integers = all(hasattr(x, "__index__") and not isinstance(x, bool) for x in (k, n))
+    if not integers or n < 1 or not 0 <= k <= n:
         raise ValueError(f"invalid binomial arguments k={k}, n={n}")
     if not 0.0 < p0 < 1.0:
         raise ValueError(f"null probability must be in (0, 1), got {p0}")

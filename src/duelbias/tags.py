@@ -298,15 +298,9 @@ def distinctive_tag_rows(
 
 
 def tag_json(t: DistinctiveTag) -> dict:
-    return {
-        "tag": t.tag,
-        "kl": t.kl,
-        "count_target": t.count_target,
-        "count_reference": t.count_reference,
-        "chi2": t.chi2,
-        "p": pvalue_json(t.p_value),
-        "stars": t.stars,
-    }
+    out = t._asdict()
+    out["p"] = pvalue_json(out.pop("p_value"))
+    return out
 
 
 def write_distinctive_tags(path: str, ranked: Mapping[str, Sequence[dict]]) -> str:

@@ -32,6 +32,9 @@ from duelbias.tournament import simulate_rank_recovery
 from oracles import loop_resample_two_groups
 
 
+GRID_ERROR = r"^grid percentiles must lie in \[0, 100\]: "
+
+
 def make_duels(outcomes, rater="r1"):
     """outcomes: iterable of 'A'/'B' winners."""
     return [
@@ -119,6 +122,17 @@ class TestScoreBias:
     def test_empty_group_rejected(self):
         with pytest.raises(ValidationError):
             score_bias([], [1.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([0.0, 1.0], [1.0, 2.0]),
+        ([-1.0, 1.0], [1.0, 2.0]),
+        ([math.inf, 1.0], [1.0, 2.0]),
+        ([1.0, 2.0], [1.0, math.nan]),
+    ])
+    def test_score_not_positive_and_finite_rejected(self, a, b):
+        # numpy's RuntimeWarnings are errors in this suite: none may be raised
+        with pytest.raises(ValidationError, match="positive and finite"):
+            score_bias(a, b)
 
 
 def _numpy_cases(seed, count=200):
@@ -270,6 +284,15 @@ class TestRankCurve:
         with pytest.raises(ValidationError):
             rank_curve([], [1.0])
 
+    @pytest.mark.parametrize("grid", [(-10, 50, 110), (-10,), (110,), (math.nan,)])
+    def test_grid_outside_0_to_100_rejected(self, grid):
+        with pytest.raises(ValidationError, match=GRID_ERROR):
+            rank_curve(np.arange(10.0), np.arange(10.0) + 0.5, grid=grid)
+
+    def test_grid_ends_accepted(self):
+        curve = rank_curve(np.arange(10.0), np.arange(10.0) + 0.5, grid=(0, 100))
+        assert [p.x for p in curve] == [0.0, 100.0]
+
 
 def _boundary_replicates(n_a, n_b):
     """Replicate counts one either side of a block boundary of
@@ -344,6 +367,11 @@ class TestResampleTwoGroups:
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
+
+    @pytest.mark.parametrize("grid", [(-10,), (50, 110), (math.nan,)])
+    def test_grid_outside_0_to_100_rejected(self, grid):
+        with pytest.raises(ValidationError, match=GRID_ERROR):
+            resample_two_groups(np.arange(10.0), np.arange(10.0) + 0.5, 100, 0, grid)
 
     @pytest.mark.parametrize("a, b", [([], [1.0, 2.0]), ([1.0, 2.0], [])])
     def test_empty_group_rejected(self, a, b):

@@ -1,9 +1,11 @@
-"""scripts/compare_outputs.py: its JSON difference summary and the peak
-resident size that each run reports for itself."""
+"""scripts/compare_outputs.py: its JSON difference summary, its file
+comparison, the inputs that each tree generates, and the peak resident
+size that each run reports for itself."""
 
 import importlib.util
 import json
 import os
+import shutil
 import textwrap
 
 import pytest
@@ -106,6 +108,70 @@ class TestJsonDifferences:
             str(tmp_path / "old.json"), str(tmp_path / "new.json")
         )
         assert line.startswith(f"not comparable as JSON: {tmp_path / 'new.json'}: ")
+
+
+class TestCompareFiles:
+    def test_every_file_under_either_root(self, compare, tmp_path, capsys):
+        old, new = tmp_path / "old", tmp_path / "new"
+        for root in (old, new):
+            (root / "sub").mkdir(parents=True)
+            (root / "same.csv").write_text("a,b\n", encoding="utf-8")
+        (old / "sub" / "r.json").write_text('{"x": 1}', encoding="utf-8")
+        (new / "sub" / "r.json").write_text('{"x": 2}', encoding="utf-8")
+        (old / "gone.csv").write_text("", encoding="utf-8")
+        assert not compare.compare_files("run", str(old), str(new))
+        assert capsys.readouterr().out.splitlines() == [
+            "run/gone.csv: only in old",
+            "run/same.csv: identical",
+            "run/sub/r.json: DIFFERS",
+            "  1 JSON leaves differ (reported only)",
+            "  /x: old 1, new 2",
+            "  largest numeric difference 1 at /x",
+        ]
+
+    def test_identical_roots_and_a_missing_one(self, compare, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "a" / "f").write_text("x", encoding="utf-8")
+        assert compare.compare_files("run", str(tmp_path / "a"), str(tmp_path / "a"))
+        assert compare.compare_files("run", str(tmp_path / "none"),
+                                     str(tmp_path / "none"))
+        assert not compare.compare_files("run", str(tmp_path / "a"),
+                                         str(tmp_path / "none"))
+
+
+class TestGenerateInputs:
+    SRC = os.path.join(os.path.dirname(SCRIPT), os.pardir, "src")
+
+    def _generated(self, compare, tmp_path, new_tree):
+        trees = {"old": os.path.realpath(self.SRC), "new": str(new_tree)}
+        sets, same = compare.generate_inputs(trees, str(tmp_path / "work"))
+        assert set(sets) == {"demo", "large"}
+        for path in sets.values():  # the old tree's sets
+            assert path.startswith(str(tmp_path / "work" / "inputs-old"))
+            assert sorted(os.listdir(path)) == ["duels.csv", "items.csv", "tags.csv"]
+        return same
+
+    def test_a_tree_whose_writer_differs_fails(self, compare, tmp_path, capsys):
+        # a copy of the tree whose write_tags writes another header
+        tree = tmp_path / "tree"
+        shutil.copytree(self.SRC, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        with open(tree / "duelbias" / "datasets.py", "a", encoding="utf-8") as f:
+            f.write("\n\ndef write_tags(path, tags):\n"
+                    "    return write_csv(path, ['changed'], [])\n")
+        assert not self._generated(compare, tmp_path, tree)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            f"inputs/{name}/{file}: "
+            f"{'DIFFERS' if file == 'tags.csv' else 'identical'}"
+            for name in ("demo", "large")
+            for file in ("duels.csv", "items.csv", "tags.csv")
+        ]
+
+    def test_one_tree_twice_is_identical(self, compare, tmp_path, capsys):
+        assert self._generated(compare, tmp_path, os.path.realpath(self.SRC))
+        assert all(line.endswith(": identical")
+                   for line in capsys.readouterr().out.splitlines())
 
 
 def _write_child(compare, monkeypatch, body):

@@ -109,6 +109,14 @@ class TestBinomial:
         with pytest.raises(ValueError):
             binomial_two_sided(0, 0)
 
+    @pytest.mark.parametrize("k, n", [(2.5, 4), (True, 4), (2, 4.0), (2, True)])
+    def test_non_integer_or_bool_arguments(self, k, n):
+        with pytest.raises(ValueError, match="invalid binomial arguments"):
+            binomial_two_sided(k, n)
+
+    def test_numpy_integers_accepted(self):
+        assert binomial_two_sided(np.int64(2), np.int32(4)) == binomial_two_sided(2, 4)
+
 
 class TestChiSquare:
     def test_identical_proportions(self):

@@ -207,6 +207,24 @@ def _fields_match(x, y, name):
     return True
 
 
+@pytest.mark.parametrize("make, make_other, fields", VALUES.values(), ids=VALUES)
+def test_asdict_maps_the_fields_in_order(make, make_other, fields):
+    value = make()
+    mapping = value._asdict()
+    assert list(mapping) == list(fields) == list(value._fields)
+    assert all(mapping[name] is getattr(value, name) for name in fields)
+
+
+def test_analysis_config_keeps_its_filters_as_tuples():
+    listed = AnalysisConfig(dimensions=["tasty"], categories=["pizza", "salad"])
+    tupled = AnalysisConfig(dimensions=("tasty",), categories=("pizza", "salad"))
+    assert (listed.dimensions, listed.categories) == (("tasty",), ("pizza", "salad"))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert AnalysisConfig().dimensions is None
+    # an empty filter stays one: it keeps no dimension, where None keeps all
+    assert AnalysisConfig(dimensions=[]).dimensions == ()
+
+
 def test_tag_stars_are_not_compared():
     starred = DistinctiveTag("fresh", 0.2, 5, 1, 3.0, PValue(0.01), "*")
     plain = starred.replace(stars="")
