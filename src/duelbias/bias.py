@@ -184,15 +184,9 @@ def resample_two_groups(
     """
     if replicates < 100:
         raise ValidationError("bootstrap needs at least 100 replicates")
-    values_a = np.asarray(values_a, dtype=float)
-    values_b = np.asarray(values_b, dtype=float)
+    values_a, values_b = _finite_groups(values_a, values_b)
+    grid = _checked_grid(grid)
     n_a, n_b = len(values_a), len(values_b)
-    if n_a == 0 or n_b == 0:
-        raise ValidationError("both groups must be non-empty")
-    if not (np.isfinite(values_a).all() and np.isfinite(values_b).all()):
-        # NaN has no midpoint rank, and an infinite value can make a grid
-        # percentile NaN (inf - inf)
-        raise ValidationError("resampled values must be finite")
     # not Generator.spawn, which needs numpy 1.25
     rng_a, rng_b = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     diffs = np.empty(replicates)
@@ -250,12 +244,10 @@ def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     b - (b - a) * (1 - g) where g >= 0.5. The same operations in the same
     order give the same bits, signed zeros included; a row that holds NaN
     gives its last value, NaN, as numpy does. numpy's own call would also
-    load ``numpy.ma``, which nothing else here needs. A grid percentile
-    outside [0, 100], or NaN, raises ValidationError, where numpy raises.
+    load ``numpy.ma``, which nothing else here needs. ``grid`` is checked
+    by ``_checked_grid``.
     """
-    grid = np.asarray(grid, dtype=float)
-    if not ((grid >= 0) & (grid <= 100)).all():
-        raise ValidationError(f"grid percentiles must lie in [0, 100]: {grid.tolist()}")
+    grid = _checked_grid(grid)
     n = rows.shape[1]
     virtual = (n - 1) * (grid / 100)
     lower = np.floor(virtual)
@@ -272,22 +264,47 @@ def _sorted_percentiles(rows: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _checked_grid(grid: Sequence[float]) -> np.ndarray:
+    """``grid`` as a 1-D float array. A scalar, or a grid percentile outside
+    [0, 100] or NaN, raises ValidationError, where numpy raises."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValidationError(f"grid must be a sequence, got {grid.tolist()!r}")
+    if not ((grid >= 0) & (grid <= 100)).all():
+        raise ValidationError(f"grid percentiles must lie in [0, 100]: {grid.tolist()}")
+    return grid
+
+
+def _finite_groups(
+    scores_a: Sequence[float], scores_b: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both groups as float arrays. An empty group or a non-finite value
+    raises ValidationError: NaN has no midpoint rank, and an infinite value
+    can make a grid percentile NaN (inf - inf)."""
+    a = np.asarray(scores_a, dtype=float)
+    b = np.asarray(scores_b, dtype=float)
+    if len(a) == 0 or len(b) == 0:
+        raise ValidationError("both groups must be non-empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValidationError("scores must be finite")
+    return a, b
+
+
 def median_percentile_rank(
     scores_a: Sequence[float], scores_b: Sequence[float]
 ) -> float:
     """Percentile rank of group B's median score within group A's scores.
 
     Midpoint empirical-CDF convention, so identical distributions place
-    the median near 50.
+    the median near 50. An empty group or a non-finite score raises
+    ValidationError.
     """
-    if len(scores_a) == 0 or len(scores_b) == 0:
-        raise ValidationError("both groups must be non-empty")
-    b = np.sort(np.asarray(scores_b, dtype=float))
+    a, b = _finite_groups(scores_a, scores_b)
+    b = np.sort(b)
     # np.median's bits without its load of numpy.ma: the mean of the middle
-    # value or the two middle values, or the last value if it is NaN
+    # value or the two middle values
     n = len(b)
-    median_b = b[-1] if np.isnan(b[-1]) else b[(n - 1) // 2 : n // 2 + 1].mean()
-    return percentile_rank(float(median_b), scores_a)
+    return percentile_rank(float(b[(n - 1) // 2 : n // 2 + 1].mean()), a)
 
 
 def rank_curve(
@@ -297,12 +314,10 @@ def rank_curve(
 ) -> tuple[RankCurvePoint, ...]:
     """For each percentile x of group B, the percentile rank within group A
     of group B's x-th percentile score; non-decreasing in x. Its bootstrap
-    CIs come from the rank-curve rows of ``resample_two_groups``. A grid
-    percentile outside [0, 100] raises ValidationError."""
-    if len(scores_a) == 0 or len(scores_b) == 0:
-        raise ValidationError("both groups must be non-empty")
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
+    CIs come from the rank-curve rows of ``resample_two_groups``. An empty
+    group, a non-finite score, a scalar grid or a grid percentile outside
+    [0, 100] raises ValidationError."""
+    a, b = _finite_groups(scores_a, scores_b)
     percentiles = _sorted_percentiles(np.sort(b)[None], grid)[0]
     ys = midpoint_ranks(percentiles, np.sort(a))
     return tuple(RankCurvePoint(float(x), float(y)) for x, y in zip(grid, ys))

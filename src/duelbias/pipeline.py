@@ -72,13 +72,21 @@ class AnalysisConfig(Frozen):
 
 def _filters(**filters: Sequence[str] | None) -> list[tuple[str, ...] | None]:
     """Each filter as a tuple, or None. A filter given as one string raises
-    ValidationError: a duel would be kept when its value is a substring of it."""
+    ValidationError: a duel would be kept when its value is a substring of it.
+    So does a filter that is not iterable."""
+    out = []
     for name, names in filters.items():
         if isinstance(names, str):
             raise ValidationError(
                 f"{name} must be a sequence of names, not the string {names!r}"
             )
-    return [None if f is None else tuple(f) for f in filters.values()]
+        try:
+            out.append(None if names is None else tuple(names))
+        except TypeError:
+            raise ValidationError(
+                f"{name} must be a sequence of names, got {names!r}"
+            ) from None
+    return out
 
 
 def win_fraction_json(wf: bias_mod.WinFraction) -> dict:

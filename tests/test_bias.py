@@ -33,6 +33,13 @@ from oracles import loop_resample_two_groups
 
 
 GRID_ERROR = r"^grid percentiles must lie in \[0, 100\]: "
+# a NaN or an infinite score in either group
+NON_FINITE_GROUPS = [
+    ([1.0, math.nan, 3.0], [1.0, 2.0]),
+    ([1.0, 2.0, 3.0], [1.0, math.nan]),
+    ([1.0, math.inf], [1.0, 2.0]),
+    ([1.0, 2.0], [-math.inf, 2.0]),
+]
 
 
 def make_duels(outcomes, rater="r1"):
@@ -232,11 +239,18 @@ class TestMedianPercentileRank:
         a = [-1.0, 0.1, 0.2, 0.30000000000000004, 2.0]
         for b in _numpy_cases(1):
             b = b[:, 0]
+            if not np.isfinite(b).all():
+                continue  # rejected: see test_non_finite_rejected
             want = percentile_rank(float(np.median(b)), a)
             assert _same_bits(median_percentile_rank(a, b), want), b
         # the two middle values' mean rounds: 0.1 + 0.2 is not 0.3
         assert median_percentile_rank(a, [0.1, 0.2]) == percentile_rank(0.15, a)
         assert median_percentile_rank(a, [5.0, 0.2, 0.1, -3.0]) == 40.0
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_GROUPS)
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="^scores must be finite$"):
+            median_percentile_rank(a, b)
 
 
 class TestRankCurve:
@@ -276,6 +290,8 @@ class TestRankCurve:
         a = np.linspace(-3, 3, 11)
         grid = (0, 2.5, 10, 33.3, 50, 90, 100)
         for b in _numpy_cases(2):
+            if not np.isfinite(b[:, 0]).all():
+                continue  # rejected: see test_non_finite_rejected
             want = midpoint_ranks(np.percentile(b[:, 0], grid), a)
             got = [p.y for p in rank_curve(a, b[:, 0], grid)]
             assert _same_bits(got, want), b
@@ -288,6 +304,16 @@ class TestRankCurve:
     def test_grid_outside_0_to_100_rejected(self, grid):
         with pytest.raises(ValidationError, match=GRID_ERROR):
             rank_curve(np.arange(10.0), np.arange(10.0) + 0.5, grid=grid)
+
+    @pytest.mark.parametrize("a, b", NON_FINITE_GROUPS)
+    def test_non_finite_rejected(self, a, b):
+        with pytest.raises(ValidationError, match="^scores must be finite$"):
+            rank_curve(a, b, grid=(50,))
+
+    @pytest.mark.parametrize("grid", [50, 50.0, np.float64(50), "50"])
+    def test_scalar_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="^grid must be a sequence, got 50.0$"):
+            rank_curve([1.0, 2.0], [1.0, 2.0], grid=grid)
 
     def test_grid_ends_accepted(self):
         curve = rank_curve(np.arange(10.0), np.arange(10.0) + 0.5, grid=(0, 100))
@@ -367,6 +393,10 @@ class TestResampleTwoGroups:
     def test_nan_rejected(self):
         with pytest.raises(ValidationError):
             resample_two_groups(np.array([0.0, np.nan]), np.ones(3), 100, 0)
+
+    def test_scalar_grid_rejected(self):
+        with pytest.raises(ValidationError, match="^grid must be a sequence, got 50.0$"):
+            resample_two_groups(np.arange(10.0), np.arange(10.0) + 0.5, 100, 0, 50)
 
     @pytest.mark.parametrize("grid", [(-10,), (50, 110), (math.nan,)])
     def test_grid_outside_0_to_100_rejected(self, grid):

@@ -2246,6 +2246,90 @@ class TestCLI:
                      "--bootstrap", "100", "--output-dir", str(tmp_path)]) == 0
         assert gc.get_freeze_count() == 0
 
+    @pytest.mark.parametrize("timeout", [None, "30"], ids=["unset", "user-set"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--items", "8", "--budgets", "8,16", "--replicates", "1"],
+            ["fit", "--items", "{items}", "--duels", "{duels}"],
+            ["bias", "--items", "{items}", "--duels", "{duels}", "--unit", "item",
+             "--bootstrap", "100"],
+            ["tags", "--items", "{items}", "--tags", "{tags}", "--min-count", "1"],
+        ],
+        ids=["simulate", "fit", "bias", "tags"],
+    )
+    def test_blas_thread_timeout_when_numpy_loads(self, paths, command, timeout):
+        # a meta_path probe reads the variable as numpy's first import starts;
+        # importing the CLI leaves the environment as it was
+        (items, duels, tags), tmp_path = paths
+        script = (
+            "import os, sys\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            seen.append(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "seen = []\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "before = dict(os.environ)\n"
+            "from duelbias.cli import main\n"
+            "imported = dict(os.environ) == before and 'numpy' not in sys.modules\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(rc, imported, seen)\n"
+        )
+        args = [a.format(items=items, duels=duels, tags=tags) for a in command]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop(cli.BLAS_TIMEOUT_ENV, None)
+        if timeout is not None:
+            env[cli.BLAS_TIMEOUT_ENV] = timeout
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args, "--output-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        seen = [] if command[0] == "tags" else [timeout or "4"]
+        assert done.stdout.splitlines()[-1] == f"0 True {seen}", done.stderr
+
+    def test_main_leaves_the_environment_once_numpy_is_loaded(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # too late for OpenBLAS, which read its settings as numpy loaded
+        monkeypatch.delenv(cli.BLAS_TIMEOUT_ENV, raising=False)
+        before = dict(os.environ)
+        assert main(["simulate", "--items", "8", "--budgets", "8,16", "--replicates",
+                     "1", "--output-dir", str(tmp_path)]) == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_blas_workers_stay_idle(self, tmp_path):
+        # each thread's user and system CPU time at exit, from fields 14 and
+        # 15 of its stat line; an OpenBLAS worker spinning after numpy's
+        # import used about 0.07 s
+        script = (
+            "import os, sys\n"
+            "from duelbias.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "for tid in os.listdir('/proc/self/task'):\n"
+            "    if int(tid) != os.getpid():\n"
+            "        with open(f'/proc/self/task/{tid}/stat') as f:\n"
+            "            fields = f.read().rsplit(')', 1)[1].split()\n"
+            "        ticks = int(fields[11]) + int(fields[12])\n"
+            "        print('thread', ticks / os.sysconf('SC_CLK_TCK'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(datasets.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2")
+        env.pop(cli.BLAS_TIMEOUT_ENV, None)
+        done = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--items", "8", "--budgets",
+             "8,16", "--replicates", "1", "--output-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        used = [float(line.split()[1]) for line in done.stdout.splitlines()
+                if line.startswith("thread ")]
+        if not used:
+            pytest.skip("the process started no second thread")
+        assert max(used) < 0.03, used
+
     @pytest.mark.parametrize("read_first", [True, False], ids=["setattr", "setitem"])
     @pytest.mark.parametrize(
         "module, names, command",

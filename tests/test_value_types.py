@@ -225,6 +225,21 @@ def test_analysis_config_keeps_its_filters_as_tuples():
     assert AnalysisConfig(dimensions=[]).dimensions == ()
 
 
+@pytest.mark.parametrize("field", ["dimensions", "categories"])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("tasty", "must be a sequence of names, not the string 'tasty'"),
+        (5, "must be a sequence of names, got 5"),
+        (2.5, "must be a sequence of names, got 2.5"),
+    ],
+    ids=["string", "int", "float"],
+)
+def test_analysis_config_rejects_a_filter_that_is_no_sequence(field, value, message):
+    with pytest.raises(ValidationError, match=f"^{field} {message}$"):
+        AnalysisConfig(**{field: value})
+
+
 def test_tag_stars_are_not_compared():
     starred = DistinctiveTag("fresh", 0.2, 5, 1, 3.0, PValue(0.01), "*")
     plain = starred.replace(stars="")
