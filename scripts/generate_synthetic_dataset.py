@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
-"""Generate a synthetic demo dataset (items.csv, duels.csv, tags.csv).
+"""Generate a synthetic demo dataset (items.csv, duels.csv, tags.csv) and
+its planted truth (truth.csv).
 
 Items in group B carry a known log-quality offset over group A, duel
 outcomes follow the latent-score choice rule, and a few raw tag strings
-exercise the normalization pipeline. Use the output to try the CLI:
+exercise the normalization pipeline. truth.csv holds each item's drawn
+log-quality, shared by every dimension, which ``scripts/score_report.py``
+scores a report against. Use the output to try the CLI:
 
     python3 scripts/generate_synthetic_dataset.py --out demo/
     duelbias bias --items demo/items.csv --duels demo/duels.csv \
         --tags demo/tags.csv --bootstrap 200 --output-dir demo/report
+    python3 scripts/score_report.py demo/report/report.json demo/truth.csv
 """
 
 import argparse
@@ -15,7 +19,7 @@ import os
 
 import numpy as np
 
-from duelbias.datasets import write_duels, write_items, write_tags
+from duelbias.datasets import write_csv, write_duels, write_items, write_tags
 from duelbias.records import DuelRecord, ItemCatalog, ItemRecord, TagRecord
 from duelbias.tournament import sample_balanced_duels
 
@@ -48,14 +52,15 @@ def main() -> None:
     dimensions = args.dimensions.split(",")
 
     items, duels, tags = [], [], []
-    quality: dict[str, float] = {}
+    log_quality: dict[str, float] = {}
     for cat in categories:
         for i in range(args.items_per_side):
             a_id, b_id = f"a-{cat}-{i}", f"b-{cat}-{i}"
             items.append(ItemRecord(a_id, "A", cat, None))
             items.append(ItemRecord(b_id, "B", cat, None))
-            quality[a_id] = float(np.exp(rng.normal(0.0, 0.5)))
-            quality[b_id] = float(np.exp(rng.normal(args.offset, 0.5)))
+            log_quality[a_id] = float(rng.normal(0.0, 0.5))
+            log_quality[b_id] = float(rng.normal(args.offset, 0.5))
+    quality = {k: float(np.exp(v)) for k, v in log_quality.items()}
 
     catalog = ItemCatalog(items)
     k = 0
@@ -82,9 +87,15 @@ def main() -> None:
     write_items(os.path.join(args.out, "items.csv"), catalog)
     write_duels(os.path.join(args.out, "duels.csv"), duels)
     write_tags(os.path.join(args.out, "tags.csv"), tags)
+    write_csv(
+        os.path.join(args.out, "truth.csv"),
+        ["item_id", "group", "category", "log_quality"],
+        ((r.item_id, r.group, r.category, repr(log_quality[r.item_id]))
+         for r in items),
+    )
     print(
         f"wrote {len(items)} items, {len(duels)} duels, {len(tags)} tags "
-        f"to {args.out}/"
+        f"and their truth to {args.out}/"
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import importlib
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # public name -> the module that defines it, names sorted
 _EXPORTS = {

@@ -321,9 +321,21 @@ class _Fitted(NamedTuple):
 
     tournament: Tournament
     table: ScoreTable
-    log_scores: tuple[np.ndarray, np.ndarray]  # group A's items, group B's
     point: float  # score bias
     median_pct: float
+    # the item resample's rows of the score bias and of the median percentile
+    diffs: np.ndarray
+    median_rows: np.ndarray
+
+
+def _pooled(points: Sequence[float], rows: Sequence[np.ndarray]) -> dict:
+    """A dimension's pooled estimate over its tournaments, each weighted
+    equally: the mean of their points, and the percentile CI of the
+    row-wise mean of their bootstrap rows. Tournaments resample their own
+    items from their own seeds, so row r of every tournament together is
+    one replicate of a bootstrap stratified by tournament."""
+    low, high = bias_mod.percentile_ci(np.mean(rows, axis=0)).tolist()
+    return {"point": float(np.mean(points)), "ci": [low, high]}
 
 
 def run_pipeline(
@@ -367,11 +379,16 @@ def run_pipeline(
             log_a, log_b, config.bootstrap_replicates, seed,
             grid=bias_mod.DEFAULT_RANK_GRID,
         )
+        # the pooled CIs read these item rows under either unit; a copy, as a
+        # view of the column would keep the whole rank-curve array alive
+        median_rows = boot[:, _MEDIAN_COLUMN].copy()
         curve_lows, curve_highs = bias_mod.percentile_ci(boot).tolist()
         med_low, med_high = curve_lows[_MEDIAN_COLUMN], curve_highs[_MEDIAN_COLUMN]
-        if config.bootstrap_unit == "duel":  # the score-bias CI refits duels instead
-            diffs = refit_bias_replicates(t, table, config, seed)
-        low, high = bias_mod.percentile_ci(diffs).tolist()
+        ci_diffs = (  # the duel unit's score-bias CI refits duels instead
+            refit_bias_replicates(t, table, config, seed)
+            if config.bootstrap_unit == "duel" else diffs
+        )
+        low, high = bias_mod.percentile_ci(ci_diffs).tolist()
         median_pct = bias_mod.median_percentile_rank(log_a, log_b)
         curve = bias_mod.rank_curve(log_a, log_b)
         bound, bound_ci = bias_mod.triangle_lower_bound(point, (low, high))
@@ -400,7 +417,7 @@ def run_pipeline(
                 for p, lo, hi in zip(curve, curve_lows, curve_highs)
             ],
         }
-        fitted.append(_Fitted(t, table, (log_a, log_b), point, median_pct))
+        fitted.append(_Fitted(t, table, point, median_pct, diffs, median_rows))
 
     dimensions = sorted({t.dimension for t in tournaments})
     by_dimension = duels_by_dimension(duels.where("category", config.categories))
@@ -410,18 +427,12 @@ def run_pipeline(
             bias_mod.duel_win_fraction(by_dimension[dimension]),
             bias_mod.rater_macro_average(by_dimension[dimension]),
         )
-        pooled_a, pooled_b = map(np.concatenate, zip(*(f.log_scores for f in mine)))
-        pooled_bias = float(pooled_b.mean() - pooled_a.mean())
-        seed = _derived_seed(config.seed, "__pooled__", dimension)
-        diffs, _ = bias_mod.resample_two_groups(
-            pooled_a, pooled_b, config.bootstrap_replicates, seed
-        )
-        low, high = bias_mod.percentile_ci(diffs).tolist()
-        bound, bound_ci = bias_mod.triangle_lower_bound(pooled_bias, (low, high))
+        bias = _pooled([f.point for f in mine], [f.diffs for f in mine])
+        medians = _pooled([f.median_pct for f in mine], [f.median_rows for f in mine])
+        bound, bound_ci = bias_mod.triangle_lower_bound(bias["point"], bias["ci"])
         bundle["pooled"][dimension] = {
-            "mean_category_bias": float(np.mean([f.point for f in mine])),
-            "mean_median_percentile": float(np.mean([f.median_pct for f in mine])),
-            "pooled_score_bias": {"point": pooled_bias, "ci": [low, high]},
+            "mean_category_bias": bias,
+            "mean_median_percentile": medians,
             "triangle_lower_bound": {"point": bound, "ci": list(bound_ci)},
             **outcomes,
         }

@@ -467,9 +467,9 @@ class TestResampleTwoGroups:
         ids=["grid-200", "pooled-1000"],
     )
     def test_warm_call_scratch_is_bounded(self, n, grid, bound):
-        # a large-set run's tournament call (200 + 200 items, rank grid) and
-        # pooled call (1000 + 1000 items); the first call pays numpy's
-        # one-time allocations
+        # a large-set run's tournament call (200 + 200 items, rank grid), and
+        # a call without a grid on all the large set's items of a dimension
+        # (1000 + 1000); the first call pays numpy's one-time allocations
         rng = np.random.default_rng(3)
         a, b = rng.normal(size=n), rng.normal(size=n)
         resample_two_groups(a, b, 1000, 0, grid)
@@ -526,8 +526,8 @@ class TestBlocksAreInvisible:
 
     @pytest.mark.parametrize("unit", ["duel", "item"])
     def test_report_is_byte_identical(self, monkeypatch, unit):
-        # four tournaments of 12 items and 150 duels, and two pooled
-        # resamples of 24 items, at 150 replicates
+        # four tournaments of 12 items and 150 duels at 150 replicates; the
+        # pooled CIs combine the tournaments' rows
         catalog, duels = _two_category_set(3)
         config = AnalysisConfig(bootstrap_replicates=150, bootstrap_unit=unit, seed=2)
         # each item resample's rows per block: 150 replicates in blocks of b
@@ -536,13 +536,13 @@ class TestBlocksAreInvisible:
         refits = _count_calls(monkeypatch, pipeline, "fit_duel_arrays")
         default = dump_report(run_pipeline(config, catalog, duels))
         refit_blocks = 4 if unit == "duel" else 0
-        assert (blocks, len(refits)) == ([150] * 6, refit_blocks)
+        assert (blocks, len(refits)) == ([150] * 4, refit_blocks)
         blocks.clear()
         refits.clear()
         monkeypatch.setattr("duelbias.settings.BLOCK_VALUES", 97)
         assert dump_report(run_pipeline(config, catalog, duels)) == default
-        # item resamples of 4 and 2 rows a block, refit blocks of one row
-        assert sum(-(-150 // b) for b in blocks) == 4 * 38 + 2 * 75
+        # item resamples of 4 rows a block, refit blocks of one row
+        assert sum(-(-150 // b) for b in blocks) == 4 * 38
         assert len(refits) == 150 * refit_blocks
 
     def test_recovery_curve_is_equal(self, monkeypatch):

@@ -148,7 +148,9 @@ class TestGenerateInputs:
         assert set(sets) == {"demo", "large"}
         for path in sets.values():  # the old tree's sets
             assert path.startswith(str(tmp_path / "work" / "inputs-old"))
-            assert sorted(os.listdir(path)) == ["duels.csv", "items.csv", "tags.csv"]
+            assert sorted(os.listdir(path)) == [
+                "duels.csv", "items.csv", "tags.csv", "truth.csv"
+            ]
         return same
 
     def test_a_tree_whose_writer_differs_fails(self, compare, tmp_path, capsys):
@@ -165,7 +167,7 @@ class TestGenerateInputs:
             f"inputs/{name}/{file}: "
             f"{'DIFFERS' if file == 'tags.csv' else 'identical'}"
             for name in ("demo", "large")
-            for file in ("duels.csv", "items.csv", "tags.csv")
+            for file in ("duels.csv", "items.csv", "tags.csv", "truth.csv")
         ]
 
     def test_one_tree_twice_is_identical(self, compare, tmp_path, capsys):

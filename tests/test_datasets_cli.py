@@ -6,6 +6,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -119,6 +120,51 @@ def write_fixture(tmp_path, catalog, duels, tags):
 @pytest.fixture(scope="module")
 def fixture_data():
     return build_fixture()
+
+
+# group A's and group B's item counts per category: the groups' category
+# mixes differ, as the paper's two platforms' food-type mixes do
+UNEQUAL_MIX = {"bread": (120, 30), "cake": (30, 120), "salad": (60, 60)}
+
+
+def build_unequal_mix(seed=0, duels_per_item=10, offset=0.5):
+    """Catalog and duels of the ``UNEQUAL_MIX`` categories and two
+    dimensions. Log-qualities are A ~ N(0, 0.5^2) and B ~ N(offset, 0.5^2),
+    one per item for both dimensions, and outcomes are Bradley-Terry. Each
+    item of a category's larger side duels ``duels_per_item`` times, each
+    time against a random item of the other side."""
+    rng = np.random.default_rng(seed)
+    records, duels = [], []
+    for cat, sizes in UNEQUAL_MIX.items():
+        ids = [[f"{g.lower()}-{cat}-{i}" for i in range(n)]
+               for g, n in zip("AB", sizes)]
+        records += [ItemRecord(i, g, cat) for g, group in zip("AB", ids) for i in group]
+        quality = [rng.normal(mu, 0.5, size=n) for mu, n in zip((0.0, offset), sizes)]
+        big = int(sizes[1] > sizes[0])
+        for dim in DIMENSIONS:
+            for k in range(duels_per_item * sizes[big]):
+                pair = [0, 0]
+                pair[big] = k % sizes[big]
+                pair[1 - big] = int(rng.integers(sizes[1 - big]))
+                a, b = pair
+                p_a = 1 / (1 + math.exp(quality[1][b] - quality[0][a]))
+                duels.append(DuelRecord(
+                    f"d{len(duels)}", cat, dim, ids[0][a], ids[1][b],
+                    "A" if rng.random() < p_a else "B", "r1",
+                ))
+    return ItemCatalog(records), duels
+
+
+def concatenated_bias(bundle, catalog, dimension):
+    """The mean log-score of all of a dimension's B items minus that of all
+    its A items, across categories: a pooled statistic that weights the
+    tournaments by their item counts, and so depends on each one's gauge."""
+    logs = {"A": [], "B": []}
+    for t in bundle["tournaments"].values():
+        if t["dimension"] == dimension:
+            for item, score in t["scores"].items():
+                logs[catalog.group_of(item)].append(math.log(score))
+    return np.mean(logs["B"]) - np.mean(logs["A"])
 
 
 class TestRoundTrips:
@@ -905,7 +951,7 @@ class TestPipeline:
         bundle = run_pipeline(self.config(), catalog, duels, tags)
         for dim in DIMENSIONS:
             pooled = bundle["pooled"][dim]
-            assert pooled["pooled_score_bias"]["point"] > 0
+            assert pooled["mean_category_bias"]["point"] > 0
             assert pooled["win_fraction"]["fraction"] > 0.5
 
     def test_input_digests_pinned(self):
@@ -1127,7 +1173,8 @@ class TestPipeline:
         bundle = run_pipeline(config, catalog, duels, tags)
         grid = (50,) + DEFAULT_RANK_GRID
         for dim in DIMENSIONS:
-            pooled = {"A": [], "B": []}
+            # each tournament's score-bias rows and median-percentile rows
+            pooled = {"diffs": [], "medians": []}
             for cat in sorted(CATEGORIES):
                 t = bundle["tournaments"][f"{cat}/{dim}"]
                 logs = {
@@ -1147,18 +1194,62 @@ class TestPipeline:
                 assert [p["ci"] for p in t["rank_curve"]] == [
                     list(ci) for ci in zip(lows, highs)
                 ]
-                for g in pooled:
-                    pooled[g].append(logs[g])
-            diffs, _ = loop_resample_two_groups(
-                np.concatenate(pooled["A"]),
-                np.concatenate(pooled["B"]),
-                config.bootstrap_replicates,
-                _derived_seed(config.seed, "__pooled__", dim),
-            )
-            assert (
-                bundle["pooled"][dim]["pooled_score_bias"]["ci"]
-                == percentile_ci(diffs).tolist()
-            )
+                pooled["diffs"].append(diffs)
+                pooled["medians"].append(boot[:, 0])
+            got = bundle["pooled"][dim]
+            for key, rows in (
+                ("mean_category_bias", pooled["diffs"]),
+                ("mean_median_percentile", pooled["medians"]),
+            ):
+                # the tournaments' rows summed in turn, then divided
+                mean = sum(rows[1:], rows[0]) / len(rows)
+                assert got[key]["ci"] == percentile_ci(mean).tolist()
+
+    def test_pooled_block_is_the_same_under_either_unit(self, fixture_data):
+        catalog, duels, _ = fixture_data
+        pooled = {
+            unit: run_pipeline(
+                AnalysisConfig(bootstrap_replicates=100, bootstrap_unit=unit, seed=1),
+                catalog, duels,
+            )["pooled"]
+            for unit in ("item", "duel")
+        }
+        assert pooled["duel"] == pooled["item"]
+
+    def test_pooled_point_is_the_mean_of_the_tournament_points(self):
+        catalog, duels = build_unequal_mix()
+        bundle = run_pipeline(self.config(), catalog, duels)
+        for dim in DIMENSIONS:
+            points = [bundle["tournaments"][f"{cat}/{dim}"]["score_bias"]["point"]
+                      for cat in sorted(UNEQUAL_MIX)]
+            got = bundle["pooled"][dim]["mean_category_bias"]["point"]
+            assert abs(got - math.fsum(points) / 3) <= 1e-12
+            # item-count weights that sum to 0.743 here pull a pooling of all
+            # items well below the mean of the tournaments
+            assert concatenated_bias(bundle, catalog, dim) < got - 0.05
+
+    def test_pooled_block_ignores_a_shift_of_one_tournament(self, monkeypatch):
+        catalog, duels = build_unequal_mix(seed=1)
+        default = run_pipeline(self.config(), catalog, duels)
+
+        def shifted(t, fit_config):
+            table = fit_tournament(t, fit_config)
+            if t.category != "bread":
+                return table
+            scale = math.exp(0.7)  # every bread log-score plus 0.7
+            return table.replace(scores={k: v * scale for k, v in table.scores.items()})
+
+        monkeypatch.setattr("duelbias.pipeline.fit_tournament", shifted)
+        bundle = run_pipeline(self.config(), catalog, duels)
+        for dim in DIMENSIONS:
+            old, new = default["pooled"][dim], bundle["pooled"][dim]
+            for key in ("mean_category_bias", "mean_median_percentile"):
+                assert abs(new[key]["point"] - old[key]["point"]) <= 1e-12
+                assert new[key]["ci"] == pytest.approx(old[key]["ci"], abs=1e-12)
+            # bread holds 120 of the 210 A items and 30 of the 210 B items
+            moved = (concatenated_bias(bundle, catalog, dim)
+                     - concatenated_bias(default, catalog, dim))
+            assert moved == pytest.approx(0.7 * (30 - 120) / 210)
 
     def test_unknown_duel_item_rejected(self, fixture_data):
         catalog, duels, _ = fixture_data

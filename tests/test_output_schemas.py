@@ -5,6 +5,7 @@ here as a change of the output schema."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -81,6 +82,17 @@ def test_win_fraction_blocks(bundle):
         assert set(pooled["win_fraction"]) == WIN_FRACTION_KEYS
 
 
+def test_pooled_blocks(bundle):
+    for pooled in bundle["pooled"].values():
+        assert set(pooled) == {
+            "mean_category_bias", "mean_median_percentile", "triangle_lower_bound",
+            "win_fraction", "rater_macro_mean", "rater_histogram",
+        }
+        for key in ("mean_category_bias", "mean_median_percentile",
+                    "triangle_lower_bound"):
+            assert set(pooled[key]) == {"point", "ci"}
+
+
 def test_frequency_comparison_block(bundle):
     assert set(bundle["frequency_comparison"]) == {
         "categories", "freq_a", "freq_b", "ratio_b_over_a", "spearman_rho",
@@ -106,6 +118,19 @@ def test_input_file_headers(demo):
         "duel_id", "category", "dimension", "item_a", "item_b", "winner", "rater_id"
     ]
     assert _header(demo / "tags.csv") == ["duel_id", "item_id", "rater_id", "raw_tag"]
+    assert _header(demo / "truth.csv") == [
+        "item_id", "group", "category", "log_quality"
+    ]
+
+
+def test_truth_file_lists_every_item_once(demo):
+    with open(demo / "truth.csv", encoding="utf-8", newline="") as f:
+        truth = list(csv.DictReader(f))
+    catalog = parse_items(demo / "items.csv")
+    assert [(r["item_id"], r["group"], r["category"]) for r in truth] == [
+        (r.item_id, r.group, r.category) for r in catalog.records
+    ]
+    assert all(math.isfinite(float(r["log_quality"])) for r in truth)
 
 
 def test_distinctive_tags_csv_header(bundle, tmp_path):
